@@ -122,28 +122,20 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(f"word ends at offset {len(data)}, expected {need} data bytes")
     if len(data) - 1 > need:
         raise Graph6Error(f"trailing garbage at offset {1 + need}")
+    values = [byte - 63 for byte in data[1:]]
     adj = [0] * n
     position = 0
-    for byte in data[1:]:
-        value = byte - 63
-        for shift in range(5, -1, -1):
-            if position >= n * (n - 1) // 2:
-                break
-            if value >> shift & 1:
-                u, v = _triangle_position(position)
+    # Upper triangle column by column, six bits per byte, high bit first.
+    for v in range(1, n):
+        for u in range(v):
+            if values[position // 6] >> (5 - position % 6) & 1:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
             position += 1
+    padding = (1 << (6 * need - position)) - 1
+    if values and values[-1] & padding:
+        raise Graph6Error(f"nonzero padding bits in the byte at offset {need}")
     return Graph(n, tuple(adj))
-
-
-def _triangle_position(position: int) -> tuple[int, int]:
-    # Upper-triangle column-major: columns v = 1, 2, ..., rows u < v.
-    v = 1
-    while position >= v:
-        position -= v
-        v += 1
-    return position, v
 
 
 def encode_graph6(g: Graph) -> str:

@@ -12,9 +12,21 @@ a certificate iff one exists.  Terminal sets are enumerated in colex
 order over degree-feasible vertices, pairs are solved in lex order, and
 each pair's paths are enumerated by iterative deepening on length
 (odd lengths only under the odd flag).  Pruning is limited to sound
-necessary conditions: terminal degree >= t-1, the global edge budget
-C(t,2) <= |E|, per-pair parity-aware reachability, and a running
-free-edge budget against the cheapest completion of unsolved pairs.
+necessary conditions, so the first certificate found never depends on
+it:
+
+- terminal degree >= t-1, since a terminal ends t-1 disjoint paths;
+- the global edge budget C(t,2) <= |E|;
+- per-pair parity-aware reachability;
+- a running free-edge budget against the cheapest completion of the
+  unsolved pairs;
+- a pass-through budget: a terminal x spends one incident edge per
+  path it ends and two per path through it, so it can be interior to
+  at most (deg(x) - (t-1)) // 2 paths of the whole family;
+- a failure memo: the unsolved-pair search is a pure function of the
+  pair index k and the used-edge set (free edges and pass-through
+  budgets both follow from them), so a (k, used) state that failed
+  once fails again and is cut.  The memo lives for one terminal set.
 """
 
 from __future__ import annotations
@@ -179,7 +191,9 @@ def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFla
         flags_obj = payload["flags"]
     except KeyError as exc:
         raise MalformedCertificateError(f"certificate JSON missing key {exc}") from exc
-    if not isinstance(terminals, list) or not all(isinstance(v, int) for v in terminals):
+    if not _is_int(t):
+        raise MalformedCertificateError("t must be an integer")
+    if not isinstance(terminals, list) or not all(_is_int(v) for v in terminals):
         raise MalformedCertificateError("terminals must be a list of integers")
     if t != len(terminals):
         raise MalformedCertificateError(f"t={t} but {len(terminals)} terminals listed")
@@ -193,13 +207,22 @@ def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFla
             raise MalformedCertificateError(f"bad pair key {key!r}") from exc
         if not 0 <= i < j < t:
             raise MalformedCertificateError(f"pair key {key!r} out of range for t={t}")
-        if not isinstance(seq, list) or not all(isinstance(v, int) for v in seq):
+        if (i, j) in paths:
+            raise MalformedCertificateError(f"pair key {key!r} repeats the pair {i},{j}")
+        if not isinstance(seq, list) or not all(_is_int(v) for v in seq):
             raise MalformedCertificateError(f"path for pair {key!r} must be a list of integers")
         paths[(i, j)] = tuple(seq)
     if not isinstance(flags_obj, dict):
         raise MalformedCertificateError("flags must be an object")
-    flags = ImmersionFlags(strong=bool(flags_obj.get("strong")), odd=bool(flags_obj.get("odd")))
-    return ImmersionCertificate(tuple(terminals), paths), flags
+    strong, odd = flags_obj.get("strong", False), flags_obj.get("odd", False)
+    if not isinstance(strong, bool) or not isinstance(odd, bool):
+        raise MalformedCertificateError("flag values must be true or false")
+    return ImmersionCertificate(tuple(terminals), paths), ImmersionFlags(strong, odd)
+
+
+def _is_int(value) -> bool:
+    """JSON integer check: bool is an int subclass but never a vertex or count."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _colex_combinations(items: list[int], k: int):
@@ -284,10 +307,15 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
 
     full = g.vertex_mask
     max_len = g.n - 1
+    step = 2 if flags.odd else 1
+    pairs = list(combinations(range(t), 2))
+    # Pass-through budget: how many more paths each candidate terminal
+    # may be interior to.  A failed search leaves it as it found it.
+    spare = [(g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
+    no_spare = mask_of(v for v in candidates if not spare[v])
 
     for terms in _colex_combinations(candidates, t):
         term_mask = mask_of(terms)
-        pairs = list(combinations(range(t), 2))
         floors: list[int] = []
         feasible = True
         for i, j in pairs:
@@ -310,50 +338,65 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
             continue
 
         solution: list[Path] = []
+        failed: list[set[int]] = [set() for _ in pairs]
 
         def exact_paths(a: int, b: int, length: int, used: int, banned: int):
             path = [a]
-            on_path = 1 << a
+            closed = banned | 1 << a  # banned vertices and those on the path
 
             def walk(v: int, remaining: int):
-                nonlocal on_path
+                nonlocal closed
                 if remaining == 1:
                     if adj[v] >> b & 1 and not used >> edge_index[v << 6 | b] & 1:
                         yield tuple(path) + (b,)
                     return
                 for w in nbrs[v]:
-                    if w == b or on_path >> w & 1 or banned >> w & 1:
+                    if w == b or closed >> w & 1:
                         continue
                     if used >> edge_index[v << 6 | w] & 1:
                         continue
                     path.append(w)
-                    on_path |= 1 << w
+                    closed |= 1 << w
                     yield from walk(w, remaining - 1)
                     path.pop()
-                    on_path &= ~(1 << w)
+                    closed &= ~(1 << w)
 
-            yield from walk(a, length)
+            return walk(a, length)
 
-        def solve(k: int, used: int, free: int) -> bool:
+        def solve(k: int, used: int, free: int, spent: int) -> bool:
+            """Route pairs k.. with edges used taken; spent: terminals out of budget."""
             if k == len(pairs):
                 return True
+            if used in failed[k]:
+                return False
             i, j = pairs[k]
             a, b = terms[i], terms[j]
-            banned = term_mask & ~(1 << a) & ~(1 << b) if flags.strong else 0
+            banned = term_mask & ~(1 << a) & ~(1 << b) if flags.strong else spent
             cap = min(free - suffix[k + 1], max_len)
-            step = 2 if flags.odd else 1
             for length in range(floors[k], cap + 1, step):
                 for path in exact_paths(a, b, length, used, banned):
                     edge_bits = 0
                     for x, y in zip(path, path[1:]):
                         edge_bits |= 1 << edge_index[x << 6 | y]
+                    # Strong paths never cross a terminal.
+                    crossed = (
+                        () if flags.strong else [x for x in path[1:-1] if term_mask >> x & 1]
+                    )
+                    now_spent = spent
+                    for x in crossed:
+                        spare[x] -= 1
+                        if not spare[x]:
+                            now_spent |= 1 << x
                     solution.append(path)
-                    if solve(k + 1, used | edge_bits, free - length):
+                    if solve(k + 1, used | edge_bits, free - length, now_spent):
                         return True
                     solution.pop()
+                    for x in crossed:
+                        spare[x] += 1
+            failed[k].add(used)
             return False
 
-        if solve(0, 0, m):
+        if solve(0, 0, m, term_mask & no_spare):
             paths = {pair: solution[k] for k, pair in enumerate(pairs)}
             return ImmersionCertificate(tuple(terms), paths)
     return None

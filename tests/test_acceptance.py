@@ -272,3 +272,22 @@ def test_criterion_9_sweep_bytes_reproducible(tmp_path):
         "PASS: criterion 9 — n = 7 sweep produced byte-identical CSV across "
         "two runs at 1 worker and one run at 4 workers"
     )
+
+
+@pytest.mark.slow_acceptance
+def test_criterion_10_exhaustive_sweep_n9(tmp_path):
+    """Every bound check holds on the whole alpha<=2 family at n = 9."""
+    out = tmp_path / "alpha2_n9.csv"
+    start = time.perf_counter()
+    code = run_batch("alpha2:n=9", ("main", "appendix", "vergara"), workers=2, out=str(out))
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    with open(out, newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert len(rows) == oracles.TRIANGLE_FREE_COUNTS[9]
+    statuses = [row[f"{name}_holds"] for row in rows for name in ("main", "appendix", "vergara")]
+    assert set(statuses) == {"true"}
+    print(
+        f"PASS: criterion 10 — main, appendix and vergara checks hold on all "
+        f"{len(rows)} alpha<=2 graphs at n = 9, swept in {elapsed:.1f}s with 2 workers"
+    )

@@ -103,6 +103,13 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("B")
 
+    def test_rejects_nonzero_padding(self):
+        assert parse_graph6("A_").edge_count == 1
+        with pytest.raises(Graph6Error, match="padding"):
+            parse_graph6("A@")  # would decode to the same graph as "A?"
+        with pytest.raises(Graph6Error, match="padding"):
+            parse_graph6("Bx")
+
     def test_rejects_empty(self):
         with pytest.raises(Graph6Error):
             parse_graph6("")

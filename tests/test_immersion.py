@@ -193,6 +193,32 @@ class TestJson:
         with pytest.raises(MalformedCertificateError):
             certificate_from_json(text)
 
+    def test_duplicate_pair_key_raises(self):
+        text = (
+            '{"t": 2, "terminals": [0, 1], '
+            '"paths": {"0,1": [0, 1], " 0,1": [0, 2, 1]}, "flags": {}}'
+        )
+        with pytest.raises(MalformedCertificateError, match="repeats"):
+            certificate_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"t": true, "terminals": [0], "paths": {}, "flags": {}}',
+            '{"t": 2, "terminals": [false, true], "paths": {"0,1": [0, 1]}, "flags": {}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [false, true]}, "flags": {}}',
+        ],
+    )
+    def test_booleans_as_integers_raise(self, text):
+        with pytest.raises(MalformedCertificateError, match="integer"):
+            certificate_from_json(text)
+
+    @pytest.mark.parametrize("flags", ['{"odd": "no"}', '{"strong": 1}', '{"odd": null}'])
+    def test_non_boolean_flags_raise(self, flags):
+        text = '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, "flags": %s}' % flags
+        with pytest.raises(MalformedCertificateError, match="flag"):
+            certificate_from_json(text)
+
 
 class TestFind:
     def test_complete_graphs_all_flags(self):

@@ -1,22 +1,12 @@
 """Theorem checkers, batch sweeps, and report persistence.
 
-Each checker compares a chromatic bound against exactly computed
-invariants and records the outcome in a CheckReport.  The bounds, with
-t the largest immersion order under the named flags:
-
-- main:     chi <= ceil(3 * t_strong_odd / 2), integer form (3t+1) div 2,
-            for graphs with alpha <= 2.
-- appendix: the constructive builder achieves t >= ceil(n/3) under
-            strong+odd, for graphs with alpha <= 2.
-- vergara:  n <= 2 * t_plain + 1, for graphs with alpha <= 2.
-- alpha3:   chi <= 4 * t_strong_odd, for graphs with alpha = 3; rows
-            with t_strong_odd < 2 are out-of-regime (the theorem's
-            proof regime assumes larger t), recorded but never counted
-            as failures.
-
-Batch rows always materialize every leading column so the CSV schema
-is fixed; timings are kept in memory only, never serialized, so output
-is byte-identical across runs and worker counts.
+CHECKS is the one table of bound checks, in report column order: when
+each applies to a row, its bound as a function of the row, whether the
+row meets it (None: outside the check's regime, never a failure), and
+whether a false outcome is quarantined.  evaluate_graph computes every
+leading column of a row once, so the CSV schema is fixed, then runs the
+table; check_* give one check's row.  Timings stay in memory, never
+serialized, so output is byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -27,22 +17,22 @@ import json
 import multiprocessing
 import sys
 import time
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from .construct import build_third_immersion
-from .coloring import chromatic_number
-from .errors import InapplicableCheckError, SizeCapError
+from .coloring import ColoringCertificate, chromatic_number
+from .errors import InapplicableCheckError
 from .families import enumerate_alpha_le2, enumerate_graphs, sample_alpha_le2
 from .graphs import Graph, encode_graph6, independence_number, parse_graph6
 from .immersion import (
     PLAIN,
     STRONG_ODD,
+    ImmersionCertificate,
     certificate_to_json,
     max_clique_immersion,
     verify_certificate,
 )
-
-CHECK_NAMES = ("main", "appendix", "vergara", "alpha3")
 
 
 @dataclass(frozen=True)
@@ -68,133 +58,147 @@ class CheckReport:
     t_max_strong_odd: int | None = None
     bounds: dict[str, CheckOutcome] = field(default_factory=dict)
     runtime_ms: dict[str, float] = field(default_factory=dict)
+    # Not a field, so never compared or serialized: the witnesses of a row
+    # that fails a quarantining check.  Other rows do not keep theirs.
+    quarantine = None
 
 
-def _outcome_main(n: int, chi: int, t_strong_odd: int) -> CheckOutcome:
-    bound = (3 * t_strong_odd + 1) // 2
-    return CheckOutcome(bound, chi <= bound)
+@dataclass(frozen=True)
+class _Check:
+    """One row of the check table; see the module docstring."""
+
+    applies: Callable[[CheckReport], bool]
+    bound: Callable[[CheckReport], int]
+    holds: Callable[[Graph, CheckReport, int], bool | None]
+    quarantine: bool = False
 
 
-def _outcome_appendix(g: Graph) -> CheckOutcome:
-    bound = -(-g.n // 3)
+def _builder_reaches(g: Graph, row: CheckReport, bound: int) -> bool:
     cert = build_third_immersion(g)
-    accepted = verify_certificate(g, cert, STRONG_ODD).accepted
-    return CheckOutcome(bound, accepted and cert.t >= bound)
+    return verify_certificate(g, cert, STRONG_ODD).accepted and cert.t >= bound
 
 
-def _outcome_vergara(n: int, t_plain: int) -> CheckOutcome:
-    bound = 2 * t_plain + 1
-    return CheckOutcome(bound, n <= bound)
+CHECKS: dict[str, _Check] = {
+    "main": _Check(
+        applies=lambda row: row.alpha <= 2,
+        bound=lambda row: (3 * row.t_max_strong_odd + 1) // 2,  # ceil(3t/2), the paper's bound
+        holds=lambda g, row, bound: row.chi <= bound,
+        quarantine=True,
+    ),
+    "appendix": _Check(
+        applies=lambda row: row.alpha <= 2 and row.n > 0,
+        bound=lambda row: -(-row.n // 3),  # ceil(n/3) terminals from the builder
+        holds=_builder_reaches,
+    ),
+    "vergara": _Check(
+        applies=lambda row: row.alpha <= 2,
+        bound=lambda row: 2 * row.t_max_plain + 1,  # Vergara: n <= 2t + 1
+        holds=lambda g, row, bound: row.n <= bound,
+        quarantine=True,
+    ),
+    # The alpha = 3 theorem's proof assumes t >= 2; smaller t is out of regime.
+    "alpha3": _Check(
+        applies=lambda row: row.alpha == 3,
+        bound=lambda row: 4 * row.t_max_strong_odd,
+        holds=lambda g, row, bound: row.chi <= bound if row.t_max_strong_odd >= 2 else None,
+    ),
+}
+CHECK_NAMES = tuple(CHECKS)
 
 
-def _outcome_alpha3(chi: int, t_strong_odd: int) -> CheckOutcome:
-    bound = 4 * t_strong_odd
-    if t_strong_odd < 2:
-        return CheckOutcome(bound, None, "out-of-regime")
-    return CheckOutcome(bound, chi <= bound)
-
-
-def check_theorem_main(g: Graph) -> CheckReport:
-    report = CheckReport(encode_graph6(g), g.n, alpha=independence_number(g))
-    if report.alpha > 2:
-        raise InapplicableCheckError(f"main check needs alpha <= 2, got {report.alpha}")
-    report.chi = chromatic_number(g)[0]
-    report.t_max_strong_odd = max_clique_immersion(g, STRONG_ODD)[0]
-    report.bounds["main"] = _outcome_main(g.n, report.chi, report.t_max_strong_odd)
-    return report
-
-
-def check_appendix(g: Graph) -> CheckReport:
-    report = CheckReport(encode_graph6(g), g.n, alpha=independence_number(g))
-    if report.alpha > 2:
-        raise InapplicableCheckError(f"appendix check needs alpha <= 2, got {report.alpha}")
-    report.bounds["appendix"] = _outcome_appendix(g)
-    return report
-
-
-def check_vergara(g: Graph) -> CheckReport:
-    report = CheckReport(encode_graph6(g), g.n, alpha=independence_number(g))
-    if report.alpha > 2:
-        raise InapplicableCheckError(f"vergara check needs alpha <= 2, got {report.alpha}")
-    report.t_max_plain = max_clique_immersion(g, PLAIN)[0]
-    report.bounds["vergara"] = _outcome_vergara(g.n, report.t_max_plain)
-    return report
-
-
-def check_alpha3(g: Graph) -> CheckReport:
-    report = CheckReport(encode_graph6(g), g.n, alpha=independence_number(g))
-    if report.alpha != 3:
-        raise InapplicableCheckError(f"alpha3 check needs alpha = 3, got {report.alpha}")
-    report.chi = chromatic_number(g)[0]
-    report.t_max_strong_odd = max_clique_immersion(g, STRONG_ODD)[0]
-    report.bounds["alpha3"] = _outcome_alpha3(report.chi, report.t_max_strong_odd)
-    return report
+def _require_known(checks: tuple[str, ...]) -> None:
+    for name in checks:
+        if name not in CHECKS:
+            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
 
 
 def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
-    """Full row: every leading column plus the requested check outcomes."""
-    for name in checks:
-        if name not in CHECK_NAMES:
-            raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+    """Full row: every leading column, the requested outcomes, and any quarantine."""
+    _require_known(checks)
     report = CheckReport(encode_graph6(g), g.n)
+    empty = (0, ImmersionCertificate(()))
     clock = time.perf_counter
     start = clock()
     report.alpha = independence_number(g)
     report.runtime_ms["alpha"] = (clock() - start) * 1000
     start = clock()
-    report.chi = chromatic_number(g)[0]
+    report.chi, coloring = chromatic_number(g)
     report.runtime_ms["chi"] = (clock() - start) * 1000
     start = clock()
-    report.t_max_plain = max_clique_immersion(g, PLAIN)[0] if g.n else 0
+    report.t_max_plain, plain_cert = max_clique_immersion(g, PLAIN) if g.n else empty
     report.runtime_ms["t_max_plain"] = (clock() - start) * 1000
     start = clock()
-    report.t_max_strong_odd = max_clique_immersion(g, STRONG_ODD)[0] if g.n else 0
+    report.t_max_strong_odd, odd_cert = max_clique_immersion(g, STRONG_ODD) if g.n else empty
     report.runtime_ms["t_max_strong_odd"] = (clock() - start) * 1000
 
     for name in checks:
         start = clock()
-        if name == "main":
-            if report.alpha > 2:
-                outcome = CheckOutcome((3 * report.t_max_strong_odd + 1) // 2, None, "inapplicable")
-            else:
-                outcome = _outcome_main(g.n, report.chi, report.t_max_strong_odd)
-        elif name == "appendix":
-            if report.alpha > 2 or g.n == 0:
-                outcome = CheckOutcome(-(-g.n // 3), None, "inapplicable")
-            else:
-                outcome = _outcome_appendix(g)
-        elif name == "vergara":
-            if report.alpha > 2:
-                outcome = CheckOutcome(2 * report.t_max_plain + 1, None, "inapplicable")
-            else:
-                outcome = _outcome_vergara(g.n, report.t_max_plain)
+        check = CHECKS[name]
+        bound = check.bound(report)
+        if not check.applies(report):
+            outcome = CheckOutcome(bound, None, "inapplicable")
         else:
-            if report.alpha != 3:
-                outcome = CheckOutcome(4 * report.t_max_strong_odd, None, "inapplicable")
-            else:
-                outcome = _outcome_alpha3(report.chi, report.t_max_strong_odd)
+            holds = check.holds(g, report, bound)
+            outcome = CheckOutcome(bound, holds, "ok" if holds is not None else "out-of-regime")
         report.bounds[name] = outcome
         report.runtime_ms[f"check_{name}"] = (clock() - start) * 1000
+
+    failed = [name for name, outcome in report.bounds.items() if outcome.status == "false"]
+    if any(CHECKS[name].quarantine for name in failed):
+        report.quarantine = _quarantine_payload(report, failed, coloring, plain_cert, odd_cert)
     return report
+
+
+def _check_one(g: Graph, name: str) -> CheckReport:
+    row = evaluate_graph(g, (name,))
+    if row.bounds[name].status == "inapplicable":
+        raise InapplicableCheckError(f"{name} check does not apply (n={row.n}, alpha={row.alpha})")
+    return row
+
+
+def check_theorem_main(g: Graph) -> CheckReport:
+    return _check_one(g, "main")
+
+
+def check_appendix(g: Graph) -> CheckReport:
+    return _check_one(g, "appendix")
+
+
+def check_vergara(g: Graph) -> CheckReport:
+    return _check_one(g, "vergara")
+
+
+def check_alpha3(g: Graph) -> CheckReport:
+    return _check_one(g, "alpha3")
 
 
 def _worker(task: tuple[str, tuple[str, ...]]) -> CheckReport:
     line, checks = task
-    return evaluate_graph(parse_graph6(line), checks)
+    try:
+        return evaluate_graph(parse_graph6(line), checks)
+    except Exception as exc:
+        raise ValueError(f"{line}: evaluating the row failed: {exc!r}") from exc
+
+
+_FAMILY_KEYS = {"alpha2": ("n",), "all": ("n",), "sample": ("n", "count", "seed")}
 
 
 def _parse_generator_spec(spec: str):
     name, _, rest = spec.partition(":")
-    params: dict[str, int] = {}
-    if rest:
-        for item in rest.split(","):
-            key, _, value = item.partition("=")
-            try:
-                params[key.strip()] = int(value)
-            except ValueError as exc:
-                raise ValueError(f"bad generator parameter {item!r} in {spec!r}") from exc
-    if name not in ("alpha2", "all", "sample"):
+    if name not in _FAMILY_KEYS:
         raise ValueError(f"unknown generator family {name!r} in {spec!r}")
+    params: dict[str, int] = {}
+    for item in rest.split(",") if rest else ():
+        key, _, value = item.partition("=")
+        key = key.strip()
+        if key not in _FAMILY_KEYS[name]:
+            raise ValueError(f"unknown parameter {key!r} for generator {name!r} in {spec!r}")
+        if key in params:
+            raise ValueError(f"parameter {key!r} given twice in {spec!r}")
+        try:
+            params[key] = int(value)
+        except ValueError as exc:
+            raise ValueError(f"bad generator parameter {item!r} in {spec!r}") from exc
     if "n" not in params:
         raise ValueError(f"generator {name!r} needs n=<size> in {spec!r}")
     if name == "alpha2":
@@ -207,8 +211,7 @@ def _parse_generator_spec(spec: str):
 def _resolve_source(source) -> list[str]:
     """Normalize any accepted batch source to a list of graph6 words."""
     if isinstance(source, str):
-        family = source.partition(":")[0]
-        if family in ("alpha2", "all", "sample"):
+        if source.partition(":")[0] in _FAMILY_KEYS:
             return [encode_graph6(g) for g in _parse_generator_spec(source)]
         with open(source, "r", encoding="ascii") as handle:
             lines = [line.strip() for line in handle]
@@ -264,22 +267,21 @@ def _json_bytes(rows: list[CheckReport], checks: tuple[str, ...]) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def _quarantine_payload(report: CheckReport, failed: list[str]) -> dict:
-    g = parse_graph6(report.graph6)
-    chi, coloring = chromatic_number(g)
-    _, plain_cert = max_clique_immersion(g, PLAIN)
-    _, strong_odd_cert = max_clique_immersion(g, STRONG_ODD)
+def _quarantine_payload(
+    report: CheckReport, failed: list[str], coloring: ColoringCertificate,
+    plain_cert: ImmersionCertificate, odd_cert: ImmersionCertificate,
+) -> dict:
     return {
         "graph6": report.graph6,
         "n": report.n,
         "alpha": report.alpha,
-        "chi": chi,
+        "chi": report.chi,
         "coloring": list(coloring.colors),
         "t_max_plain": report.t_max_plain,
         "t_max_strong_odd": report.t_max_strong_odd,
         "failed_checks": failed,
         "certificate_plain": json.loads(certificate_to_json(plain_cert, PLAIN)),
-        "certificate_strong_odd": json.loads(certificate_to_json(strong_odd_cert, STRONG_ODD)),
+        "certificate_strong_odd": json.loads(certificate_to_json(odd_cert, STRONG_ODD)),
     }
 
 
@@ -295,9 +297,7 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     try:
         if not checks:
             raise ValueError("at least one check is required")
-        for name in checks:
-            if name not in CHECK_NAMES:
-                raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+        _require_known(checks)
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
         lines = _resolve_source(source)
@@ -321,11 +321,7 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         with open(out, "wb") as handle:
             handle.write(data)
 
-    failures: list[dict] = []
-    for report in rows:
-        failed = [name for name, outcome in report.bounds.items() if outcome.status == "false"]
-        if failed and any(name in ("main", "vergara") for name in failed):
-            failures.append(_quarantine_payload(report, failed))
+    failures = [report.quarantine for report in rows if report.quarantine is not None]
     if failures:
         blob = json.dumps({"violations": failures}, sort_keys=True, indent=2) + "\n"
         if out is not None:

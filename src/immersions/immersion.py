@@ -184,6 +184,7 @@ def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFla
         raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
+    _reject_unknown_keys(payload, ("t", "terminals", "paths", "flags"), "certificate")
     try:
         t = payload["t"]
         terminals = payload["terminals"]
@@ -214,10 +215,18 @@ def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFla
         paths[(i, j)] = tuple(seq)
     if not isinstance(flags_obj, dict):
         raise MalformedCertificateError("flags must be an object")
+    _reject_unknown_keys(flags_obj, ("strong", "odd"), "flags")
     strong, odd = flags_obj.get("strong", False), flags_obj.get("odd", False)
     if not isinstance(strong, bool) or not isinstance(odd, bool):
         raise MalformedCertificateError("flag values must be true or false")
     return ImmersionCertificate(tuple(terminals), paths), ImmersionFlags(strong, odd)
+
+
+def _reject_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
+    """A misspelled key must not be read as an absent one (say, a flag as false)."""
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise MalformedCertificateError(f"unknown {where} key(s) {unknown}; known: {list(known)}")
 
 
 def _is_int(value) -> bool:

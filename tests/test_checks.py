@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -20,10 +21,24 @@ from immersions import (
     run_batch,
 )
 from immersions import checks as checks_module
+from immersions.cli import main as cli_main
+
+WRAPPERS = {
+    "main": check_theorem_main,
+    "appendix": check_appendix,
+    "vergara": check_vergara,
+    "alpha3": check_alpha3,
+}
 
 
 def cycle(n: int) -> Graph:
     return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+
+
+def force_holds(monkeypatch, name: str, holds) -> None:
+    """Swap the holds function of one check table entry for this test."""
+    check = dataclasses.replace(checks_module.CHECKS[name], holds=holds)
+    monkeypatch.setitem(checks_module.CHECKS, name, check)
 
 
 def petersen_complement() -> Graph:
@@ -88,6 +103,26 @@ class TestSingleCheckers:
                 checker(e3)
         with pytest.raises(InapplicableCheckError):
             check_alpha3(Graph.complete(3))
+
+    def test_wrappers_match_evaluate_graph(self, all_graphs_small):
+        assert set(WRAPPERS) == set(CHECK_NAMES)
+        graphs = [Graph.empty(0)] + [g for n in range(1, 7) for g in all_graphs_small[n]]
+        for g in graphs:
+            row = evaluate_graph(g, CHECK_NAMES)
+            for name, wrapper in WRAPPERS.items():
+                if row.bounds[name].status == "inapplicable":
+                    with pytest.raises(InapplicableCheckError):
+                        wrapper(g)
+                else:
+                    assert wrapper(g).bounds[name] == row.bounds[name], (row.graph6, name)
+
+    def test_empty_graph_follows_the_sweep_row(self):
+        empty = Graph.empty(0)
+        assert check_theorem_main(empty).bounds["main"] == CheckOutcome(0, True)
+        assert check_vergara(empty).bounds["vergara"] == CheckOutcome(1, True)
+        for checker in (check_appendix, check_alpha3):
+            with pytest.raises(InapplicableCheckError):
+                checker(empty)
 
 
 class TestEvaluateGraph:
@@ -162,8 +197,11 @@ class TestRunBatch:
         assert run_batch([Graph.complete(2)], ("nope",)) == 2
         assert run_batch([Graph.complete(2)], ()) == 2
         assert run_batch([Graph.complete(2)], ("main",), fmt="yaml") == 2
+        assert run_batch("alpha2:n=5,cout=3", ("main",)) == 2
+        assert run_batch("alpha2:n=5,n=4", ("main",)) == 2
+        assert run_batch("all:n=3,seed=9", ("main",)) == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 8
+        assert err.count("error:") == 11
 
     def test_json_format(self, capsys):
         code = run_batch([Graph.complete(4)], ("main", "alpha3"), fmt="json")
@@ -177,9 +215,7 @@ class TestRunBatch:
         assert "runtime" not in json.dumps(payload)
 
     def test_quarantine_on_forced_failure(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            checks_module, "_outcome_vergara", lambda n, t: CheckOutcome(0, False)
-        )
+        force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
         target = tmp_path / "sweep.csv"
         code = run_batch([Graph.complete(3)], ("vergara",), out=str(target))
         assert code == 1
@@ -193,22 +229,33 @@ class TestRunBatch:
         assert entry["certificate_strong_odd"]["flags"] == {"strong": True, "odd": True}
 
     def test_quarantine_to_stderr_without_out(self, capsys, monkeypatch):
-        monkeypatch.setattr(
-            checks_module, "_outcome_main", lambda n, c, t: CheckOutcome(0, False)
-        )
+        force_holds(monkeypatch, "main", lambda g, row, bound: False)
         code = run_batch([Graph.complete(3)], ("main",))
         captured = capsys.readouterr()
         assert code == 1
         assert json.loads(captured.err)["violations"][0]["failed_checks"] == ["main"]
 
     def test_appendix_failure_exits_1_without_quarantine(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(
-            checks_module, "_outcome_appendix", lambda g: CheckOutcome(1, False)
-        )
+        force_holds(monkeypatch, "appendix", lambda g, row, bound: False)
         target = tmp_path / "sweep.csv"
         code = run_batch([Graph.complete(3)], ("appendix",), out=str(target))
         assert code == 1
         assert not (tmp_path / "sweep.csv.quarantine.json").exists()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_row_names_its_word(self, tmp_path, capsys, monkeypatch, workers):
+        def holds(g, row, bound):
+            return 1 // 0 if row.n == 4 else row.n <= bound
+
+        force_holds(monkeypatch, "vergara", holds)
+        path = tmp_path / "words.g6"
+        path.write_text("Bw\nC~\nDhc\n")
+        args = ["sweep", "--input", str(path), "--checks", "vergara", "--workers", str(workers)]
+        assert cli_main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: C~: ")
+        assert "ZeroDivisionError" in captured.err
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         checks = ("main", "vergara")

@@ -219,6 +219,21 @@ class TestJson:
         with pytest.raises(MalformedCertificateError, match="flag"):
             certificate_from_json(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, "flags": {"strog": true}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, "flags": {}, "note": 1}',
+        ],
+    )
+    def test_unknown_keys_raise(self, text):
+        with pytest.raises(MalformedCertificateError, match="unknown"):
+            certificate_from_json(text)
+
+    def test_missing_flag_reads_false(self):
+        text = '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, "flags": {"strong": true}}'
+        assert certificate_from_json(text)[1] == ImmersionFlags(strong=True, odd=False)
+
 
 class TestFind:
     def test_complete_graphs_all_flags(self):

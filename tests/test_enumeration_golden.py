@@ -1,0 +1,59 @@
+"""Every enumerated level pinned by the digest of its graph6 words.
+
+Each digest is the sha256 of the "\\n"-joined graph6 words of one
+level, in the order the enumerator yields them: all graphs for
+n = 1..8 and alpha <= 2 graphs for n = 1..9.  The values were written
+by the enumerator that canonicalized every child of every parent,
+before generation was restricted to maximum-degree augmentations, so
+a change to the generator that drops a class, adds one, or reorders a
+level shows up here.
+
+Print the digests of the current code with:
+
+    PYTHONPATH=src python3 tests/test_enumeration_golden.py
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from immersions import encode_graph6, enumerate_alpha_le2, enumerate_graphs
+
+FAMILIES = {"all": enumerate_graphs, "alpha2": enumerate_alpha_le2}
+
+DIGESTS = {
+    ("all", 1): "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    ("all", 2): "66f7cc5c004391e37949da741ea5ce5831ff34dd3c3a4e2bea3ccd225d7b2fb1",
+    ("all", 3): "f78b1e961185bb637907c0c3de52876ceb3eb2fee4073e88b23fc8308cee8ad4",
+    ("all", 4): "c2358ed80eda8f62dcaf61a18b1f7f660bafe54c4c53a2c9dc32611f615f94ec",
+    ("all", 5): "974ec45f4597d4dbbf44a71dee314e9556d6c06dc9c2e23df23a64e436522b6e",
+    ("all", 6): "f6b6191402a636eef7f28881b2b308465c5fbc4476e9acc5435f8480b61def40",
+    ("all", 7): "22ca11d429e1989e3903db539b19ed090adf3ac052a656576db2a178e44fb96a",
+    ("all", 8): "e07b51ee5e5f52ce7f5cb048a3ddad2a05b2221a820b072e05c1d7c50510439f",
+    ("alpha2", 1): "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
+    ("alpha2", 2): "fa296c68cb38bf2774ccecd4237a0f10b85537a68f8b96dc467bdb3eb3a0914a",
+    ("alpha2", 3): "c97628a15a3e5daa2fa8948699e5d88f6548c134faa5a27deb4aacadbae7cdf9",
+    ("alpha2", 4): "67e4bf233fa7cca6b0f831a31d5951faa439f1d58593a039a65a8e8fbd778e08",
+    ("alpha2", 5): "2082acf652a882fbcc491a9c00334009259f2a1301e16747eb9ffd9ddbd90146",
+    ("alpha2", 6): "e3b28ac5b33968c9fc2f5e2d2e8e513029b0592533ba9dec7c377d2f9d8ee313",
+    ("alpha2", 7): "0b4c257db343c6c740cbcf5a14ef1133ffbec9c3446ab29066928397b7fda41f",
+    ("alpha2", 8): "f61a1493af868507094ced649638ceea6a39bd3d0cdbadf6d0985a460bf3db4c",
+    ("alpha2", 9): "b15007b06feeefd16742d012bf1fe08ff942dd74ead49ec7f1d272224b49a9c4",
+}
+
+
+def level_digest(family: str, n: int) -> str:
+    words = [encode_graph6(g) for g in FAMILIES[family](n)]
+    return hashlib.sha256("\n".join(words).encode("ascii")).hexdigest()
+
+
+@pytest.mark.parametrize("family,n", sorted(DIGESTS))
+def test_level_digest(family, n):
+    assert level_digest(family, n) == DIGESTS[family, n]
+
+
+if __name__ == "__main__":
+    for family, n in sorted(DIGESTS):
+        print(f'    ("{family}", {n}): "{level_digest(family, n)}",')

@@ -172,10 +172,10 @@ def check_alpha3(g: Graph) -> CheckReport:
     return _check_one(g, "alpha3")
 
 
-def _worker(task: tuple[str, tuple[str, ...]]) -> CheckReport:
-    line, checks = task
+def _worker(task: tuple[str, Graph, tuple[str, ...]]) -> CheckReport:
+    line, g, checks = task
     try:
-        return evaluate_graph(parse_graph6(line), checks)
+        return evaluate_graph(g, checks)
     except Exception as exc:
         raise ValueError(f"{line}: evaluating the row failed: {exc!r}") from exc
 
@@ -300,14 +300,11 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         _require_known(checks)
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
-        lines = _resolve_source(source)
-        for line in lines:
-            parse_graph6(line)
+        tasks = [(line, parse_graph6(line), checks) for line in _resolve_source(source)]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    tasks = [(line, checks) for line in lines]
     if workers > 1 and len(tasks) > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
             rows = list(pool.imap(_worker, tasks, chunksize=1))

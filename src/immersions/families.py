@@ -13,10 +13,17 @@ neighborhoods apart from each other) generate identical subtrees and
 are explored once, which keeps the near-symmetric worst cases
 (empty and complete graphs) polynomial.
 
-Families are generated level by level: every n-vertex graph arises
-from an (n-1)-vertex parent by adding vertex n-1 with some
-neighborhood, independent neighborhoods only for the triangle-free
-family.  Graphs with independence number at most 2 are exactly the
+Families are generated level by level: a child adds vertex n-1 to an
+(n-1)-vertex parent with some neighborhood N (independent only, for
+the triangle-free family), and a child is canonicalized only if its
+new vertex has maximum degree, that is no old vertex v has
+deg_parent(v) + [v in N] > |N|.  No class is lost: delete a vertex of
+maximum degree from any member G; what is left is isomorphic to a
+parent, and adding the vertex back with its image neighborhood
+(independent when G is triangle-free) is a child that passes the test
+and is isomorphic to G.  Canonical forms are sorted, so each level's
+representatives and their order do not depend on which children are
+tried.  Graphs with independence number at most 2 are exactly the
 complements of triangle-free graphs.
 """
 
@@ -124,34 +131,39 @@ def _extend(parent: Graph, neighborhood: int) -> Graph:
     return Graph(parent.n + 1, tuple(adj))
 
 
-def _independent_masks(g: Graph) -> list[int]:
-    masks = []
-    for s in range(1 << g.n):
-        if all(not g.adj[v] & s for v in bits(s)):
-            masks.append(s)
-    return masks
+def _next_level(parents: tuple[Graph, ...], independent_only: bool) -> tuple[Graph, ...]:
+    """Canonical representatives, sorted, of the children of `parents`
+    whose new vertex has maximum degree."""
+    seen: set[tuple[int, ...]] = set()
+    for parent in parents:
+        degrees = [row.bit_count() for row in parent.adj]
+        top = max(degrees)
+        top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
+        for neighborhood in range(1 << parent.n):
+            # Skip when an old vertex v ends above |N| at degree
+            # degrees[v] + [v in N]: a top-degree vertex does when
+            # |N| < top, or when |N| == top and N holds it.
+            size = neighborhood.bit_count()
+            if size < top or (size == top and neighborhood & top_mask):
+                continue
+            if independent_only and any(parent.adj[v] & neighborhood for v in bits(neighborhood)):
+                continue
+            seen.add(canonical_form(_extend(parent, neighborhood)))
+    return tuple(graph_from_canonical_form(form) for form in sorted(seen))
 
 
 @lru_cache(maxsize=None)
 def _triangle_free_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph.empty(1),)
-    seen: set[tuple[int, ...]] = set()
-    for parent in _triangle_free_level(n - 1):
-        for neighborhood in _independent_masks(parent):
-            seen.add(canonical_form(_extend(parent, neighborhood)))
-    return tuple(graph_from_canonical_form(form) for form in sorted(seen))
+    return _next_level(_triangle_free_level(n - 1), independent_only=True)
 
 
 @lru_cache(maxsize=None)
 def _all_graphs_level(n: int) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph.empty(1),)
-    seen: set[tuple[int, ...]] = set()
-    for parent in _all_graphs_level(n - 1):
-        for neighborhood in range(1 << parent.n):
-            seen.add(canonical_form(_extend(parent, neighborhood)))
-    return tuple(graph_from_canonical_form(form) for form in sorted(seen))
+    return _next_level(_all_graphs_level(n - 1), independent_only=False)
 
 
 def enumerate_triangle_free(n: int):

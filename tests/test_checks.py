@@ -265,6 +265,19 @@ class TestRunBatch:
         assert run_batch("alpha2:n=6", checks, workers=4, out=str(quad)) == 0
         assert single.read_bytes() == quad.read_bytes()
 
+    def test_each_word_parsed_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return parse_graph6(word)
+
+        monkeypatch.setattr(checks_module, "parse_graph6", counted)
+        source = tmp_path / "in.g6"
+        source.write_text("Bw\nC~\nDhc\n")
+        assert run_batch(str(source), ("main",), out=str(tmp_path / "out.csv")) == 0
+        assert calls == ["Bw", "C~", "Dhc"]
+
     def test_timings_never_serialized(self, capsys):
         run_batch([parse_graph6("Dhc")], ("main",))
         out = capsys.readouterr().out

@@ -6,6 +6,7 @@ import random
 
 import pytest
 
+import immersions.families as families
 import oracles
 from immersions import (
     Graph,
@@ -97,6 +98,36 @@ class TestEnumeration:
         first = [encode_graph6(g) for g in enumerate_alpha_le2(5)]
         second = [encode_graph6(g) for g in enumerate_alpha_le2(5)]
         assert first == second
+
+    @pytest.mark.parametrize("enumerate_level,largest_n,independent_only", [
+        (enumerate_graphs, 6, False),
+        (enumerate_triangle_free, 7, True),
+    ])
+    def test_matches_unfiltered_children(self, enumerate_level, largest_n, independent_only):
+        """Every child of every parent, no degree test, gives the same level."""
+        for n in range(2, largest_n + 1):
+            forms = set()
+            for parent in enumerate_level(n - 1):
+                for neighborhood in range(1 << parent.n):
+                    if independent_only and any(parent.adj[v] & neighborhood for v in bits(neighborhood)):
+                        continue
+                    adj = [row | (neighborhood >> v & 1) << parent.n for v, row in enumerate(parent.adj)]
+                    forms.add(canonical_form(Graph(n, (*adj, neighborhood))))
+            assert [canonical_form(g) for g in enumerate_level(n)] == sorted(forms)
+
+    def test_canonical_form_calls_from_cold(self, monkeypatch):
+        calls = 0
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            return canonical_form(g)
+
+        monkeypatch.setattr(families, "canonical_form", counted)
+        families._all_graphs_level.cache_clear()
+        families._triangle_free_level.cache_clear()
+        list(enumerate_graphs(7))
+        assert calls == 3131  # canonicalizing every child takes 11,290
 
     def test_size_caps(self):
         with pytest.raises(SizeCapError):

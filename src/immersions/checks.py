@@ -173,11 +173,11 @@ def check_alpha3(g: Graph) -> CheckReport:
 
 
 def _worker(task: tuple[str, Graph, tuple[str, ...]]) -> CheckReport:
-    line, g, checks = task
+    word, g, checks = task
     try:
         return evaluate_graph(g, checks)
     except Exception as exc:
-        raise ValueError(f"{line}: evaluating the row failed: {exc!r}") from exc
+        raise ValueError(f"{word}: evaluating the row failed: {exc!r}") from exc
 
 
 _FAMILY_KEYS = {"alpha2": ("n",), "all": ("n",), "sample": ("n", "count", "seed")}
@@ -208,33 +208,37 @@ def _parse_generator_spec(spec: str):
     return sample_alpha_le2(params["n"], params.get("count", 100), params.get("seed", 0))
 
 
-def _resolve_source(source) -> list[str]:
-    """Normalize any accepted batch source to a list of graph6 words."""
-    if isinstance(source, str):
-        if source.partition(":")[0] in _FAMILY_KEYS:
-            return [encode_graph6(g) for g in _parse_generator_spec(source)]
+def _resolve_source(source) -> list[tuple[str, Graph]]:
+    """Normalize any accepted batch source to (graph6 word, graph) pairs.
+
+    File lines are parsed once; generated graphs are kept, not re-parsed.
+    """
+    if isinstance(source, str) and source.partition(":")[0] in _FAMILY_KEYS:
+        source = _parse_generator_spec(source)
+    elif isinstance(source, str):
         with open(source, "r", encoding="ascii") as handle:
             lines = [line.strip() for line in handle]
-        return [line for line in lines if line and line != ">>graph6<<"]
-    return [encode_graph6(g) for g in source]
+        return [(line, parse_graph6(line)) for line in lines if line and line != ">>graph6<<"]
+    return [(encode_graph6(g), g) for g in source]
+
+
+# The leading columns of every report, in CSV order.
+_COLUMNS = ("graph6", "n", "alpha", "chi", "t_max_plain", "t_max_strong_odd")
+
+
+def _leading(report: CheckReport) -> dict:
+    return {column: getattr(report, column) for column in _COLUMNS}
 
 
 def _csv_bytes(rows: list[CheckReport], checks: tuple[str, ...]) -> bytes:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\r\n")
-    header = ["graph6", "n", "alpha", "chi", "t_max_plain", "t_max_strong_odd"]
+    header = list(_COLUMNS)
     for name in checks:
         header += [f"{name}_bound", f"{name}_holds"]
     writer.writerow(header)
     for report in rows:
-        row = [
-            report.graph6,
-            report.n,
-            report.alpha,
-            report.chi,
-            report.t_max_plain,
-            report.t_max_strong_odd,
-        ]
+        row = list(_leading(report).values())
         for name in checks:
             outcome = report.bounds[name]
             row += [outcome.bound_value, outcome.status]
@@ -247,12 +251,7 @@ def _json_bytes(rows: list[CheckReport], checks: tuple[str, ...]) -> bytes:
         "checks": list(checks),
         "rows": [
             {
-                "graph6": report.graph6,
-                "n": report.n,
-                "alpha": report.alpha,
-                "chi": report.chi,
-                "t_max_plain": report.t_max_plain,
-                "t_max_strong_odd": report.t_max_strong_odd,
+                **_leading(report),
                 "checks": {
                     name: {
                         "bound": report.bounds[name].bound_value,
@@ -272,13 +271,8 @@ def _quarantine_payload(
     plain_cert: ImmersionCertificate, odd_cert: ImmersionCertificate,
 ) -> dict:
     return {
-        "graph6": report.graph6,
-        "n": report.n,
-        "alpha": report.alpha,
-        "chi": report.chi,
+        **_leading(report),
         "coloring": list(coloring.colors),
-        "t_max_plain": report.t_max_plain,
-        "t_max_strong_odd": report.t_max_strong_odd,
         "failed_checks": failed,
         "certificate_plain": json.loads(certificate_to_json(plain_cert, PLAIN)),
         "certificate_strong_odd": json.loads(certificate_to_json(odd_cert, STRONG_ODD)),
@@ -300,7 +294,7 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         _require_known(checks)
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
-        tasks = [(line, parse_graph6(line), checks) for line in _resolve_source(source)]
+        tasks = [(word, g, checks) for word, g in _resolve_source(source)]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -83,16 +83,9 @@ def _trim_certificate(cert: ImmersionCertificate, k: int) -> ImmersionCertificat
     """Keep the k lowest-indexed terminals and their pairwise paths."""
     if cert.t <= k:
         return cert
-    keep = sorted(range(cert.t), key=lambda i: cert.terminals[i])[:k]
-    keep.sort()
-    position = {old: new for new, old in enumerate(keep)}
-    terminals = tuple(cert.terminals[i] for i in keep)
-    paths = {
-        (position[i], position[j]): path
-        for (i, j), path in cert.paths.items()
-        if i in position and j in position
-    }
-    return _sort_terminals(ImmersionCertificate(terminals, paths))
+    cert = _sort_terminals(cert)
+    paths = {(i, j): path for (i, j), path in cert.paths.items() if j < k}
+    return ImmersionCertificate(cert.terminals[:k], paths)
 
 
 def extension_step(

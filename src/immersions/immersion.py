@@ -11,9 +11,9 @@ The searches are exact, not heuristic: `find_clique_immersion` returns
 a certificate iff one exists.  Terminal sets are enumerated in colex
 order over degree-feasible vertices, pairs are solved in lex order, and
 each pair's paths are enumerated by iterative deepening on length
-(odd lengths only under the odd flag).  Pruning is limited to sound
-necessary conditions, so the first certificate found never depends on
-it:
+(odd lengths only under the odd flag), from one path generator that
+carries each path's edge bits.  Pruning is limited to sound necessary
+conditions, so the first certificate found never depends on it:
 
 - terminal degree >= t-1, since a terminal ends t-1 disjoint paths;
 - the global edge budget C(t,2) <= |E|;
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import accumulate, combinations
 
 from .errors import (
     DegenerateInputError,
@@ -247,47 +247,29 @@ def _colex_combinations(items: list[int], k: int):
 def _pair_floor(g: Graph, a: int, b: int, allowed: int, odd: bool) -> int | None:
     """Shortest possible a-b path length with interiors inside allowed.
 
-    Under the odd flag this is the shortest odd *walk* length, a sound
-    lower bound for the shortest odd path (every path is a walk); None
-    means no path of the right parity can exist at all.
+    One BFS over (vertex, parity) states: the front at distance d holds
+    the vertices first reached at parity d % 2 by a walk of length d
+    whose interior lies in allowed, a or b.  Plain flags take the first
+    distance that reaches b.  The odd flag takes the first odd one, the
+    shortest odd *walk* length, a sound lower bound for the shortest odd
+    path (every path is a walk).  None means no path of the right parity
+    can exist at all.
     """
     adj = g.adj
-    if not odd:
-        if adj[a] >> b & 1:
-            return 1
-        dist = 1
-        frontier = adj[a] & (allowed | 1 << b)
-        seen = frontier | 1 << a
-        while frontier:
-            if frontier >> b & 1:
-                return dist
-            dist += 1
-            grown = 0
-            for v in bits(frontier):
-                grown |= adj[v]
-            frontier = grown & (allowed | 1 << b) & ~seen
-            seen |= frontier
-        return None
-    # Parity BFS over (vertex, parity) states.
-    even_seen, odd_seen = 1 << a, 0
-    even_front, odd_front = 1 << a, 0
-    dist = 0
     scope = allowed | 1 << a | 1 << b
-    while even_front or odd_front:
+    seen = [1 << a, 0]  # by parity
+    front = 1 << a
+    dist = 0
+    while front:
         dist += 1
         grown = 0
-        for v in bits(even_front):
+        for v in bits(front):
             grown |= adj[v]
-        new_odd = grown & scope & ~odd_seen
-        grown = 0
-        for v in bits(odd_front):
-            grown |= adj[v]
-        new_even = grown & scope & ~even_seen
-        if dist % 2 == 1 and new_odd >> b & 1:
+        parity = dist & 1
+        front = grown & scope & ~seen[parity]
+        if front >> b & 1 and (parity or not odd):
             return dist
-        odd_seen |= new_odd
-        even_seen |= new_even
-        even_front, odd_front = new_even, new_odd
+        seen[parity] |= front
     return None
 
 
@@ -307,12 +289,10 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     if len(candidates) < t:
         return None
 
-    adj = g.adj
-    nbrs = [tuple(bits(adj[v])) for v in range(g.n)]
-    edge_index: dict[int, int] = {}
+    # edge_bit[v][w] is the used-edge bit of vw; keys ascend, as in adj[v].
+    edge_bit: list[dict[int, int]] = [{} for _ in range(g.n)]
     for k, (u, v) in enumerate(g.edges()):
-        edge_index[u << 6 | v] = k
-        edge_index[v << 6 | u] = k
+        edge_bit[u][v] = edge_bit[v][u] = 1 << k
 
     full = g.vertex_mask
     max_len = g.n - 1
@@ -323,10 +303,56 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     spare = [(g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
     no_spare = mask_of(v for v in candidates if not spare[v])
 
+    def routes(path: Path, b: int, remaining: int, closed: int, used: int, edge_bits: int):
+        """Yield (path + rest, edge bits of the whole path) for every rest of
+        exactly remaining edges that ends at b, off closed vertices and used edges.
+        """
+        v = path[-1]
+        if remaining == 1:
+            bit = edge_bit[v].get(b)
+            if bit and not used & bit:
+                yield path + (b,), edge_bits | bit
+            return
+        for w, bit in edge_bit[v].items():
+            if closed >> w & 1 or used & bit:
+                continue
+            yield from routes(path + (w,), b, remaining - 1, closed | 1 << w, used, edge_bits | bit)
+
+    def solve(k: int, used: int, free: int, spent: int) -> bool:
+        """Route pairs k.. with edges used taken; spent: terminals out of budget.
+
+        Reads the current terminal set's terms, floors, suffix, memo and
+        solution, which the loop below rebinds for each set.
+        """
+        if k == len(pairs):
+            return True
+        if used in failed[k]:
+            return False
+        i, j = pairs[k]
+        a, b = terms[i], terms[j]
+        closed = term_mask if flags.strong else spent | 1 << a | 1 << b
+        cap = min(free - suffix[k + 1], max_len)
+        for length in range(floors[k], cap + 1, step):
+            for path, edge_bits in routes((a,), b, length, closed, used, 0):
+                # Strong paths never cross a terminal.
+                crossed = () if flags.strong else [x for x in path[1:-1] if term_mask >> x & 1]
+                now_spent = spent
+                for x in crossed:
+                    spare[x] -= 1
+                    if not spare[x]:
+                        now_spent |= 1 << x
+                solution.append(path)
+                if solve(k + 1, used | edge_bits, free - length, now_spent):
+                    return True
+                solution.pop()
+                for x in crossed:
+                    spare[x] += 1
+        failed[k].add(used)
+        return False
+
     for terms in _colex_combinations(candidates, t):
         term_mask = mask_of(terms)
         floors: list[int] = []
-        feasible = True
         for i, j in pairs:
             a, b = terms[i], terms[j]
             if flags.strong:
@@ -335,79 +361,14 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
                 allowed = full & ~(1 << a) & ~(1 << b)
             floor = _pair_floor(g, a, b, allowed, flags.odd)
             if floor is None:
-                feasible = False
                 break
             floors.append(floor)
-        if not feasible:
-            continue
-        suffix = [0] * (len(pairs) + 1)
-        for k in range(len(pairs) - 1, -1, -1):
-            suffix[k] = suffix[k + 1] + floors[k]
-        if suffix[0] > m:
-            continue
-
-        solution: list[Path] = []
-        failed: list[set[int]] = [set() for _ in pairs]
-
-        def exact_paths(a: int, b: int, length: int, used: int, banned: int):
-            path = [a]
-            closed = banned | 1 << a  # banned vertices and those on the path
-
-            def walk(v: int, remaining: int):
-                nonlocal closed
-                if remaining == 1:
-                    if adj[v] >> b & 1 and not used >> edge_index[v << 6 | b] & 1:
-                        yield tuple(path) + (b,)
-                    return
-                for w in nbrs[v]:
-                    if w == b or closed >> w & 1:
-                        continue
-                    if used >> edge_index[v << 6 | w] & 1:
-                        continue
-                    path.append(w)
-                    closed |= 1 << w
-                    yield from walk(w, remaining - 1)
-                    path.pop()
-                    closed &= ~(1 << w)
-
-            return walk(a, length)
-
-        def solve(k: int, used: int, free: int, spent: int) -> bool:
-            """Route pairs k.. with edges used taken; spent: terminals out of budget."""
-            if k == len(pairs):
-                return True
-            if used in failed[k]:
-                return False
-            i, j = pairs[k]
-            a, b = terms[i], terms[j]
-            banned = term_mask & ~(1 << a) & ~(1 << b) if flags.strong else spent
-            cap = min(free - suffix[k + 1], max_len)
-            for length in range(floors[k], cap + 1, step):
-                for path in exact_paths(a, b, length, used, banned):
-                    edge_bits = 0
-                    for x, y in zip(path, path[1:]):
-                        edge_bits |= 1 << edge_index[x << 6 | y]
-                    # Strong paths never cross a terminal.
-                    crossed = (
-                        () if flags.strong else [x for x in path[1:-1] if term_mask >> x & 1]
-                    )
-                    now_spent = spent
-                    for x in crossed:
-                        spare[x] -= 1
-                        if not spare[x]:
-                            now_spent |= 1 << x
-                    solution.append(path)
-                    if solve(k + 1, used | edge_bits, free - length, now_spent):
-                        return True
-                    solution.pop()
-                    for x in crossed:
-                        spare[x] += 1
-            failed[k].add(used)
-            return False
-
-        if solve(0, 0, m, term_mask & no_spare):
-            paths = {pair: solution[k] for k, pair in enumerate(pairs)}
-            return ImmersionCertificate(tuple(terms), paths)
+        else:
+            suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
+            solution: list[Path] = []
+            failed: list[set[int]] = [set() for _ in pairs]
+            if suffix[0] <= m and solve(0, 0, m, term_mask & no_spare):
+                return ImmersionCertificate(tuple(terms), dict(zip(pairs, solution)))
     return None
 
 

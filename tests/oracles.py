@@ -149,6 +149,23 @@ def brute_immersion_exists(g: Graph, t: int, strong: bool, odd: bool) -> bool:
     return False
 
 
+def walk_floor(g: Graph, a: int, b: int, inner: set[int], odd: bool) -> int | None:
+    """Least d >= 1, odd under the odd flag, such that some walk of length
+    d runs from a to b with every interior vertex in inner.
+
+    Walk-length dynamic programming: ends is the set of last vertices of
+    the walks of length d.  A shortest such walk never repeats a (vertex,
+    length parity) state before its last step, so d <= 2n suffices.
+    """
+    ends = {a}
+    for d in range(1, 2 * g.n + 1):
+        sources = ends if d == 1 else ends & inner
+        ends = {w for v in sources for w in range(g.n) if g.adj[v] >> w & 1}
+        if b in ends and (d % 2 == 1 or not odd):
+            return d
+    return None
+
+
 # ---------------------------------------------------------- isomorphism
 
 def brute_canonical(g: Graph) -> tuple[int, ...]:

@@ -278,6 +278,17 @@ class TestRunBatch:
         assert run_batch(str(source), ("main",), out=str(tmp_path / "out.csv")) == 0
         assert calls == ["Bw", "C~", "Dhc"]
 
+    def test_generated_rows_never_parsed(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(word):
+            calls.append(word)
+            return parse_graph6(word)
+
+        monkeypatch.setattr(checks_module, "parse_graph6", counted)
+        assert run_batch("alpha2:n=5", ("main",), out=str(tmp_path / "out.csv")) == 0
+        assert calls == []
+
     def test_timings_never_serialized(self, capsys):
         run_batch([parse_graph6("Dhc")], ("main",))
         out = capsys.readouterr().out

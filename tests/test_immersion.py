@@ -32,6 +32,7 @@ from immersions import (
     minimize_support,
     verify_certificate,
 )
+from immersions.immersion import _pair_floor
 
 ALL_FLAGS = (PLAIN, STRONG, ODD, STRONG_ODD)
 
@@ -303,6 +304,24 @@ class TestFind:
             for t in range(2, g.n + 1):
                 if find_clique_immersion(g, t, PLAIN) is not None:
                     assert t * (t - 1) // 2 <= m
+
+
+class TestPairFloor:
+    def test_matches_walk_oracle(self, all_graphs_small):
+        """Every ordered pair of every graph with n <= 6, every allowed set."""
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                for a, b in itertools.permutations(range(n), 2):
+                    others = [v for v in range(n) if v not in (a, b)]
+                    for size in range(len(others) + 1):
+                        for inside in itertools.combinations(others, size):
+                            allowed = mask_of(inside)
+                            # The floor's walks may also pass through a and b.
+                            inner = {a, b, *inside}
+                            for odd in (False, True):
+                                assert _pair_floor(g, a, b, allowed, odd) == oracles.walk_floor(
+                                    g, a, b, inner, odd
+                                ), (sorted(g.edges()), a, b, inside, odd)
 
 
 class TestMax:

@@ -11,10 +11,6 @@ from .checks import (
     CHECK_NAMES,
     CheckOutcome,
     CheckReport,
-    check_alpha3,
-    check_appendix,
-    check_theorem_main,
-    check_vergara,
     evaluate_graph,
     run_batch,
 )
@@ -27,22 +23,14 @@ from .coloring import (
     is_vertex_critical,
 )
 from .construct import (
-    ExtensionState,
-    JoinStructure,
-    SideSupport,
     build_third_immersion,
-    build_type_paths,
-    classify_support,
     extension_step,
-    fresh_extension_state,
 )
 from .errors import (
     DegenerateInputError,
     Graph6Error,
-    InapplicableCheckError,
     IndependencePreconditionError,
     MalformedCertificateError,
-    NoImmersionError,
     PreconditionError,
     SizeCapError,
     UnsupportedSizeError,
@@ -82,7 +70,6 @@ from .immersion import (
     clique_certificate,
     find_clique_immersion,
     max_clique_immersion,
-    minimize_support,
     verify_certificate,
 )
 
@@ -94,38 +81,27 @@ __all__ = [
     "CheckReport",
     "ColoringCertificate",
     "DegenerateInputError",
-    "ExtensionState",
     "Graph",
     "Graph6Error",
     "ImmersionCertificate",
     "ImmersionFlags",
-    "InapplicableCheckError",
     "IndependencePreconditionError",
     "JoinPartition",
-    "JoinStructure",
     "MalformedCertificateError",
-    "NoImmersionError",
     "PLAIN",
     "ODD",
     "PreconditionError",
     "STRONG",
     "STRONG_ODD",
-    "SideSupport",
     "SizeCapError",
     "UnsupportedSizeError",
     "VerifyReport",
     "bits",
     "build_third_immersion",
-    "build_type_paths",
     "canonical_form",
     "certificate_from_json",
     "certificate_to_json",
-    "check_alpha3",
-    "check_appendix",
-    "check_theorem_main",
-    "check_vergara",
     "chromatic_number",
-    "classify_support",
     "clique_certificate",
     "complement",
     "encode_graph6",
@@ -136,7 +112,6 @@ __all__ = [
     "extension_step",
     "find_clique_immersion",
     "find_join_partition",
-    "fresh_extension_state",
     "graph_from_canonical_form",
     "independence_number",
     "induced_subgraph",
@@ -147,7 +122,6 @@ __all__ = [
     "max_clique",
     "max_clique_immersion",
     "max_independent_set",
-    "minimize_support",
     "non_neighborhood",
     "parse_graph6",
     "run_batch",

@@ -1,12 +1,12 @@
-"""Theorem checkers, batch sweeps, and report persistence.
+"""The bound-check table, batch sweeps, and report persistence.
 
 CHECKS is the one table of bound checks, in report column order: when
 each applies to a row, its bound as a function of the row, whether the
 row meets it (None: outside the check's regime, never a failure), and
 whether a false outcome is quarantined.  evaluate_graph computes every
 leading column of a row once, so the CSV schema is fixed, then runs the
-table; check_* give one check's row.  Timings stay in memory, never
-serialized, so output is byte-identical across runs and worker counts.
+table.  Timings stay in memory, never serialized, so output is
+byte-identical across runs and worker counts.
 """
 
 from __future__ import annotations
@@ -17,12 +17,11 @@ import json
 import multiprocessing
 import sys
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .construct import build_third_immersion
 from .coloring import ColoringCertificate, chromatic_number
-from .errors import InapplicableCheckError
 from .families import enumerate_alpha_le2, enumerate_graphs, sample_alpha_le2
 from .graphs import Graph, encode_graph6, independence_number, parse_graph6
 from .immersion import (
@@ -149,35 +148,12 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     return report
 
 
-def _check_one(g: Graph, name: str) -> CheckReport:
-    row = evaluate_graph(g, (name,))
-    if row.bounds[name].status == "inapplicable":
-        raise InapplicableCheckError(f"{name} check does not apply (n={row.n}, alpha={row.alpha})")
-    return row
-
-
-def check_theorem_main(g: Graph) -> CheckReport:
-    return _check_one(g, "main")
-
-
-def check_appendix(g: Graph) -> CheckReport:
-    return _check_one(g, "appendix")
-
-
-def check_vergara(g: Graph) -> CheckReport:
-    return _check_one(g, "vergara")
-
-
-def check_alpha3(g: Graph) -> CheckReport:
-    return _check_one(g, "alpha3")
-
-
-def _worker(task: tuple[str, Graph, tuple[str, ...]]) -> CheckReport:
-    word, g, checks = task
+def _worker(task: tuple[Graph, tuple[str, ...]]) -> CheckReport:
+    g, checks = task
     try:
         return evaluate_graph(g, checks)
     except Exception as exc:
-        raise ValueError(f"{word}: evaluating the row failed: {exc!r}") from exc
+        raise ValueError(f"{encode_graph6(g)}: evaluating the row failed: {exc!r}") from exc
 
 
 _FAMILY_KEYS = {"alpha2": ("n",), "all": ("n",), "sample": ("n", "count", "seed")}
@@ -208,18 +184,18 @@ def _parse_generator_spec(spec: str):
     return sample_alpha_le2(params["n"], params.get("count", 100), params.get("seed", 0))
 
 
-def _resolve_source(source) -> list[tuple[str, Graph]]:
-    """Normalize any accepted batch source to (graph6 word, graph) pairs.
+def _resolve_source(source) -> Iterable[Graph]:
+    """Normalize any accepted batch source to its graphs.
 
     File lines are parsed once; generated graphs are kept, not re-parsed.
     """
     if isinstance(source, str) and source.partition(":")[0] in _FAMILY_KEYS:
-        source = _parse_generator_spec(source)
-    elif isinstance(source, str):
+        return _parse_generator_spec(source)
+    if isinstance(source, str):
         with open(source, "r", encoding="ascii") as handle:
             lines = [line.strip() for line in handle]
-        return [(line, parse_graph6(line)) for line in lines if line and line != ">>graph6<<"]
-    return [(encode_graph6(g), g) for g in source]
+        return [parse_graph6(line) for line in lines if line and line != ">>graph6<<"]
+    return source
 
 
 # The leading columns of every report, in CSV order.
@@ -294,7 +270,7 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         _require_known(checks)
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
-        tasks = [(word, g, checks) for word, g in _resolve_source(source)]
+        tasks = [(g, checks) for g in _resolve_source(source)]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -18,24 +18,15 @@ certificate that is both strong and odd.  The builder branches:
 4. if too few common neighbors exist, the non-neighbors of u outside
    the old terminals, together with v, form a clique of size
    >= ceil(n/3).
-
-The second half of the module implements the path-type machinery from
-the chromatic-bound proof: given a join of two sides, each carrying a
-minimized immersion support, it classifies every side vertex by role
-and grows a family of short odd paths from a leftover vertex toward the
-unsolved terminals, using four fixed templates.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import (
     DegenerateInputError,
     IndependencePreconditionError,
     PreconditionError,
 )
-from .coloring import JoinPartition
 from .graphs import (
     Graph,
     bits,
@@ -49,12 +40,8 @@ from .graphs import (
 from .immersion import (
     STRONG_ODD,
     ImmersionCertificate,
-    ImmersionFlags,
     Path,
     clique_certificate,
-    find_clique_immersion,
-    max_clique_immersion,
-    minimize_support,
     verify_certificate,
 )
 
@@ -195,213 +182,3 @@ def _build(g: Graph, trace: list[str] | None) -> ImmersionCertificate:
     if trace is not None:
         trace.append(f"n={n} branch=clique-fallback pair=({u},{v}) t={clique.bit_count()}")
     return clique_certificate(bits(clique))
-
-
-@dataclass(frozen=True)
-class SideSupport:
-    """Role decomposition of one side of a join.
-
-    part is the side's vertex set X; support is an inclusion-minimal
-    M ⊆ X whose induced subgraph still carries the side's maximum
-    immersion (order `order`); terminals ⊆ support are the witness
-    terminals recomputed inside the support; nonterminals is the rest
-    of the support; leftover is X minus the support.  Nonterminals
-    split into detached (no neighbor in the leftover) and attached.
-    """
-
-    part: int
-    order: int
-    support: int
-    terminals: int
-    nonterminals: int
-    detached: int
-    attached: int
-    leftover: int
-
-
-@dataclass(frozen=True)
-class JoinStructure:
-    host: Graph
-    side1: SideSupport
-    side2: SideSupport
-
-    def side_of(self, v: int) -> SideSupport:
-        if self.side1.part >> v & 1:
-            return self.side1
-        if self.side2.part >> v & 1:
-            return self.side2
-        raise PreconditionError(f"vertex {v} is on neither side of the join")
-
-    def other_side(self, v: int) -> SideSupport:
-        return self.side2 if self.side1.part >> v & 1 else self.side1
-
-    @property
-    def terminal_mask(self) -> int:
-        return self.side1.terminals | self.side2.terminals
-
-
-@dataclass(frozen=True)
-class ExtensionState:
-    """Growing family of odd paths from source toward unresolved terminals."""
-
-    source: int
-    solved_paths: tuple[Path, ...]
-    unresolved: int
-
-
-def classify_support(g: Graph, jp: JoinPartition, flags: ImmersionFlags) -> JoinStructure:
-    """Compute both sides' supports and role sets for a valid join partition."""
-    full = g.vertex_mask
-    if jp.x1 == 0 or jp.x2 == 0 or jp.x1 & jp.x2 or jp.x1 | jp.x2 != full:
-        raise PreconditionError("join partition must split the vertices into two nonempty sides")
-    for x1 in bits(jp.x1):
-        if g.adj[x1] & jp.x2 != jp.x2:
-            missing = next(bits(jp.x2 & ~g.adj[x1]))
-            raise PreconditionError(f"cross pair {x1}-{missing} not adjacent; not a join")
-
-    sides = []
-    for part in (jp.x1, jp.x2):
-        sub, relabel = induced_subgraph(g, part)
-        inverse = {new: old for old, new in relabel.items()}
-        order, _ = max_clique_immersion(sub, flags)
-        support_sub = minimize_support(sub, order, flags)
-        core, core_relabel = induced_subgraph(sub, support_sub)
-        witness = find_clique_immersion(core, order, flags)
-        assert witness is not None, "minimized support lost its immersion"
-        core_inverse = {new: old for old, new in core_relabel.items()}
-        support = mask_of(inverse[w] for w in bits(support_sub))
-        terminals = mask_of(inverse[core_inverse[t]] for t in witness.terminals)
-        nonterminals = support & ~terminals
-        leftover = part & ~support
-        detached = mask_of(a for a in bits(nonterminals) if not g.adj[a] & leftover)
-        sides.append(
-            SideSupport(
-                part=part,
-                order=order,
-                support=support,
-                terminals=terminals,
-                nonterminals=nonterminals,
-                detached=detached,
-                attached=nonterminals & ~detached,
-                leftover=leftover,
-            )
-        )
-    return JoinStructure(g, sides[0], sides[1])
-
-
-def fresh_extension_state(js: JoinStructure, v: int) -> ExtensionState:
-    """Initial state for v: nothing solved, every terminal unresolved."""
-    own = js.side_of(v)
-    if not own.leftover >> v & 1:
-        raise PreconditionError(f"vertex {v} is not in its side's leftover set")
-    return ExtensionState(v, (), js.terminal_mask)
-
-
-def _blocked_edges(js: JoinStructure) -> set[tuple[int, int]]:
-    """Edges reserved by the two immersions and their cross clique."""
-    g = js.host
-    blocked: set[tuple[int, int]] = set()
-    for side in (js.side1, js.side2):
-        for a in bits(side.support):
-            for b in bits(g.adj[a] & side.support):
-                if a < b:
-                    blocked.add((a, b))
-    for a in bits(js.side1.terminals):
-        for b in bits(g.adj[a] & js.side2.terminals):
-            blocked.add((a, b) if a < b else (b, a))
-    return blocked
-
-
-def build_type_paths(js: JoinStructure, v: int, state: ExtensionState) -> ExtensionState:
-    """Add every acceptable template path from v, types 1 through 4 in order.
-
-    A path is acceptable when all its edges exist and are free (not
-    used by earlier paths nor reserved by the supports or the cross
-    terminal clique), its interior avoids all terminals, its length is
-    odd, and it ends at a distinct still-unresolved terminal.  Each
-    first-hop edge carries at most one path.
-    """
-    g = js.host
-    own = js.side_of(v)
-    other = js.other_side(v)
-    if not own.leftover >> v & 1:
-        raise PreconditionError(f"vertex {v} is not in a leftover set")
-    if state.source != v:
-        raise PreconditionError(f"state belongs to source {state.source}, not {v}")
-
-    reserved = _blocked_edges(js)
-    used: set[tuple[int, int]] = set()
-    for path in state.solved_paths:
-        for a, b in zip(path, path[1:]):
-            used.add((a, b) if a < b else (b, a))
-    paths = list(state.solved_paths)
-    unresolved = state.unresolved
-    terminal_mask = js.terminal_mask
-
-    def acceptable(path: tuple[int, ...]) -> bool:
-        if len(set(path)) != len(path):
-            return False
-        if mask_of(path[1:-1]) & terminal_mask:
-            return False
-        edges = []
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                return False
-            edges.append((a, b) if a < b else (b, a))
-        seen = set(edges)
-        if len(seen) != len(edges) or seen & reserved or seen & used:
-            return False
-        return True
-
-    def add(path: tuple[int, ...]):
-        nonlocal unresolved
-        for a, b in zip(path, path[1:]):
-            used.add((a, b) if a < b else (b, a))
-        paths.append(path)
-        unresolved &= ~(1 << path[-1])
-
-    # Type 1: direct edges from v to terminals.
-    for t in bits(terminal_mask & g.adj[v] & unresolved):
-        path = (v, t)
-        if acceptable(path):
-            add(path)
-
-    own_targets = lambda: bits(unresolved & own.terminals)
-
-    # Type 2: (v, v', b, t) with v' in own leftover or attached, b the
-    # lowest detached vertex of the other side.
-    if other.detached:
-        b = next(bits(other.detached))
-        for vp in bits((own.leftover | own.attached) & g.adj[v] & ~(1 << v)):
-            for t in own_targets():
-                path = (v, vp, b, t)
-                if acceptable(path):
-                    add(path)
-                    break
-
-    # Type 3: (v, z', z, t) with z the lowest leftover vertex of the
-    # other side and z' another leftover vertex there.
-    if other.leftover:
-        z = next(bits(other.leftover))
-        for zp in bits(other.leftover & ~(1 << z)):
-            for t in own_targets():
-                path = (v, zp, z, t)
-                if acceptable(path):
-                    add(path)
-                    break
-
-    # Type 4: (v, x, x', t) with x attached on the other side and x'
-    # one of its leftover neighbors there.
-    for x in bits(other.attached):
-        solved = False
-        for xp in bits(g.adj[x] & other.leftover):
-            for t in own_targets():
-                path = (v, x, xp, t)
-                if acceptable(path):
-                    add(path)
-                    solved = True
-                    break
-            if solved:
-                break
-
-    return ExtensionState(v, tuple(paths), unresolved)

@@ -39,13 +39,5 @@ class IndependencePreconditionError(PreconditionError):
         self.witness = witness
 
 
-class NoImmersionError(PreconditionError):
-    """An operation requiring an existing immersion found none."""
-
-
-class InapplicableCheckError(PreconditionError):
-    """A theorem checker was invoked on a graph outside its hypothesis."""
-
-
 class SizeCapError(ValueError):
     """Exhaustive enumeration requested beyond its cap; sample instead."""

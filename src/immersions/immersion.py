@@ -35,12 +35,8 @@ import json
 from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
-from .errors import (
-    DegenerateInputError,
-    MalformedCertificateError,
-    NoImmersionError,
-)
-from .graphs import Graph, bits, induced_subgraph, mask_of, max_clique
+from .errors import DegenerateInputError, MalformedCertificateError
+from .graphs import Graph, bits, mask_of, max_clique
 
 
 @dataclass(frozen=True)
@@ -387,28 +383,3 @@ def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, Immersio
         best = nxt
         t += 1
     return t, best
-
-
-def minimize_support(g: Graph, t: int, flags: ImmersionFlags) -> int:
-    """Inclusion-minimal vertex bitset whose induced subgraph keeps the immersion.
-
-    Greedy single-vertex removals, attempted in decreasing vertex order
-    so low-indexed vertices survive, restarting after every success;
-    the result is inclusion-wise minimal, not minimum.
-    """
-    if find_clique_immersion(g, t, flags) is None:
-        raise NoImmersionError(f"no K_{t} immersion under {flags.label()} flags")
-    support = g.vertex_mask
-    improved = True
-    while improved:
-        improved = False
-        for v in sorted(bits(support), reverse=True):
-            trial = support & ~(1 << v)
-            if trial.bit_count() < t:
-                continue
-            sub, _ = induced_subgraph(g, trial)
-            if find_clique_immersion(sub, t, flags) is not None:
-                support = trial
-                improved = True
-                break
-    return support

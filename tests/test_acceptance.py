@@ -21,10 +21,10 @@ from immersions import (
     ODD,
     STRONG_ODD,
     build_third_immersion,
-    check_alpha3,
     chromatic_number,
     encode_graph6,
     enumerate_alpha_le2,
+    evaluate_graph,
     find_clique_immersion,
     find_join_partition,
     independence_number,
@@ -222,8 +222,8 @@ def test_criterion_8_alpha3_bound(all_graphs_by_n):
     so t >= 2 exactly when the graph has an edge, and any alpha = 3
     graph with n >= 5 must have one (an edgeless graph has alpha = n).
     The bound then follows from chi <= n <= 8 <= 4t, which is asserted
-    per graph on exact chi; the full checker with the exact t is
-    cross-run on a deterministic sample.
+    per graph on exact chi; the alpha3 row of evaluate_graph, with the
+    exact t, is cross-run on a deterministic sample.
     """
     population = []
     for n in range(5, 9):
@@ -244,7 +244,7 @@ def test_criterion_8_alpha3_bound(all_graphs_by_n):
 
     sample = population[:: max(1, len(population) // 100)]
     for g in sample:
-        report = check_alpha3(g)
+        report = evaluate_graph(g, ("alpha3",))
         outcome = report.bounds["alpha3"]
         assert outcome.status == "true"
         assert report.chi <= 4 * report.t_max_strong_odd

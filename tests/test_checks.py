@@ -1,4 +1,4 @@
-"""checkers and the batch harness: bounds, reports, serialization."""
+"""the check table and the batch harness: bounds, reports, serialization."""
 
 from __future__ import annotations
 
@@ -11,24 +11,13 @@ from immersions import (
     CHECK_NAMES,
     CheckOutcome,
     Graph,
-    InapplicableCheckError,
-    check_alpha3,
-    check_appendix,
-    check_theorem_main,
-    check_vergara,
+    encode_graph6,
     evaluate_graph,
     parse_graph6,
     run_batch,
 )
 from immersions import checks as checks_module
 from immersions.cli import main as cli_main
-
-WRAPPERS = {
-    "main": check_theorem_main,
-    "appendix": check_appendix,
-    "vergara": check_vergara,
-    "alpha3": check_alpha3,
-}
 
 
 def cycle(n: int) -> Graph:
@@ -52,45 +41,45 @@ def petersen_complement() -> Graph:
 
 class TestSingleCheckers:
     def test_main_on_k5(self):
-        report = check_theorem_main(Graph.complete(5))
+        report = evaluate_graph(Graph.complete(5), ("main",))
         outcome = report.bounds["main"]
         assert (report.alpha, report.chi, report.t_max_strong_odd) == (1, 5, 5)
         assert outcome.bound_value == 8
         assert outcome.holds is True and outcome.status == "true"
 
     def test_main_on_c5(self):
-        report = check_theorem_main(cycle(5))
+        report = evaluate_graph(cycle(5), ("main",))
         assert report.chi == 3 and report.t_max_strong_odd == 3
         assert report.bounds["main"].bound_value == 5
         assert report.bounds["main"].holds is True
 
     def test_main_on_petersen_complement(self):
-        report = check_theorem_main(petersen_complement())
+        report = evaluate_graph(petersen_complement(), ("main",))
         assert report.chi == 5
         assert report.t_max_strong_odd >= 4
         assert report.bounds["main"].holds is True
 
     def test_appendix_on_k9(self):
-        report = check_appendix(Graph.complete(9))
+        report = evaluate_graph(Graph.complete(9), ("appendix",))
         assert report.bounds["appendix"].bound_value == 3
         assert report.bounds["appendix"].holds is True
 
     def test_vergara_on_complete_graphs(self):
         for n in range(1, 7):
-            report = check_vergara(Graph.complete(n))
+            report = evaluate_graph(Graph.complete(n), ("vergara",))
             assert report.t_max_plain == n
             assert report.bounds["vergara"].bound_value == 2 * n + 1
             assert report.bounds["vergara"].holds is True
 
     def test_alpha3_on_c7(self):
-        report = check_alpha3(cycle(7))
+        report = evaluate_graph(cycle(7), ("alpha3",))
         assert report.alpha == 3 and report.chi == 3
         outcome = report.bounds["alpha3"]
         assert outcome.bound_value >= 8
         assert outcome.holds is True and outcome.status == "true"
 
     def test_alpha3_out_of_regime_is_not_failure(self):
-        report = check_alpha3(Graph.empty(3))
+        report = evaluate_graph(Graph.empty(3), ("alpha3",))
         outcome = report.bounds["alpha3"]
         assert outcome.status == "out-of-regime"
         assert outcome.holds is None
@@ -98,31 +87,26 @@ class TestSingleCheckers:
 
     def test_alpha_preconditions(self):
         e3 = Graph.empty(3)
-        for checker in (check_theorem_main, check_appendix, check_vergara):
-            with pytest.raises(InapplicableCheckError):
-                checker(e3)
-        with pytest.raises(InapplicableCheckError):
-            check_alpha3(Graph.complete(3))
+        for name in ("main", "appendix", "vergara"):
+            assert evaluate_graph(e3, (name,)).bounds[name].status == "inapplicable"
+        k3 = evaluate_graph(Graph.complete(3), ("alpha3",))
+        assert k3.bounds["alpha3"].status == "inapplicable"
 
     def test_wrappers_match_evaluate_graph(self, all_graphs_small):
-        assert set(WRAPPERS) == set(CHECK_NAMES)
+        """A one-check row carries the same outcome as the full row."""
         graphs = [Graph.empty(0)] + [g for n in range(1, 7) for g in all_graphs_small[n]]
         for g in graphs:
             row = evaluate_graph(g, CHECK_NAMES)
-            for name, wrapper in WRAPPERS.items():
-                if row.bounds[name].status == "inapplicable":
-                    with pytest.raises(InapplicableCheckError):
-                        wrapper(g)
-                else:
-                    assert wrapper(g).bounds[name] == row.bounds[name], (row.graph6, name)
+            for name in CHECK_NAMES:
+                one = evaluate_graph(g, (name,))
+                assert one.bounds[name] == row.bounds[name], (row.graph6, name)
 
     def test_empty_graph_follows_the_sweep_row(self):
         empty = Graph.empty(0)
-        assert check_theorem_main(empty).bounds["main"] == CheckOutcome(0, True)
-        assert check_vergara(empty).bounds["vergara"] == CheckOutcome(1, True)
-        for checker in (check_appendix, check_alpha3):
-            with pytest.raises(InapplicableCheckError):
-                checker(empty)
+        assert evaluate_graph(empty, ("main",)).bounds["main"] == CheckOutcome(0, True)
+        assert evaluate_graph(empty, ("vergara",)).bounds["vergara"] == CheckOutcome(1, True)
+        for name in ("appendix", "alpha3"):
+            assert evaluate_graph(empty, (name,)).bounds[name].status == "inapplicable"
 
 
 class TestEvaluateGraph:
@@ -288,6 +272,17 @@ class TestRunBatch:
         monkeypatch.setattr(checks_module, "parse_graph6", counted)
         assert run_batch("alpha2:n=5", ("main",), out=str(tmp_path / "out.csv")) == 0
         assert calls == []
+
+    def test_generated_rows_encoded_once(self, tmp_path, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return encode_graph6(g)
+
+        monkeypatch.setattr(checks_module, "encode_graph6", counted)
+        assert run_batch("alpha2:n=5", ("main",), out=str(tmp_path / "out.csv")) == 0
+        assert len(calls) == 14  # one per row: 14 alpha <= 2 classes at n = 5
 
     def test_timings_never_serialized(self, capsys):
         run_batch([parse_graph6("Dhc")], ("main",))

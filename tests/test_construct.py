@@ -1,4 +1,4 @@
-"""constructive: the ceil(n/3) builder and the path-type machinery."""
+"""constructive: the ceil(n/3) builder and its extension step."""
 
 from __future__ import annotations
 
@@ -11,23 +11,14 @@ from immersions import (
     Graph,
     ImmersionCertificate,
     IndependencePreconditionError,
-    JoinPartition,
-    JoinStructure,
     PreconditionError,
-    SideSupport,
     STRONG_ODD,
-    bits,
     build_third_immersion,
-    build_type_paths,
-    classify_support,
     clique_certificate,
     complement,
     extension_step,
     find_clique_immersion,
-    find_join_partition,
-    fresh_extension_state,
     is_clique,
-    mask_of,
     non_neighborhood,
     sample_alpha_le2,
     verify_certificate,
@@ -195,260 +186,3 @@ class TestExtensionStep:
             extension_step(g, 1, 1, ImmersionCertificate((0,), {}))
         with pytest.raises(PreconditionError):
             extension_step(g, 1, 9, ImmersionCertificate((0,), {}))
-
-
-def tally_host() -> Graph:
-    """Join of two engineered sides exercising all four path types.
-
-    Side one (0..5): triangle certificate terminals {0, 1, 2} where the
-    pair (1, 2) is forced through the detour 1-3-4-2, vertex 3 detached,
-    vertex 4 attached to the single leftover vertex 5.  Side two
-    (6..12): same shape one size up, detour 7-9-10-8, vertex 9
-    detached, vertex 10 attached to leftover 11, leftover pair {11, 12}.
-    """
-    side1 = [(0, 1), (0, 2), (1, 3), (3, 4), (4, 2), (4, 5)]
-    side2 = [(6, 7), (6, 8), (7, 9), (9, 10), (10, 8), (10, 11), (11, 12)]
-    cross = [(a, b) for a in range(6) for b in range(6, 13)]
-    return Graph.from_edges(13, side1 + side2 + cross)
-
-
-class TestClassifySupport:
-    def test_k6_split(self):
-        g = Graph.complete(6)
-        jp = find_join_partition(g)
-        assert jp is not None
-        js = classify_support(g, jp, STRONG_ODD)
-        for side in (js.side1, js.side2):
-            assert side.support == side.part
-            assert side.terminals == side.part
-            assert side.nonterminals == 0
-            assert side.detached == 0 and side.attached == 0 and side.leftover == 0
-
-    def test_join_c5_k1(self):
-        edges = [(i, (i + 1) % 5) for i in range(5)] + [(i, 5) for i in range(5)]
-        g = Graph.from_edges(6, edges)
-        jp = find_join_partition(g)
-        assert jp is not None and jp.x1 == 0b011111
-        js = classify_support(g, jp, STRONG_ODD)
-        assert js.side1.order == 3
-        assert js.side1.support == 0b011111  # all of the 5-cycle
-        assert js.side1.nonterminals.bit_count() == 2
-        assert js.side1.leftover == 0
-        assert js.side2.order == 1 and js.side2.terminals == 1 << 5
-
-    def test_join_two_c5(self):
-        edges = [(i, (i + 1) % 5) for i in range(5)]
-        edges += [(5 + i, 5 + (i + 1) % 5) for i in range(5)]
-        edges += [(a, 5 + b) for a in range(5) for b in range(5)]
-        g = Graph.from_edges(10, edges)
-        jp = find_join_partition(g)
-        js = classify_support(g, jp, STRONG_ODD)
-        assert js.side1.order == 3 and js.side2.order == 3
-        assert js.side1.support == 0b0000011111
-        assert js.side2.support == 0b1111100000
-        assert js.side1.leftover == 0 and js.side2.leftover == 0
-
-    def test_invalid_partitions_rejected(self):
-        g = Graph.complete(4)
-        with pytest.raises(PreconditionError):
-            classify_support(g, JoinPartition(0, g.vertex_mask), STRONG_ODD)
-        with pytest.raises(PreconditionError):
-            classify_support(g, JoinPartition(0b0011, 0b0110), STRONG_ODD)
-        bad = cycle(4)  # 0-2 is a non-edge across the {0,1} | {2,3} split
-        with pytest.raises(PreconditionError, match="not a join"):
-            classify_support(bad, JoinPartition(0b0011, 0b1100), STRONG_ODD)
-
-    def test_tally_host_roles(self):
-        g = tally_host()
-        jp = find_join_partition(g)
-        assert jp is not None and jp.x1 == 0b0000000111111
-        js = classify_support(g, jp, STRONG_ODD)
-        s1, s2 = js.side1, js.side2
-        assert (s1.order, s2.order) == (3, 3)
-        assert s1.support == mask_of([0, 1, 2, 3, 4])
-        assert s1.terminals == mask_of([0, 1, 2])
-        assert s1.detached == mask_of([3])
-        assert s1.attached == mask_of([4])
-        assert s1.leftover == mask_of([5])
-        assert s2.support == mask_of([6, 7, 8, 9, 10])
-        assert s2.terminals == mask_of([6, 7, 8])
-        assert s2.detached == mask_of([9])
-        assert s2.attached == mask_of([10])
-        assert s2.leftover == mask_of([11, 12])
-
-    def test_side_lookup(self):
-        g = tally_host()
-        js = classify_support(g, find_join_partition(g), STRONG_ODD)
-        assert js.side_of(3) is js.side1
-        assert js.side_of(11) is js.side2
-        assert js.other_side(3) is js.side2
-        with pytest.raises(PreconditionError):
-            JoinStructure(g, js.side1, js.side1).side_of(12)
-
-
-def independent_path_family_check(g: Graph, js: JoinStructure, state):
-    """Re-derive every acceptability clause without the implementation."""
-    terminal_mask = js.terminal_mask
-    reserved = set()
-    for side in (js.side1, js.side2):
-        for a in bits(side.support):
-            for b in bits(g.adj[a] & side.support):
-                if a < b:
-                    reserved.add((a, b))
-    for a in bits(js.side1.terminals):
-        for b in bits(js.side2.terminals):
-            reserved.add((a, b) if a < b else (b, a))
-    seen_edges = set()
-    seen_targets = set()
-    for path in state.solved_paths:
-        assert path[0] == state.source
-        assert (1 << path[-1]) & terminal_mask
-        assert path[-1] not in seen_targets
-        seen_targets.add(path[-1])
-        assert (len(path) - 1) % 2 == 1
-        assert len(set(path)) == len(path)
-        assert not (mask_of(path[1:-1]) & terminal_mask)
-        for a, b in zip(path, path[1:]):
-            assert g.has_edge(a, b)
-            edge = (a, b) if a < b else (b, a)
-            assert edge not in reserved
-            assert edge not in seen_edges
-            seen_edges.add(edge)
-
-
-def twelve_vertex_host() -> Graph:
-    """Join instance with two leftover vertices on side one.
-
-    Side one (0..5): K4 on {0,1,2,3} plus the pendant chain 0-4-5, so
-    the support is the K4 and both of 4, 5 are leftover.  Side two
-    (6..11): triangle certificate {6,7,8} with detour 7-9-10-8, vertex
-    9 detached, vertex 10 attached to the single leftover vertex 11.
-    """
-    side1 = [(a, b) for a in range(4) for b in range(a + 1, 4)] + [(0, 4), (4, 5)]
-    side2 = [(6, 7), (6, 8), (7, 9), (9, 10), (10, 8), (10, 11)]
-    cross = [(a, b) for a in range(6) for b in range(6, 12)]
-    return Graph.from_edges(12, side1 + side2 + cross)
-
-
-class TestBuildTypePaths:
-    def test_tally_instance_exercises_all_types(self):
-        g = tally_host()
-        js = classify_support(g, find_join_partition(g), STRONG_ODD)
-        state = fresh_extension_state(js, 5)
-        assert state.unresolved == js.terminal_mask
-        out = build_type_paths(js, 5, state)
-
-        s1, s2 = js.side1, js.side2
-        tally = (
-            (g.adj[5] & s1.terminals).bit_count()
-            + s2.terminals.bit_count()
-            + (g.adj[5] & s1.nonterminals).bit_count()
-            + (s1.leftover.bit_count() - 1)
-            + (s2.leftover.bit_count() - 1)
-            + s2.attached.bit_count()
-        )
-        assert tally == 6
-        assert len(out.solved_paths) == tally
-        assert out.unresolved == 0
-        assert set(out.solved_paths) == {
-            (5, 6),
-            (5, 7),
-            (5, 8),
-            (5, 4, 9, 0),
-            (5, 12, 11, 1),
-            (5, 10, 11, 2),
-        }
-        assert all(len(p) in (2, 4) for p in out.solved_paths)
-        independent_path_family_check(g, js, out)
-
-    def test_twelve_vertex_tally(self):
-        """Two own leftovers, one detached and one attached opposite."""
-        g = twelve_vertex_host()
-        jp = find_join_partition(g)
-        assert jp is not None and jp.x1 == 0b000000111111
-        js = classify_support(g, jp, STRONG_ODD)
-        s1, s2 = js.side1, js.side2
-        assert s1.terminals == mask_of([0, 1, 2, 3]) and s1.nonterminals == 0
-        assert s1.leftover == mask_of([4, 5])
-        assert s2.detached == mask_of([9])
-        assert s2.attached == mask_of([10])
-        assert s2.leftover == mask_of([11])
-
-        v = 4
-        out = build_type_paths(js, v, fresh_extension_state(js, v))
-        tally = (
-            (g.adj[v] & s1.terminals).bit_count()
-            + s2.terminals.bit_count()
-            + (g.adj[v] & s1.nonterminals).bit_count()
-            + (s1.leftover.bit_count() - 1)
-            + (s2.leftover.bit_count() - 1)
-            + s2.attached.bit_count()
-        )
-        assert tally == 6
-        assert len(out.solved_paths) == tally
-        assert set(out.solved_paths) == {
-            (4, 0),
-            (4, 6),
-            (4, 7),
-            (4, 8),
-            (4, 5, 9, 1),
-            (4, 10, 11, 2),
-        }
-        # capacity runs out one short of the seven terminals
-        assert out.unresolved == mask_of([3])
-        independent_path_family_check(g, js, out)
-
-    def test_no_targets_leaves_state_unchanged(self):
-        g = tally_host()
-        js = classify_support(g, find_join_partition(g), STRONG_ODD)
-        state = fresh_extension_state(js, 5)
-        drained = type(state)(5, (), 0)
-        out = build_type_paths(js, 5, drained)
-        assert out.solved_paths == () and out.unresolved == 0
-
-    def test_all_terminals_adjacent_solves_by_type1(self):
-        # Hand-built structure: v=3 adjacent to every terminal.
-        edges = [(0, 1), (0, 2), (1, 2), (3, 0), (3, 1), (3, 2)]
-        edges += [(v, 4) for v in range(4)]
-        g = Graph.from_edges(5, edges)
-        side1 = SideSupport(
-            part=0b01111,
-            order=3,
-            support=0b00111,
-            terminals=0b00111,
-            nonterminals=0,
-            detached=0,
-            attached=0,
-            leftover=0b01000,
-        )
-        side2 = SideSupport(
-            part=0b10000,
-            order=1,
-            support=0b10000,
-            terminals=0b10000,
-            nonterminals=0,
-            detached=0,
-            attached=0,
-            leftover=0,
-        )
-        js = JoinStructure(g, side1, side2)
-        out = build_type_paths(js, 3, fresh_extension_state(js, 3))
-        assert set(out.solved_paths) == {(3, 0), (3, 1), (3, 2), (3, 4)}
-        assert out.unresolved == 0
-        independent_path_family_check(g, js, out)
-
-    def test_source_must_be_leftover(self):
-        g = tally_host()
-        js = classify_support(g, find_join_partition(g), STRONG_ODD)
-        for v in (0, 4, 9):
-            with pytest.raises(PreconditionError):
-                fresh_extension_state(js, v)
-            with pytest.raises(PreconditionError):
-                build_type_paths(js, v, fresh_extension_state(js, 5))
-
-    def test_state_source_mismatch_rejected(self):
-        g = tally_host()
-        js = classify_support(g, find_join_partition(g), STRONG_ODD)
-        state = fresh_extension_state(js, 5)
-        with pytest.raises(PreconditionError, match="belongs to source"):
-            build_type_paths(js, 11, state)

@@ -15,21 +15,17 @@ from immersions import (
     ImmersionCertificate,
     ImmersionFlags,
     MalformedCertificateError,
-    NoImmersionError,
     ODD,
     PLAIN,
     STRONG,
     STRONG_ODD,
-    bits,
     certificate_from_json,
     certificate_to_json,
     clique_certificate,
     complement,
     find_clique_immersion,
-    induced_subgraph,
     mask_of,
     max_clique_immersion,
-    minimize_support,
     verify_certificate,
 )
 from immersions.immersion import _pair_floor
@@ -354,35 +350,3 @@ class TestMax:
                 t, cert = max_clique_immersion(g, flags)
                 assert t >= omega
                 assert verify_certificate(g, cert, flags).accepted
-
-
-class TestMinimizeSupport:
-    def test_k5_keeps_lowest_triangle(self):
-        assert minimize_support(Graph.complete(5), 3, STRONG_ODD) == mask_of([0, 1, 2])
-
-    def test_c5_needs_all_five(self):
-        assert minimize_support(cycle(5), 3, STRONG_ODD) == cycle(5).vertex_mask
-
-    def test_t1_keeps_vertex_zero(self):
-        for g in (Graph.complete(4), cycle(5), Graph.empty(3)):
-            assert minimize_support(g, 1, PLAIN) == 1
-
-    def test_missing_immersion_raises(self):
-        with pytest.raises(NoImmersionError):
-            minimize_support(cycle(4), 3, ODD)
-
-    def test_result_minimal_and_sufficient(self):
-        rng = random.Random(35)
-        for _ in range(25):
-            g = random_graph(rng, rng.randint(2, 7))
-            for flags in (PLAIN, STRONG_ODD):
-                t, _ = max_clique_immersion(g, flags)
-                support = minimize_support(g, t, flags)
-                sub, _ = induced_subgraph(g, support)
-                assert find_clique_immersion(sub, t, flags) is not None
-                for v in bits(support):
-                    smaller, _ = induced_subgraph(g, support & ~(1 << v))
-                    assert (
-                        smaller.n < t
-                        or find_clique_immersion(smaller, t, flags) is None
-                    )

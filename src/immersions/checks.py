@@ -22,7 +22,6 @@ from dataclasses import dataclass, field
 
 from .construct import build_third_immersion
 from .coloring import ColoringCertificate, chromatic_number
-from .families import enumerate_alpha_le2, enumerate_graphs, sample_alpha_le2
 from .graphs import Graph, encode_graph6, independence_number, parse_graph6
 from .immersion import (
     PLAIN,
@@ -37,14 +36,7 @@ from .immersion import (
 @dataclass(frozen=True)
 class CheckOutcome:
     bound_value: int
-    holds: bool | None
-    regime: str = "ok"  # ok | out-of-regime | inapplicable
-
-    @property
-    def status(self) -> str:
-        if self.regime != "ok":
-            return self.regime
-        return "true" if self.holds else "false"
+    status: str  # true | false | out-of-regime | inapplicable
 
 
 @dataclass
@@ -135,11 +127,11 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
         check = CHECKS[name]
         bound = check.bound(report)
         if not check.applies(report):
-            outcome = CheckOutcome(bound, None, "inapplicable")
+            status = "inapplicable"
         else:
             holds = check.holds(g, report, bound)
-            outcome = CheckOutcome(bound, holds, "ok" if holds is not None else "out-of-regime")
-        report.bounds[name] = outcome
+            status = "out-of-regime" if holds is None else "true" if holds else "false"
+        report.bounds[name] = CheckOutcome(bound, status)
         report.runtime_ms[f"check_{name}"] = (clock() - start) * 1000
 
     failed = [name for name, outcome in report.bounds.items() if outcome.status == "false"]
@@ -156,41 +148,11 @@ def _worker(task: tuple[Graph, tuple[str, ...]]) -> CheckReport:
         raise ValueError(f"{encode_graph6(g)}: evaluating the row failed: {exc!r}") from exc
 
 
-_FAMILY_KEYS = {"alpha2": ("n",), "all": ("n",), "sample": ("n", "count", "seed")}
-
-
-def _parse_generator_spec(spec: str):
-    name, _, rest = spec.partition(":")
-    if name not in _FAMILY_KEYS:
-        raise ValueError(f"unknown generator family {name!r} in {spec!r}")
-    params: dict[str, int] = {}
-    for item in rest.split(",") if rest else ():
-        key, _, value = item.partition("=")
-        key = key.strip()
-        if key not in _FAMILY_KEYS[name]:
-            raise ValueError(f"unknown parameter {key!r} for generator {name!r} in {spec!r}")
-        if key in params:
-            raise ValueError(f"parameter {key!r} given twice in {spec!r}")
-        try:
-            params[key] = int(value)
-        except ValueError as exc:
-            raise ValueError(f"bad generator parameter {item!r} in {spec!r}") from exc
-    if "n" not in params:
-        raise ValueError(f"generator {name!r} needs n=<size> in {spec!r}")
-    if name == "alpha2":
-        return enumerate_alpha_le2(params["n"])
-    if name == "all":
-        return enumerate_graphs(params["n"])
-    return sample_alpha_le2(params["n"], params.get("count", 100), params.get("seed", 0))
-
-
-def _resolve_source(source) -> Iterable[Graph]:
-    """Normalize any accepted batch source to its graphs.
-
-    File lines are parsed once; generated graphs are kept, not re-parsed.
+def _resolve_source(source: str | Iterable[Graph]) -> Iterable[Graph]:
+    """The graphs of a batch source: a str is always a graph6 file path,
+    whose lines are parsed once; anything else is an iterable of graphs,
+    kept as given, not re-encoded and re-parsed.
     """
-    if isinstance(source, str) and source.partition(":")[0] in _FAMILY_KEYS:
-        return _parse_generator_spec(source)
     if isinstance(source, str):
         with open(source, "r", encoding="ascii") as handle:
             lines = [line.strip() for line in handle]
@@ -258,10 +220,12 @@ def _quarantine_payload(
 def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str = "csv") -> int:
     """Evaluate every graph, write the report, return the exit code.
 
-    Exit 0 when every applicable check holds, 1 when any fails, 2 on
-    input problems.  Output is byte-identical for a fixed input
-    regardless of worker count: results are collected in input order
-    and contain no timing data.
+    `source` is a graph6 file path or an iterable of graphs, such as
+    `enumerate_alpha_le2(7)`.  Exit 0 when every applicable check holds,
+    1 when any fails, 2 on input problems, among them a generator's size
+    cap, raised while the task list is built.  Output is byte-identical
+    for a fixed input regardless of worker count: results are collected
+    in input order and contain no timing data.
     """
     checks = tuple(checks)
     try:

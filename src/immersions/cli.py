@@ -16,6 +16,7 @@ import sys
 from .checks import CHECK_NAMES, run_batch
 from .coloring import chromatic_number
 from .construct import build_third_immersion
+from .families import enumerate_alpha_le2, enumerate_graphs, sample_alpha_le2
 from .graphs import bits, max_independent_set, parse_graph6
 from .immersion import (
     STRONG_ODD,
@@ -26,6 +27,15 @@ from .immersion import (
     max_clique_immersion,
     verify_certificate,
 )
+
+
+# Each --family choice as the generator of its graphs; a size cap is
+# raised lazily, inside run_batch, so it exits 2 with its message.
+_FAMILIES = {
+    "alpha2": lambda args: enumerate_alpha_le2(args.n),
+    "all": lambda args: enumerate_graphs(args.n),
+    "sample": lambda args: sample_alpha_le2(args.n, args.count, args.seed),
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -66,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="batch-check chromatic bounds over a graph family")
     group = p.add_mutually_exclusive_group(required=True)
-    group.add_argument("--family", choices=("alpha2", "all", "sample"), help="generator family")
+    group.add_argument("--family", choices=tuple(_FAMILIES), help="generator family")
     group.add_argument("--input", help="path to a graph6 file, one word per line")
     p.add_argument("--n", type=int, help="vertex count for the generator family")
     p.add_argument("--count", type=int, default=100, help="sample size for --family sample")
@@ -134,19 +144,13 @@ def _cmd_verify(args) -> int:
 
 def _cmd_sweep(args) -> int:
     checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
-    if args.family is not None:
-        if args.n is None:
-            print("error: --family requires --n", file=sys.stderr)
-            return 2
-        if args.family == "sample":
-            source = f"sample:n={args.n},count={args.count},seed={args.seed}"
-        else:
-            source = f"{args.family}:n={args.n}"
-    else:
-        source = args.input
+    if args.family is not None and args.n is None:
+        print("error: --family requires --n", file=sys.stderr)
+        return 2
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)
         return 2
+    source = args.input if args.family is None else _FAMILIES[args.family](args)
     return run_batch(source, checks, workers=args.workers, out=args.out, fmt=args.format)
 
 

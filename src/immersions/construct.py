@@ -137,10 +137,11 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
             f"independence number exceeds 2: vertices {triple} are pairwise nonadjacent",
             triple,
         )
-    return _build(g, trace)
+    return _build(g, trace, tuple(range(g.n)))
 
 
-def _build(g: Graph, trace: list[str] | None) -> ImmersionCertificate:
+def _build(g: Graph, trace: list[str] | None, names: tuple[int, ...]) -> ImmersionCertificate:
+    """The builder on g, whose vertex i is vertex names[i] of the input graph."""
     n = g.n
     target = -(-n // 3)
     degree_cap = 2 * n // 3 - 1
@@ -149,7 +150,7 @@ def _build(g: Graph, trace: list[str] | None) -> ImmersionCertificate:
             clique = non_neighborhood(g, x)
             assert is_clique(g, clique) and clique.bit_count() >= target
             if trace is not None:
-                trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
+                trace.append(f"n={n} branch=low-degree x={names[x]} t={clique.bit_count()}")
             return clique_certificate(bits(clique))
     if g.edge_count == n * (n - 1) // 2:
         if trace is not None:
@@ -166,7 +167,7 @@ def _build(g: Graph, trace: list[str] | None) -> ImmersionCertificate:
     u, v = pair
     sub_mask = g.vertex_mask & ~(1 << u) & ~(1 << v)
     sub, relabel = induced_subgraph(g, sub_mask)
-    base = _build(sub, trace)
+    base = _build(sub, trace, tuple(names[w] for w in bits(sub_mask)))
     base = _trim_certificate(base, -(-(n - 2) // 3))
     inverse = {new: old for old, new in relabel.items()}
     base = _relabel_certificate(base, inverse)
@@ -174,11 +175,11 @@ def _build(g: Graph, trace: list[str] | None) -> ImmersionCertificate:
     extended = extension_step(g, u, v, base)
     if extended is not None:
         if trace is not None:
-            trace.append(f"n={n} branch=extend pair=({u},{v}) t={extended.t}")
+            trace.append(f"n={n} branch=extend pair=({names[u]},{names[v]}) t={extended.t}")
         return extended
     outside = sub_mask & ~mask_of(base.terminals)
     clique = (non_neighborhood(g, u) & outside) | 1 << v
     assert is_clique(g, clique) and clique.bit_count() >= target
     if trace is not None:
-        trace.append(f"n={n} branch=clique-fallback pair=({u},{v}) t={clique.bit_count()}")
+        trace.append(f"n={n} branch=clique-fallback pair=({names[u]},{names[v]}) t={clique.bit_count()}")
     return clique_certificate(bits(clique))

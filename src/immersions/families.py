@@ -153,17 +153,12 @@ def _next_level(parents: tuple[Graph, ...], independent_only: bool) -> tuple[Gra
 
 
 @lru_cache(maxsize=None)
-def _triangle_free_level(n: int) -> tuple[Graph, ...]:
+def _level(n: int, independent_only: bool) -> tuple[Graph, ...]:
+    """Sorted class representatives on n vertices: triangle-free graphs
+    when independent_only, else all graphs."""
     if n == 1:
         return (Graph.empty(1),)
-    return _next_level(_triangle_free_level(n - 1), independent_only=True)
-
-
-@lru_cache(maxsize=None)
-def _all_graphs_level(n: int) -> tuple[Graph, ...]:
-    if n == 1:
-        return (Graph.empty(1),)
-    return _next_level(_all_graphs_level(n - 1), independent_only=False)
+    return _next_level(_level(n - 1, independent_only), independent_only)
 
 
 def enumerate_triangle_free(n: int):
@@ -173,7 +168,7 @@ def enumerate_triangle_free(n: int):
             f"triangle-free enumeration capped at n={ENUM_ALPHA2_CAP}; "
             "use sample_alpha_le2 for larger sizes"
         )
-    yield from _triangle_free_level(n)
+    yield from _level(n, True)
 
 
 def enumerate_alpha_le2(n: int):
@@ -183,7 +178,7 @@ def enumerate_alpha_le2(n: int):
             f"alpha<=2 enumeration capped at n={ENUM_ALPHA2_CAP}; "
             "use sample_alpha_le2 for larger sizes"
         )
-    for g in _triangle_free_level(n):
+    for g in _level(n, True):
         yield complement(g)
 
 
@@ -191,7 +186,7 @@ def enumerate_graphs(n: int):
     """One representative per isomorphism class of all graphs, n <= 8."""
     if not 1 <= n <= ENUM_ALL_CAP:
         raise SizeCapError(f"exhaustive enumeration capped at n={ENUM_ALL_CAP}")
-    yield from _all_graphs_level(n)
+    yield from _level(n, False)
 
 
 def sample_alpha_le2(n: int, count: int, seed: int):

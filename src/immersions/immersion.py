@@ -72,12 +72,6 @@ class ImmersionCertificate:
     def t(self) -> int:
         return len(self.terminals)
 
-    def path_edges(self):
-        """Yield (pair, edge) for every edge of every path, normalized u < v."""
-        for pair, path in self.paths.items():
-            for a, b in zip(path, path[1:]):
-                yield pair, (a, b) if a < b else (b, a)
-
 
 def clique_certificate(vertices) -> ImmersionCertificate:
     """Single-edge certificate on a clique (callers guarantee cliqueness)."""

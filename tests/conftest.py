@@ -24,20 +24,3 @@ def all_graphs_by_n() -> dict[int, list[Graph]]:
     """Every isomorphism class on up to 8 vertices (heavyweight corpus)."""
     return {n: list(enumerate_graphs(n)) for n in range(1, 9)}
 
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--skip-slow-acceptance",
-        action="store_true",
-        default=False,
-        help="skip the long exhaustive acceptance sweeps",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if not config.getoption("--skip-slow-acceptance"):
-        return
-    marker = pytest.mark.skip(reason="--skip-slow-acceptance given")
-    for item in items:
-        if "slow_acceptance" in item.keywords:
-            item.add_marker(marker)

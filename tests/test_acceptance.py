@@ -2,8 +2,8 @@
 
 Every test prints a single PASS line on success; a failure shows up as
 an ordinary red test.  The heavy sweeps carry the slow_acceptance
-marker so they can be skipped with --skip-slow-acceptance during quick
-iteration.
+marker so they can be deselected with -m "not slow_acceptance" during
+quick iteration.
 """
 
 from __future__ import annotations
@@ -262,7 +262,8 @@ def test_criterion_9_sweep_bytes_reproducible(tmp_path):
     for label, workers in (("a", 1), ("b", 1), ("c", 4)):
         target = tmp_path / f"run_{label}.csv"
         code = run_batch(
-            "alpha2:n=7", ("main", "appendix", "vergara"), workers=workers, out=str(target)
+            enumerate_alpha_le2(7), ("main", "appendix", "vergara"),
+            workers=workers, out=str(target),
         )
         assert code == 0
         outputs.append(target.read_bytes())
@@ -279,7 +280,9 @@ def test_criterion_10_exhaustive_sweep_n9(tmp_path):
     """Every bound check holds on the whole alpha<=2 family at n = 9."""
     out = tmp_path / "alpha2_n9.csv"
     start = time.perf_counter()
-    code = run_batch("alpha2:n=9", ("main", "appendix", "vergara"), workers=2, out=str(out))
+    code = run_batch(
+        enumerate_alpha_le2(9), ("main", "appendix", "vergara"), workers=2, out=str(out)
+    )
     elapsed = time.perf_counter() - start
     assert code == 0
     with open(out, newline="") as handle:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from immersions import STRONG_ODD, certificate_to_json, clique_certificate
 from immersions.cli import main
 
@@ -167,6 +169,18 @@ class TestSweep:
         code, _, err = run(capsys, "sweep", "--family", "alpha2", "--checks", "main")
         assert code == 2
         assert "requires --n" in err
+
+    def test_family_size_caps(self, capsys):
+        for family, n, cap in (("alpha2", "99", "capped at n=9"), ("all", "9", "capped at n=8")):
+            code, out, err = run(capsys, "sweep", "--family", family, "--n", n, "--checks", "main")
+            assert code == 2
+            assert out == "" and err.startswith("error:") and cap in err
+
+    def test_unknown_family_rejected_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", "--family", "bogus", "--n", "4"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bogus'" in capsys.readouterr().err
 
     def test_bad_worker_count(self, capsys):
         code, _, err = run(

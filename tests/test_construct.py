@@ -20,6 +20,7 @@ from immersions import (
     find_clique_immersion,
     is_clique,
     non_neighborhood,
+    parse_graph6,
     sample_alpha_le2,
     verify_certificate,
 )
@@ -67,6 +68,15 @@ class TestBuildThird:
         assert cert.t == 2
         assert verify_certificate(cycle(5), cert, STRONG_ODD).accepted
         assert trace == ["n=5 branch=low-degree x=0 t=2"]
+
+    def test_trace_names_input_vertices(self):
+        trace: list[str] = []
+        build_third_immersion(parse_graph6("E~vg"), trace)
+        assert trace == [
+            "n=2 branch=complete t=1",
+            "n=4 branch=extend pair=(3,5) t=2",
+            "n=6 branch=extend pair=(2,4) t=3",
+        ]
 
     def test_petersen_complement(self):
         cert = self.check(petersen_complement())

@@ -124,8 +124,7 @@ class TestEnumeration:
             return canonical_form(g)
 
         monkeypatch.setattr(families, "canonical_form", counted)
-        families._all_graphs_level.cache_clear()
-        families._triangle_free_level.cache_clear()
+        families._level.cache_clear()
         list(enumerate_graphs(7))
         assert calls == 3131  # canonicalizing every child takes 11,290
 

@@ -36,7 +36,7 @@ from itertools import combinations
 from .errors import SizeCapError
 from .graphs import Graph, bits, complement, mask_of
 
-ENUM_ALPHA2_CAP = 9
+ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
 
 

@@ -207,7 +207,7 @@ def nx_graph_atlas_counts(n: int) -> int:
 
 
 # A006785: triangle-free graphs on n unlabeled vertices.
-TRIANGLE_FREE_COUNTS = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897}
+TRIANGLE_FREE_COUNTS = {1: 1, 2: 2, 3: 3, 4: 7, 5: 14, 6: 38, 7: 107, 8: 410, 9: 1897, 10: 12172}
 # A000088: all graphs on n unlabeled vertices.
 ALL_GRAPH_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044, 8: 12346}
 

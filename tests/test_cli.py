@@ -171,7 +171,7 @@ class TestSweep:
         assert "requires --n" in err
 
     def test_family_size_caps(self, capsys):
-        for family, n, cap in (("alpha2", "99", "capped at n=9"), ("all", "9", "capped at n=8")):
+        for family, n, cap in (("alpha2", "99", "capped at n=10"), ("all", "9", "capped at n=8")):
             code, out, err = run(capsys, "sweep", "--family", family, "--n", n, "--checks", "main")
             assert code == 2
             assert out == "" and err.startswith("error:") and cap in err

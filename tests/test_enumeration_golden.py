@@ -1,12 +1,17 @@
-"""Every enumerated level pinned by the digest of its graph6 words.
+"""Every enumerated level pinned by its class count and the digest of
+its graph6 words.
 
 Each digest is the sha256 of the "\\n"-joined graph6 words of one
 level, in the order the enumerator yields them: all graphs for
-n = 1..8 and alpha <= 2 graphs for n = 1..9.  The values were written
-by the enumerator that canonicalized every child of every parent,
-before generation was restricted to maximum-degree augmentations, so
-a change to the generator that drops a class, adds one, or reorders a
-level shows up here.
+n = 1..8 and alpha <= 2 graphs for n = 1..10.  The values for n <= 9
+were written by the enumerator that canonicalized every child of every
+parent, before generation was restricted to maximum-degree
+augmentations; the alpha <= 2 value for n = 10 was written by the
+maximum-degree generator, before the twin and f-maximality rules.  A
+change to the generator that drops a class, adds one, or reorders a
+level shows up here.  The counts are the published ones (OEIS A000088
+for all graphs, A006785 for triangle-free graphs, whose complements
+are the alpha <= 2 graphs).
 
 Print the digests of the current code with:
 
@@ -19,9 +24,11 @@ import hashlib
 
 import pytest
 
+import oracles
 from immersions import encode_graph6, enumerate_alpha_le2, enumerate_graphs
 
 FAMILIES = {"all": enumerate_graphs, "alpha2": enumerate_alpha_le2}
+COUNTS = {"all": oracles.ALL_GRAPH_COUNTS, "alpha2": oracles.TRIANGLE_FREE_COUNTS}
 
 DIGESTS = {
     ("all", 1): "c3641f8544d7c02f3580b07c0f9887f0c6a27ff5ab1d4a3e29caf197cfc299ae",
@@ -41,19 +48,25 @@ DIGESTS = {
     ("alpha2", 7): "0b4c257db343c6c740cbcf5a14ef1133ffbec9c3446ab29066928397b7fda41f",
     ("alpha2", 8): "f61a1493af868507094ced649638ceea6a39bd3d0cdbadf6d0985a460bf3db4c",
     ("alpha2", 9): "b15007b06feeefd16742d012bf1fe08ff942dd74ead49ec7f1d272224b49a9c4",
+    ("alpha2", 10): "309cb588ca238e7e84e29f1336421778f6f71c12b02067e01d4e0e188609858c",
 }
 
 
-def level_digest(family: str, n: int) -> str:
-    words = [encode_graph6(g) for g in FAMILIES[family](n)]
+def level_words(family: str, n: int) -> list[str]:
+    return [encode_graph6(g) for g in FAMILIES[family](n)]
+
+
+def digest(words: list[str]) -> str:
     return hashlib.sha256("\n".join(words).encode("ascii")).hexdigest()
 
 
 @pytest.mark.parametrize("family,n", sorted(DIGESTS))
 def test_level_digest(family, n):
-    assert level_digest(family, n) == DIGESTS[family, n]
+    words = level_words(family, n)
+    assert len(words) == COUNTS[family][n]
+    assert digest(words) == DIGESTS[family, n]
 
 
 if __name__ == "__main__":
     for family, n in sorted(DIGESTS):
-        print(f'    ("{family}", {n}): "{level_digest(family, n)}",')
+        print(f'    ("{family}", {n}): "{digest(level_words(family, n))}",')

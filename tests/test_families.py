@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 import pytest
@@ -40,6 +41,27 @@ def random_graph(rng: random.Random, n: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# (enumerate_level, largest_n, independent_only) for the exhaustive
+# child checks: all graphs to n = 6 and triangle-free graphs to n = 7.
+UNFILTERED = [(enumerate_graphs, 6, False), (enumerate_triangle_free, 7, True)]
+
+# sha256 of canonical_form over every unfiltered child, as written by
+# the refinement that starts from uniform colours (see test below).
+CANONICAL_PIN = "30deaf3a6fd319034e2668cb7321971f9547c26ec7481021ba6bf6c45131ec7f"
+
+
+def unfiltered_children(enumerate_level, largest_n: int, independent_only: bool):
+    """(parent, neighborhood, child) for every child of every parent on
+    at most largest_n vertices, with no degree or symmetry test."""
+    for n in range(2, largest_n + 1):
+        for parent in enumerate_level(n - 1):
+            for neighborhood in range(1 << parent.n):
+                if independent_only and any(parent.adj[v] & neighborhood for v in bits(neighborhood)):
+                    continue
+                adj = [row | (neighborhood >> v & 1) << parent.n for v, row in enumerate(parent.adj)]
+                yield parent, neighborhood, Graph(n, (*adj, neighborhood))
+
+
 class TestCanonicalForm:
     def test_empty_and_tiny(self):
         assert canonical_form(Graph.empty(0)) == ()
@@ -63,6 +85,15 @@ class TestCanonicalForm:
             rebuilt = graph_from_canonical_form(form)
             assert rebuilt.n == g.n
             assert canonical_form(rebuilt) == form
+
+    def test_pinned_on_every_child(self):
+        """The exact tuple, not only the partition, on every unfiltered child."""
+        text = "\n".join(
+            ",".join(map(str, canonical_form(child)))
+            for args in UNFILTERED
+            for _, _, child in unfiltered_children(*args)
+        )
+        assert hashlib.sha256(text.encode("ascii")).hexdigest() == CANONICAL_PIN
 
     def test_agrees_with_brute_partition(self, all_graphs_small):
         """Distinct enumerated classes stay distinct under the brute form."""
@@ -99,21 +130,14 @@ class TestEnumeration:
         second = [encode_graph6(g) for g in enumerate_alpha_le2(5)]
         assert first == second
 
-    @pytest.mark.parametrize("enumerate_level,largest_n,independent_only", [
-        (enumerate_graphs, 6, False),
-        (enumerate_triangle_free, 7, True),
-    ])
+    @pytest.mark.parametrize("enumerate_level,largest_n,independent_only", UNFILTERED)
     def test_matches_unfiltered_children(self, enumerate_level, largest_n, independent_only):
         """Every child of every parent, no degree test, gives the same level."""
-        for n in range(2, largest_n + 1):
-            forms = set()
-            for parent in enumerate_level(n - 1):
-                for neighborhood in range(1 << parent.n):
-                    if independent_only and any(parent.adj[v] & neighborhood for v in bits(neighborhood)):
-                        continue
-                    adj = [row | (neighborhood >> v & 1) << parent.n for v, row in enumerate(parent.adj)]
-                    forms.add(canonical_form(Graph(n, (*adj, neighborhood))))
-            assert [canonical_form(g) for g in enumerate_level(n)] == sorted(forms)
+        forms: dict[int, set] = {}
+        for _, _, child in unfiltered_children(enumerate_level, largest_n, independent_only):
+            forms.setdefault(child.n, set()).add(canonical_form(child))
+        for n, level_forms in forms.items():
+            assert [canonical_form(g) for g in enumerate_level(n)] == sorted(level_forms)
 
     def test_canonical_form_calls_from_cold(self, monkeypatch):
         calls = 0
@@ -130,7 +154,7 @@ class TestEnumeration:
 
     def test_size_caps(self):
         with pytest.raises(SizeCapError):
-            list(enumerate_triangle_free(10))
+            list(enumerate_triangle_free(11))
         with pytest.raises(SizeCapError):
             list(enumerate_alpha_le2(0))
         with pytest.raises(SizeCapError):

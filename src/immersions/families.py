@@ -3,28 +3,47 @@
 Isomorphism classes are deduplicated by an exact canonical form: the
 lexicographically least sequence of lower-triangle adjacency rows over
 all vertex orderings consistent with an iterated color refinement.
-The refinement starts uniform and repeatedly splits classes by the
-multiset of neighbor colors, ranking classes by their invariant
-signatures; restricting the minimization to refinement-consistent
-orderings changes which labeled representative is canonical but not
-which graphs collide, because the refinement partition and its class
-order are isomorphism-invariant.  Twin vertices (identical
-neighborhoods apart from each other) generate identical subtrees and
-are explored once, which keeps the near-symmetric worst cases
-(empty and complete graphs) polynomial.
+The refinement splits classes by the multiset of neighbor colors,
+ranking classes by their invariant signatures; restricting the
+minimization to refinement-consistent orderings changes which labeled
+representative is canonical but not which graphs collide, because the
+refinement partition and its class order are isomorphism-invariant.
+The refinement starts from the degree ranking, which is exactly what
+one round from uniform colors yields, and stops once every class is a
+single vertex, since a further round cannot split a singleton and
+ranks the same classes in the same order; the colors it returns are
+therefore those of refining from uniform colors until stable.  Twin
+vertices (identical neighborhoods apart from each other) generate
+identical subtrees and are explored once, which keeps the
+near-symmetric worst cases (empty and complete graphs) polynomial.
 
 Families are generated level by level: a child adds vertex n-1 to an
 (n-1)-vertex parent with some neighborhood N (independent only, for
-the triangle-free family), and a child is canonicalized only if its
-new vertex has maximum degree, that is no old vertex v has
-deg_parent(v) + [v in N] > |N|.  No class is lost: delete a vertex of
-maximum degree from any member G; what is left is isomorphic to a
-parent, and adding the vertex back with its image neighborhood
-(independent when G is triangle-free) is a child that passes the test
-and is isomorphic to G.  Canonical forms are sorted, so each level's
-representatives and their order do not depend on which children are
-tried.  Graphs with independence number at most 2 are exactly the
-complements of triangle-free graphs.
+the triangle-free family), and a child is canonicalized only if it
+passes three rules.  Each keeps at least one member of every class.
+
+- Degree: the new vertex has maximum degree, that is no old vertex v
+  has deg_parent(v) + [v in N] > |N|.
+- f-maximality: with f(v) = (deg v, sorted neighbor degrees), no old
+  vertex of the new vertex's degree has a larger f.  Delete an
+  f-maximal vertex from any member G; what is left is isomorphic to a
+  parent, and adding the vertex back with its image neighborhood
+  (independent when G is triangle-free) is a child isomorphic to G
+  whose new vertex is f-maximal, so it passes both rules.
+- Twins: for twins v < w of the parent, skip N holding w but not v.
+  Being twins is an equivalence, and each class holds only true twins
+  or only false twins, since no vertex has both kinds; so any
+  permutation within a class is an automorphism of the parent.  It
+  maps N to the N' that meets every class in an initial segment, and
+  extends to an isomorphism of the children that fixes the new vertex.
+  N' has the same size, is independent when N is, and the degree and
+  f tests depend only on the child up to such an isomorphism, so N'
+  passes whatever N passes.
+
+Canonical forms are sorted, so each level's representatives and their
+order do not depend on which children are tried.  Graphs with
+independence number at most 2 are exactly the complements of
+triangle-free graphs.
 """
 
 from __future__ import annotations
@@ -41,19 +60,22 @@ ENUM_ALL_CAP = 8
 
 
 def _refine_colors(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    colors = [0] * n
-    classes = 1
-    while True:
+    neighbors = [list(bits(row)) for row in adj]
+    # One round from uniform colors ranks vertices by degree.
+    ranking = {d: r for r, d in enumerate(sorted({len(ns) for ns in neighbors}))}
+    colors = [ranking[len(ns)] for ns in neighbors]
+    classes = len(ranking)
+    while 1 < classes < n:
         signatures = [
-            (colors[v], tuple(sorted(colors[w] for w in bits(adj[v]))))
+            (colors[v], tuple(sorted([colors[w] for w in neighbors[v]])))
             for v in range(n)
         ]
         ranking = {s: r for r, s in enumerate(sorted(set(signatures)))}
-        fresh = [ranking[signatures[v]] for v in range(n)]
-        count = len(set(fresh))
-        if count == classes:
-            return tuple(fresh)
-        colors, classes = fresh, count
+        colors = [ranking[s] for s in signatures]
+        if len(ranking) == classes:
+            break
+        classes = len(ranking)
+    return tuple(colors)
 
 
 def _twins(adj: tuple[int, ...], v: int, w: int) -> bool:
@@ -131,24 +153,54 @@ def _extend(parent: Graph, neighborhood: int) -> Graph:
     return Graph(parent.n + 1, tuple(adj))
 
 
+def _twin_pairs(adj: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(1 << v, 1 << w) for every pair of twins v < w."""
+    return [(1 << v, 1 << w) for v, w in combinations(range(len(adj)), 2) if _twins(adj, v, w)]
+
+
+def _outranked(g: Graph) -> bool:
+    """Whether a vertex of g with the degree of the last vertex has a
+    larger sorted tuple of neighbor degrees."""
+    degrees = [row.bit_count() for row in g.adj]
+
+    def profile(v: int) -> list[int]:
+        return sorted([degrees[w] for w in bits(g.adj[v])])
+
+    new = g.n - 1
+    tied = [v for v in range(new) if degrees[v] == degrees[new]]
+    if not tied:
+        return False
+    mine = profile(new)
+    return any(profile(v) > mine for v in tied)
+
+
+def _children(parent: Graph, independent_only: bool):
+    """The children of `parent` that pass the degree, twin and
+    f-maximality rules."""
+    degrees = [row.bit_count() for row in parent.adj]
+    top = max(degrees)
+    top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
+    twin_pairs = _twin_pairs(parent.adj)
+    for neighborhood in range(1 << parent.n):
+        # Skip when an old vertex v ends above |N| at degree
+        # degrees[v] + [v in N]: a top-degree vertex does when
+        # |N| < top, or when |N| == top and N holds it.
+        size = neighborhood.bit_count()
+        if size < top or (size == top and neighborhood & top_mask):
+            continue
+        if any(neighborhood & w and not neighborhood & v for v, w in twin_pairs):
+            continue
+        if independent_only and any(parent.adj[v] & neighborhood for v in bits(neighborhood)):
+            continue
+        child = _extend(parent, neighborhood)
+        if _outranked(child):
+            continue
+        yield child
+
+
 def _next_level(parents: tuple[Graph, ...], independent_only: bool) -> tuple[Graph, ...]:
-    """Canonical representatives, sorted, of the children of `parents`
-    whose new vertex has maximum degree."""
-    seen: set[tuple[int, ...]] = set()
-    for parent in parents:
-        degrees = [row.bit_count() for row in parent.adj]
-        top = max(degrees)
-        top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
-        for neighborhood in range(1 << parent.n):
-            # Skip when an old vertex v ends above |N| at degree
-            # degrees[v] + [v in N]: a top-degree vertex does when
-            # |N| < top, or when |N| == top and N holds it.
-            size = neighborhood.bit_count()
-            if size < top or (size == top and neighborhood & top_mask):
-                continue
-            if independent_only and any(parent.adj[v] & neighborhood for v in bits(neighborhood)):
-                continue
-            seen.add(canonical_form(_extend(parent, neighborhood)))
+    """Canonical representatives, sorted, of the children of `parents`."""
+    seen = {canonical_form(child) for parent in parents for child in _children(parent, independent_only)}
     return tuple(graph_from_canonical_form(form) for form in sorted(seen))
 
 

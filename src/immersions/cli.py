@@ -34,7 +34,9 @@ from .immersion import (
 _FAMILIES = {
     "alpha2": lambda args: enumerate_alpha_le2(args.n),
     "all": lambda args: enumerate_graphs(args.n),
-    "sample": lambda args: sample_alpha_le2(args.n, args.count, args.seed),
+    "sample": lambda args: sample_alpha_le2(
+        args.n, 100 if args.count is None else args.count, args.seed or 0
+    ),
 }
 
 
@@ -79,8 +81,8 @@ def _build_parser() -> argparse.ArgumentParser:
     group.add_argument("--family", choices=tuple(_FAMILIES), help="generator family")
     group.add_argument("--input", help="path to a graph6 file, one word per line")
     p.add_argument("--n", type=int, help="vertex count for the generator family")
-    p.add_argument("--count", type=int, default=100, help="sample size for --family sample")
-    p.add_argument("--seed", type=int, default=0, help="seed for --family sample")
+    p.add_argument("--count", type=int, help="sample size for --family sample (default 100)")
+    p.add_argument("--seed", type=int, help="seed for --family sample (default 0)")
     p.add_argument(
         "--checks",
         default="main,appendix,vergara",
@@ -146,6 +148,12 @@ def _cmd_sweep(args) -> int:
     checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
     if args.family is not None and args.n is None:
         print("error: --family requires --n", file=sys.stderr)
+        return 2
+    if args.family is None and args.n is not None:
+        print("error: --n applies only to --family", file=sys.stderr)
+        return 2
+    if args.family != "sample" and (args.count is not None or args.seed is not None):
+        print("error: --count and --seed apply only to --family sample", file=sys.stderr)
         return 2
     if args.workers < 1:
         print("error: --workers must be at least 1", file=sys.stderr)

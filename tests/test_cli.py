@@ -170,6 +170,30 @@ class TestSweep:
         assert code == 2
         assert "requires --n" in err
 
+    def test_sample_defaults(self, capsys):
+        code, out, _ = run(capsys, "sweep", "--family", "sample", "--n", "4", "--checks", "main")
+        assert code == 0
+        assert len([l for l in out.split("\r\n") if l]) == 101
+
+    @pytest.mark.parametrize("family,option", [
+        ("all", "--count"), ("all", "--seed"), ("alpha2", "--count"), ("alpha2", "--seed"),
+    ])
+    def test_sample_options_need_sample_family(self, capsys, family, option):
+        code, out, err = run(
+            capsys, "sweep", "--family", family, "--n", "3", option, "2", "--checks", "main"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and option in err
+
+    def test_n_with_input_rejected(self, capsys, tmp_path):
+        words = tmp_path / "words.g6"
+        words.write_text("Bw\n")
+        code, out, err = run(
+            capsys, "sweep", "--input", str(words), "--n", "5", "--checks", "main"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "--n" in err
+
     def test_family_size_caps(self, capsys):
         for family, n, cap in (("alpha2", "99", "capped at n=10"), ("all", "9", "capped at n=8")):
             code, out, err = run(capsys, "sweep", "--family", family, "--n", n, "--checks", "main")

@@ -167,11 +167,8 @@ def _outranked(g: Graph) -> bool:
         return sorted([degrees[w] for w in bits(g.adj[v])])
 
     new = g.n - 1
-    tied = [v for v in range(new) if degrees[v] == degrees[new]]
-    if not tied:
-        return False
     mine = profile(new)
-    return any(profile(v) > mine for v in tied)
+    return any(degrees[v] == degrees[new] and profile(v) > mine for v in range(new))
 
 
 def _children(parent: Graph, independent_only: bool):

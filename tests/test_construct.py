@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import re
 
 import pytest
@@ -14,8 +15,10 @@ from immersions import (
     PreconditionError,
     STRONG_ODD,
     build_third_immersion,
+    certificate_to_json,
     clique_certificate,
     complement,
+    enumerate_alpha_le2,
     extension_step,
     find_clique_immersion,
     is_clique,
@@ -24,6 +27,21 @@ from immersions import (
     sample_alpha_le2,
     verify_certificate,
 )
+
+
+# sha256 of the certificate JSON and trace lines of build_third_immersion
+# over builder_corpus(), as written by the builder that relabelled each
+# recursive certificate from an induced subgraph.
+BUILDER_PIN = "8e7b89e0fc8e6cc5f03ef17c542f69d0f4dfa6ff1470400302eeaac4c37a10a6"
+
+
+def builder_corpus():
+    """Every alpha <= 2 graph with n <= 9, then 40 seeded samples for
+    each n = 10..15: 2,719 graphs."""
+    for n in range(1, 10):
+        yield from enumerate_alpha_le2(n)
+    for n in range(10, 16):
+        yield from sample_alpha_le2(n, 40, seed=n)
 
 
 def cycle(n: int) -> Graph:
@@ -106,6 +124,18 @@ class TestBuildThird:
                 self.check(g)
                 built += 1
         assert built >= 500
+
+    def test_pinned_certificates_and_traces(self):
+        """The exact certificate and trace, not only their validity."""
+        lines: list[str] = []
+        built = 0
+        for g in builder_corpus():
+            trace: list[str] = []
+            lines.append(certificate_to_json(build_third_immersion(g, trace), STRONG_ODD))
+            lines.extend(trace)
+            built += 1
+        assert built == 2719
+        assert hashlib.sha256("\n".join(lines).encode("ascii")).hexdigest() == BUILDER_PIN
 
     def test_alpha3_rejected_with_witness(self):
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -148,7 +149,11 @@ class TestEnumeration:
         for parent, neighborhood, child in unfiltered_children(enumerate_level, largest_n, independent_only):
             if parent not in kept:
                 kept[parent] = {canonical_form(c) for c in families._children(parent, independent_only)}
-            twin_pairs = families._twin_pairs(parent.adj)
+            twin_pairs = [
+                (1 << v, 1 << w)
+                for v, w in combinations(range(parent.n), 2)
+                if families._twins(parent.adj, v, w)
+            ]
             if (
                 max(row.bit_count() for row in child.adj) == neighborhood.bit_count()
                 and not families._outranked(child)
@@ -176,7 +181,12 @@ class TestEnumeration:
                 assert canonical_form(child) in level[child.n], (child, neighborhood)
         assert skipped > 0
 
-    def test_canonical_form_calls_from_cold(self, monkeypatch):
+    # enumerate_graphs(7) took 3131 calls with the degree rule alone;
+    # canonicalizing every child takes 11,290.
+    @pytest.mark.parametrize(
+        "enumerate_level,n,expected", [(enumerate_graphs, 7, 1672), (enumerate_triangle_free, 9, 3356)]
+    )
+    def test_canonical_form_calls_from_cold(self, monkeypatch, enumerate_level, n, expected):
         calls = 0
 
         def counted(g):
@@ -186,8 +196,8 @@ class TestEnumeration:
 
         monkeypatch.setattr(families, "canonical_form", counted)
         families._level.cache_clear()
-        list(enumerate_graphs(7))
-        assert calls == 1672  # 3131 with the degree rule alone; every child takes 11,290
+        list(enumerate_level(n))
+        assert calls == expected
 
     def test_size_caps(self):
         with pytest.raises(SizeCapError):

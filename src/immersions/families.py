@@ -18,9 +18,12 @@ identical subtrees and are explored once, which keeps the
 near-symmetric worst cases (empty and complete graphs) polynomial.
 
 Families are generated level by level: a child adds vertex n-1 to an
-(n-1)-vertex parent with some neighborhood N (independent only, for
-the triangle-free family), and a child is canonicalized only if it
-passes three rules.  Each keeps at least one member of every class.
+(n-1)-vertex parent with some neighborhood N, and a child is
+canonicalized only if it passes three rules.  Each keeps at least one
+member of every class.  The neighborhoods are not filtered out of all
+2^(n-1) subsets but grown one parent vertex w at a time, in ascending
+order: N takes w only if the twin rule allows it and, for the
+triangle-free family, N holds no neighbor of w, so N stays independent.
 
 - Degree: the new vertex has maximum degree, that is no old vertex v
   has deg_parent(v) + [v in N] > |N|.
@@ -30,7 +33,7 @@ passes three rules.  Each keeps at least one member of every class.
   parent, and adding the vertex back with its image neighborhood
   (independent when G is triangle-free) is a child isomorphic to G
   whose new vertex is f-maximal, so it passes both rules.
-- Twins: for twins v < w of the parent, skip N holding w but not v.
+- Twins: N holds a vertex w of the parent only with every twin v < w.
   Being twins is an equivalence, and each class holds only true twins
   or only false twins, since no vertex has both kinds; so any
   permutation within a class is an automorphism of the parent.  It
@@ -145,19 +148,6 @@ def graph_from_canonical_form(form: tuple[int, ...]) -> Graph:
     return Graph(n, tuple(adj))
 
 
-def _extend(parent: Graph, neighborhood: int) -> Graph:
-    adj = list(parent.adj)
-    for v in bits(neighborhood):
-        adj[v] |= 1 << parent.n
-    adj.append(neighborhood)
-    return Graph(parent.n + 1, tuple(adj))
-
-
-def _twin_pairs(adj: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(1 << v, 1 << w) for every pair of twins v < w."""
-    return [(1 << v, 1 << w) for v, w in combinations(range(len(adj)), 2) if _twins(adj, v, w)]
-
-
 def _outranked(g: Graph) -> bool:
     """Whether a vertex of g with the degree of the last vertex has a
     larger sorted tuple of neighbor degrees."""
@@ -173,32 +163,31 @@ def _outranked(g: Graph) -> bool:
 
 def _children(parent: Graph, independent_only: bool):
     """The children of `parent` that pass the degree, twin and
-    f-maximality rules."""
-    degrees = [row.bit_count() for row in parent.adj]
+    f-maximality rules, by ascending neighborhood.
+
+    The neighborhoods are grown one vertex w at a time: N takes w only
+    if it holds every earlier twin of w and, when independent_only, no
+    neighbor of w.  The sets that gain w are appended after those that
+    do not, so the list stays in ascending order."""
+    n, adj = parent.n, parent.adj
+    neighborhoods = [0]
+    for w in range(n):
+        twins = mask_of(v for v in range(w) if _twins(adj, v, w))
+        blocked = adj[w] if independent_only else 0
+        neighborhoods += [s | 1 << w for s in neighborhoods if s & twins == twins and not s & blocked]
+    degrees = [row.bit_count() for row in adj]
     top = max(degrees)
     top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
-    twin_pairs = _twin_pairs(parent.adj)
-    for neighborhood in range(1 << parent.n):
+    for neighborhood in neighborhoods:
         # Skip when an old vertex v ends above |N| at degree
         # degrees[v] + [v in N]: a top-degree vertex does when
         # |N| < top, or when |N| == top and N holds it.
         size = neighborhood.bit_count()
         if size < top or (size == top and neighborhood & top_mask):
             continue
-        if any(neighborhood & w and not neighborhood & v for v, w in twin_pairs):
-            continue
-        if independent_only and any(parent.adj[v] & neighborhood for v in bits(neighborhood)):
-            continue
-        child = _extend(parent, neighborhood)
-        if _outranked(child):
-            continue
-        yield child
-
-
-def _next_level(parents: tuple[Graph, ...], independent_only: bool) -> tuple[Graph, ...]:
-    """Canonical representatives, sorted, of the children of `parents`."""
-    seen = {canonical_form(child) for parent in parents for child in _children(parent, independent_only)}
-    return tuple(graph_from_canonical_form(form) for form in sorted(seen))
+        child = Graph(n + 1, (*[row | (neighborhood >> v & 1) << n for v, row in enumerate(adj)], neighborhood))
+        if not _outranked(child):
+            yield child
 
 
 @lru_cache(maxsize=None)
@@ -207,7 +196,9 @@ def _level(n: int, independent_only: bool) -> tuple[Graph, ...]:
     when independent_only, else all graphs."""
     if n == 1:
         return (Graph.empty(1),)
-    return _next_level(_level(n - 1, independent_only), independent_only)
+    parents = _level(n - 1, independent_only)
+    seen = {canonical_form(child) for parent in parents for child in _children(parent, independent_only)}
+    return tuple(graph_from_canonical_form(form) for form in sorted(seen))
 
 
 def enumerate_triangle_free(n: int):

@@ -31,7 +31,6 @@ from .graphs import (
     Graph,
     bits,
     complement,
-    induced_subgraph,
     is_clique,
     mask_of,
     max_clique,
@@ -44,12 +43,6 @@ from .immersion import (
     clique_certificate,
     verify_certificate,
 )
-
-
-def _relabel_certificate(cert: ImmersionCertificate, mapping: dict[int, int]) -> ImmersionCertificate:
-    terminals = tuple(mapping[v] for v in cert.terminals)
-    paths = {pair: tuple(mapping[v] for v in path) for pair, path in cert.paths.items()}
-    return ImmersionCertificate(terminals, paths)
 
 
 def _sort_terminals(cert: ImmersionCertificate) -> ImmersionCertificate:
@@ -137,49 +130,47 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
             f"independence number exceeds 2: vertices {triple} are pairwise nonadjacent",
             triple,
         )
-    return _build(g, trace, tuple(range(g.n)))
+    return _build(g, g.vertex_mask, trace)
 
 
-def _build(g: Graph, trace: list[str] | None, names: tuple[int, ...]) -> ImmersionCertificate:
-    """The builder on g, whose vertex i is vertex names[i] of the input graph."""
-    n = g.n
+def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate:
+    """The builder on the subgraph induced by live, in the input's
+    labels; g has no edge that leaves live."""
+    n = live.bit_count()
     target = -(-n // 3)
     degree_cap = 2 * n // 3 - 1
-    for x in range(n):
+    for x in bits(live):
         if g.degree(x) <= degree_cap:
-            clique = non_neighborhood(g, x)
+            clique = non_neighborhood(g, x) & live
             assert is_clique(g, clique) and clique.bit_count() >= target
             if trace is not None:
-                trace.append(f"n={n} branch=low-degree x={names[x]} t={clique.bit_count()}")
+                trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
             return clique_certificate(bits(clique))
     if g.edge_count == n * (n - 1) // 2:
         if trace is not None:
             trace.append(f"n={n} branch=complete t={target}")
-        return clique_certificate(range(target))
+        return clique_certificate(list(bits(live))[:target])
 
     pair = None
-    for u in range(n):
-        rest = non_neighborhood(g, u) >> (u + 1) << (u + 1)
+    for u in bits(live):
+        rest = (non_neighborhood(g, u) & live) >> (u + 1) << (u + 1)
         if rest:
             pair = (u, next(bits(rest)))
             break
     assert pair is not None, "non-complete graph has an independent pair"
     u, v = pair
-    sub_mask = g.vertex_mask & ~(1 << u) & ~(1 << v)
-    sub, relabel = induced_subgraph(g, sub_mask)
-    base = _build(sub, trace, tuple(names[w] for w in bits(sub_mask)))
-    base = _trim_certificate(base, -(-(n - 2) // 3))
-    inverse = {new: old for old, new in relabel.items()}
-    base = _relabel_certificate(base, inverse)
+    sub_mask = live & ~(1 << u) & ~(1 << v)
+    sub = Graph(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(g.adj)))
+    base = _trim_certificate(_build(sub, sub_mask, trace), -(-(n - 2) // 3))
 
     extended = extension_step(g, u, v, base)
     if extended is not None:
         if trace is not None:
-            trace.append(f"n={n} branch=extend pair=({names[u]},{names[v]}) t={extended.t}")
+            trace.append(f"n={n} branch=extend pair=({u},{v}) t={extended.t}")
         return extended
     outside = sub_mask & ~mask_of(base.terminals)
     clique = (non_neighborhood(g, u) & outside) | 1 << v
     assert is_clique(g, clique) and clique.bit_count() >= target
     if trace is not None:
-        trace.append(f"n={n} branch=clique-fallback pair=({names[u]},{names[v]}) t={clique.bit_count()}")
+        trace.append(f"n={n} branch=clique-fallback pair=({u},{v}) t={clique.bit_count()}")
     return clique_certificate(bits(clique))

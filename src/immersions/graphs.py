@@ -110,10 +110,10 @@ def parse_graph6(line: str) -> Graph:
         text = text[len(">>graph6<<"):]
     if not text:
         raise Graph6Error("empty graph6 word")
-    data = text.encode("ascii", errors="replace")
-    for offset, byte in enumerate(data):
-        if not 63 <= byte <= 126:
-            raise Graph6Error(f"byte {byte} out of range 63..126 at offset {offset}")
+    for offset, char in enumerate(text):
+        if not 63 <= ord(char) <= 126:
+            raise Graph6Error(f"character {char!r} (code {ord(char)}) out of range 63..126 at offset {offset}")
+    data = text.encode("ascii")
     if data[0] == 126:
         raise UnsupportedSizeError("multi-byte graph6 size (n > 62) not supported")
     n = data[0] - 63

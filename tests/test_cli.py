@@ -38,6 +38,13 @@ class TestQueries:
         assert err.startswith("error:")
 
 
+    def test_non_ascii_word_is_usage_error(self, capsys):
+        code, out, err = run(capsys, "chromatic", "Dh\u00e9")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error:") and "offset 2" in err
+
+
 class TestImmersion:
     def test_find_golden_c5(self, capsys):
         code, out, _ = run(capsys, "immersion", "find", "--t", "3", "--strong", "--odd", C5)
@@ -174,6 +181,14 @@ class TestSweep:
         code, out, _ = run(capsys, "sweep", "--family", "sample", "--n", "4", "--checks", "main")
         assert code == 0
         assert len([l for l in out.split("\r\n") if l]) == 101
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_sample_count_must_be_positive(self, capsys, count):
+        code, out, err = run(
+            capsys, "sweep", "--family", "sample", "--n", "6", "--count", count, "--checks", "main"
+        )
+        assert code == 2
+        assert out == "" and err.startswith("error:") and "count" in err
 
     @pytest.mark.parametrize("family,option", [
         ("all", "--count"), ("all", "--seed"), ("alpha2", "--count"), ("alpha2", "--seed"),

@@ -97,6 +97,12 @@ class TestGraph6:
         with pytest.raises(Graph6Error, match="offset"):
             parse_graph6("B" + chr(127))
 
+    @pytest.mark.parametrize("word,offset", [("Dh\u00e9", 2), ("\u00e9", 0), ("B\u2603", 1)])
+    def test_rejects_non_ascii_character(self, word, offset):
+        """A non-ASCII character is not read as '?', an all-zero byte."""
+        with pytest.raises(Graph6Error, match=f"at offset {offset}$"):
+            parse_graph6(word)
+
     def test_rejects_wrong_length(self):
         with pytest.raises(Graph6Error):
             parse_graph6("Bww")

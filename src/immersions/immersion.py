@@ -169,7 +169,7 @@ def certificate_to_json(cert: ImmersionCertificate, flags: ImmersionFlags) -> st
 
 def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFlags]:
     try:
-        payload = json.loads(text)
+        payload = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
@@ -210,6 +210,16 @@ def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFla
     if not isinstance(strong, bool) or not isinstance(odd, bool):
         raise MalformedCertificateError("flag values must be true or false")
     return ImmersionCertificate(tuple(terminals), paths), ImmersionFlags(strong, odd)
+
+
+def _object_without_repeats(pairs: list[tuple[str, object]]) -> dict:
+    """A repeated key must not silently keep its last value."""
+    obj: dict = {}
+    for key, value in pairs:
+        if key in obj:
+            raise MalformedCertificateError(f"repeated key {key!r} in a JSON object")
+        obj[key] = value
+    return obj
 
 
 def _reject_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:

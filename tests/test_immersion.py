@@ -201,6 +201,20 @@ class TestJson:
     @pytest.mark.parametrize(
         "text",
         [
+            '{"t": 2, "t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, "flags": {}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1], "0,1": [0, 2, 1]}, "flags": {}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, '
+            '"flags": {"strong": true, "odd": true, "odd": false}}',
+        ],
+    )
+    def test_repeated_key_raises(self, text):
+        """json.loads alone keeps the last value, so "odd" would read false."""
+        with pytest.raises(MalformedCertificateError, match="repeated key"):
+            certificate_from_json(text)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
             '{"t": true, "terminals": [0], "paths": {}, "flags": {}}',
             '{"t": 2, "terminals": [false, true], "paths": {"0,1": [0, 1]}, "flags": {}}',
             '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [false, true]}, "flags": {}}',

@@ -239,6 +239,8 @@ def sample_alpha_le2(n: int, count: int, seed: int):
     """
     if n < 1:
         raise ValueError("need at least one vertex")
+    if count < 1:
+        raise ValueError(f"need at least one sample, got count={count}")
     rng = random.Random(seed)
     all_pairs = list(combinations(range(n), 2))
     for _ in range(count):

@@ -223,3 +223,8 @@ class TestSampler:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             list(sample_alpha_le2(0, 1, seed=0))
+
+    @pytest.mark.parametrize("count", [0, -3])
+    def test_rejects_count_below_one(self, count):
+        with pytest.raises(ValueError, match="count"):
+            list(sample_alpha_le2(5, count, seed=0))

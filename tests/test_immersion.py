@@ -206,6 +206,7 @@ class TestJson:
             '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, '
             '"flags": {"strong": true, "odd": true, "odd": false}}',
         ],
+        ids=["t", "path", "flag"],
     )
     def test_repeated_key_raises(self, text):
         """json.loads alone keeps the last value, so "odd" would read false."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import random
 import time
+from pathlib import Path
 
 import pytest
 
@@ -36,6 +37,8 @@ from immersions import (
 )
 
 FLAG_COMBOS = [ImmersionFlags(s, o) for s in (False, True) for o in (False, True)]
+# Written by the benchmark from the sweep code of its day; read, never written, here.
+SWEEP_N8_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "ref" / "sweep-alpha2-n8.csv"
 
 
 def third_target(n: int) -> int:
@@ -212,6 +215,20 @@ def test_criterion_7_vergara_zero_failures(alpha2_sweep):
         f"PASS: criterion 7 — vertex-count bound n <= 2t+1 holds on all "
         f"{len(rows)} alpha<=2 graphs, n <= 8; quarantine stayed empty"
     )
+
+
+@pytest.mark.slow_acceptance
+def test_sweep_n8_matches_benchmark_reference(alpha2_sweep):
+    """The n = 8 rows, sorted, equal the benchmark's reference CSV."""
+    with open(SWEEP_N8_REFERENCE, newline="") as handle:
+        reference = list(csv.DictReader(handle))
+    rows = [row for row in alpha2_sweep["rows"] if row["n"] == "8"]
+
+    def by_word(row):
+        return row["graph6"]
+
+    assert sorted(rows, key=by_word) == sorted(reference, key=by_word)
+    print(f"PASS: the {len(rows)} rows at n = 8 equal perfbench/ref/sweep-alpha2-n8.csv")
 
 
 @pytest.mark.slow_acceptance

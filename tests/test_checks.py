@@ -9,15 +9,20 @@ import pytest
 
 from immersions import (
     CHECK_NAMES,
+    PLAIN,
     CheckOutcome,
     Graph,
+    certificate_to_json,
     encode_graph6,
     enumerate_alpha_le2,
     evaluate_graph,
+    find_clique_immersion,
+    max_clique_immersion,
     parse_graph6,
     run_batch,
 )
 from immersions import checks as checks_module
+from immersions import immersion as immersion_module
 from immersions.cli import main as cli_main
 
 
@@ -132,6 +137,39 @@ class TestEvaluateGraph:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
             evaluate_graph(Graph.complete(2), ("main", "bogus"))
+
+    def test_find_clique_immersion_calls(self, monkeypatch, alpha2_by_n):
+        """Searches over the 410 alpha <= 2 rows at n = 8, counted through
+        every binding of find_clique_immersion."""
+        calls = 0
+
+        def counted(g, t, flags):
+            nonlocal calls
+            calls += 1
+            return find_clique_immersion(g, t, flags)
+
+        monkeypatch.setattr(immersion_module, "find_clique_immersion", counted)
+        monkeypatch.setattr(checks_module, "find_clique_immersion", counted, raising=False)
+        for g in alpha2_by_n[8]:
+            evaluate_graph(g, ("main", "appendix", "vergara"))
+        assert calls == 2152
+
+    def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
+        """A quarantined row carries the plain order and the witness that
+        max_clique_immersion gives, whether or not the plain order exceeds
+        the strong odd one."""
+        force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
+        above = level = 0
+        for g in (g for n in range(1, 8) for g in alpha2_by_n[n]):
+            payload = evaluate_graph(g, ("vergara",)).quarantine
+            t, cert = max_clique_immersion(g, PLAIN)
+            assert payload["t_max_plain"] == t, payload["graph6"]
+            assert payload["certificate_plain"] == json.loads(certificate_to_json(cert, PLAIN))
+            if t > payload["t_max_strong_odd"]:
+                above += 1
+            else:
+                level += 1
+        assert above and level
 
 
 class TestRunBatch:

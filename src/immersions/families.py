@@ -56,7 +56,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SizeCapError
-from .graphs import Graph, bits, complement, mask_of
+from .graphs import Graph, are_twins, bits, complement, earlier_twins, mask_of
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
@@ -79,10 +79,6 @@ def _refine_colors(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
             break
         classes = len(ranking)
     return tuple(colors)
-
-
-def _twins(adj: tuple[int, ...], v: int, w: int) -> bool:
-    return adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
@@ -121,7 +117,7 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
         for row, v in candidates:
             if best is not None and equal_prefix and row > best[p]:
                 break
-            if any(row == r2 and _twins(adj, v, w) for r2, w in explored):
+            if any(row == r2 and are_twins(adj, v, w) for r2, w in explored):
                 continue
             explored.append((row, v))
             child_equal = equal_prefix and (best is None or row == best[p])
@@ -171,8 +167,7 @@ def _children(parent: Graph, independent_only: bool):
     do not, so the list stays in ascending order."""
     n, adj = parent.n, parent.adj
     neighborhoods = [0]
-    for w in range(n):
-        twins = mask_of(v for v in range(w) if _twins(adj, v, w))
+    for w, twins in enumerate(earlier_twins(adj)):
         blocked = adj[w] if independent_only else 0
         neighborhoods += [s | 1 << w for s in neighborhoods if s & twins == twins and not s & blocked]
     degrees = [row.bit_count() for row in adj]

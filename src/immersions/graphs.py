@@ -156,6 +156,20 @@ def encode_graph6(g: Graph) -> str:
     return bytes(out).decode("ascii")
 
 
+def are_twins(adj: tuple[int, ...], v: int, w: int) -> bool:
+    """Whether v and w have the same neighbors apart from each other.
+
+    Twins are true (adjacent) or false (not); either way swapping them
+    is an automorphism.
+    """
+    return adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
+
+
+def earlier_twins(adj: tuple[int, ...]) -> list[int]:
+    """For each vertex w, the bitset of its twins v < w."""
+    return [mask_of(v for v in range(w) if are_twins(adj, v, w)) for w in range(len(adj))]
+
+
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
     return Graph(g.n, tuple(full ^ g.adj[v] ^ (1 << v) for v in range(g.n)))

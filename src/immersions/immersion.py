@@ -26,7 +26,14 @@ conditions, so the first certificate found never depends on it:
 - a failure memo: the unsolved-pair search is a pure function of the
   pair index k and the used-edge set (free edges and pass-through
   budgets both follow from them), so a (k, used) state that failed
-  once fails again and is cut.  The memo lives for one terminal set.
+  once fails again and is cut.  The memo lives for one terminal set;
+- a twin skip: a terminal set that holds w but not some twin v < w
+  (equal neighborhoods apart from each other) is never tried.  Twins
+  have equal degree, so v is a candidate whenever w is, and swapping
+  them is an automorphism.  It maps the set to the one with v in place
+  of w, which comes earlier in colex order and so has already failed
+  (tried, or skipped by the same rule); an automorphic image has the
+  same outcome.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate, combinations
 
 from .errors import DegenerateInputError, MalformedCertificateError
-from .graphs import Graph, bits, mask_of, max_clique
+from .graphs import Graph, bits, earlier_twins, mask_of, max_clique
 
 
 @dataclass(frozen=True)
@@ -350,8 +357,11 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
         failed[k].add(used)
         return False
 
+    twins = earlier_twins(g.adj)
     for terms in _colex_combinations(candidates, t):
         term_mask = mask_of(terms)
+        if any(twins[w] & ~term_mask for w in terms):
+            continue  # the twin skip: an earlier set is its image and failed
         floors: list[int] = []
         for i, j in pairs:
             a, b = terms[i], terms[j]
@@ -379,7 +389,18 @@ def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, Immersio
     omega, _ = max_clique(g)
     best = find_clique_immersion(g, omega, flags)
     assert best is not None, "a clique always immerses itself"
-    t = omega
+    return _ascend(g, omega, flags, best)
+
+
+def _ascend(
+    g: Graph, t: int, flags: ImmersionFlags, best: ImmersionCertificate | None
+) -> tuple[int, ImmersionCertificate | None]:
+    """From a K_t known to immerse, with its witness best (None if not in
+    hand), search K_{t+1}, K_{t+2}, ... until one fails.  Returns the
+    largest order and the witness found for it, which stays best when no
+    step succeeds.  Stopping at the first failure is exact, since a
+    K_{t+1} certificate less one terminal is a K_t certificate.
+    """
     while t < g.n:
         nxt = find_clique_immersion(g, t + 1, flags)
         if nxt is None:

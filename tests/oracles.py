@@ -99,8 +99,24 @@ def brute_immersion_exists(g: Graph, t: int, strong: bool, odd: bool) -> bool:
     total_edges = sum(1 for _ in g.edges())
     if total_edges < t * (t - 1) // 2:
         return False
-
     path_cache: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+    return any(
+        brute_terminals_immerse(g, terminals, strong, odd, path_cache)
+        for terminals in itertools.combinations(range(g.n), t)
+    )
+
+
+def brute_terminals_immerse(
+    g: Graph, terminals: tuple[int, ...], strong: bool, odd: bool,
+    path_cache: dict[tuple[int, int], list[tuple[int, ...]]] | None = None,
+) -> bool:
+    """Whether some complete path system joins these terminals pairwise.
+
+    path_cache keeps each pair's simple paths across calls on one graph.
+    """
+    if path_cache is None:
+        path_cache = {}
+    total_edges = sum(1 for _ in g.edges())
 
     def paths_between(a: int, b: int) -> list[tuple[int, ...]]:
         key = _edge_key(a, b)
@@ -108,45 +124,37 @@ def brute_immersion_exists(g: Graph, t: int, strong: bool, odd: bool) -> bool:
             path_cache[key] = simple_paths(g, *key)
         return path_cache[key]
 
-    for terminals in itertools.combinations(range(g.n), t):
-        term_set = set(terminals)
-        pairs = list(itertools.combinations(terminals, 2))
-        candidates: list[list[frozenset[tuple[int, int]]]] = []
-        feasible = True
-        for a, b in pairs:
-            options = []
-            for path in paths_between(a, b):
-                if odd and (len(path) - 1) % 2 == 0:
-                    continue
-                if strong and any(v in term_set for v in path[1:-1]):
-                    continue
-                options.append(
-                    frozenset(_edge_key(x, y) for x, y in zip(path, path[1:]))
-                )
-            if not options:
-                feasible = False
-                break
-            candidates.append(options)
-        if not feasible:
-            continue
-
-        order = sorted(range(len(candidates)), key=lambda i: len(candidates[i]))
-
-        def assign(i: int, used: frozenset[tuple[int, int]]) -> bool:
-            if i == len(order):
-                return True
-            if total_edges - len(used) < len(order) - i:
-                return False
-            for edges in candidates[order[i]]:
-                if used & edges:
-                    continue
-                if assign(i + 1, used | edges):
-                    return True
+    term_set = set(terminals)
+    candidates: list[list[frozenset[tuple[int, int]]]] = []
+    for a, b in itertools.combinations(terminals, 2):
+        options = []
+        for path in paths_between(a, b):
+            if odd and (len(path) - 1) % 2 == 0:
+                continue
+            if strong and any(v in term_set for v in path[1:-1]):
+                continue
+            options.append(
+                frozenset(_edge_key(x, y) for x, y in zip(path, path[1:]))
+            )
+        if not options:
             return False
+        candidates.append(options)
 
-        if assign(0, frozenset()):
+    order = sorted(range(len(candidates)), key=lambda i: len(candidates[i]))
+
+    def assign(i: int, used: frozenset[tuple[int, int]]) -> bool:
+        if i == len(order):
             return True
-    return False
+        if total_edges - len(used) < len(order) - i:
+            return False
+        for edges in candidates[order[i]]:
+            if used & edges:
+                continue
+            if assign(i + 1, used | edges):
+                return True
+        return False
+
+    return assign(0, frozenset())
 
 
 def walk_floor(g: Graph, a: int, b: int, inner: set[int], odd: bool) -> int | None:

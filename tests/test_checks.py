@@ -152,7 +152,9 @@ class TestEvaluateGraph:
         monkeypatch.setattr(checks_module, "find_clique_immersion", counted, raising=False)
         for g in alpha2_by_n[8]:
             evaluate_graph(g, ("main", "appendix", "vergara"))
-        assert calls == 2152
+        # 2152 when plain search climbed from omega instead of from the
+        # strong odd order.
+        assert calls == 1529
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the plain order and the witness that

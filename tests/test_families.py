@@ -23,6 +23,7 @@ from immersions import (
     independence_number,
     sample_alpha_le2,
 )
+from immersions.graphs import are_twins
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
@@ -152,7 +153,7 @@ class TestEnumeration:
             twin_pairs = [
                 (1 << v, 1 << w)
                 for v, w in combinations(range(parent.n), 2)
-                if families._twins(parent.adj, v, w)
+                if are_twins(parent.adj, v, w)
             ]
             if (
                 max(row.bit_count() for row in child.adj) == neighborhood.bit_count()

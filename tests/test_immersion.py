@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import random
@@ -22,12 +23,14 @@ from immersions import (
     certificate_from_json,
     certificate_to_json,
     clique_certificate,
+    bits,
     complement,
     find_clique_immersion,
     mask_of,
     max_clique_immersion,
     verify_certificate,
 )
+from immersions.graphs import earlier_twins
 from immersions.immersion import _pair_floor
 
 ALL_FLAGS = (PLAIN, STRONG, ODD, STRONG_ODD)
@@ -333,6 +336,37 @@ class TestPairFloor:
                                 assert _pair_floor(g, a, b, allowed, odd) == oracles.walk_floor(
                                     g, a, b, inner, odd
                                 ), (sorted(g.edges()), a, b, inside, odd)
+
+
+class TestTwinSkip:
+    def test_skipped_sets_match_their_earlier_twin_swap(self, all_graphs_small):
+        """Every terminal set that holds w but not an earlier twin v of w,
+        on every graph with n <= 6, has the brute oracle's answer of the
+        set with v in place of w, under every flag setting."""
+        skipped = 0
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                twins = earlier_twins(g.adj)
+                path_cache: dict = {}
+
+                @functools.cache
+                def immerses(chosen: tuple[int, ...], flags: ImmersionFlags) -> bool:
+                    return oracles.brute_terminals_immerse(g, chosen, flags.strong, flags.odd, path_cache)
+
+                for t in range(2, n + 1):
+                    for terms in itertools.combinations(range(n), t):
+                        term_mask = mask_of(terms)
+                        if not any(twins[w] & ~term_mask for w in terms):
+                            continue
+                        skipped += 1
+                        for w in terms:
+                            for v in bits(twins[w] & ~term_mask):
+                                swapped = tuple(sorted(set(terms) - {w} | {v}))
+                                for flags in ALL_FLAGS:
+                                    assert immerses(terms, flags) == immerses(swapped, flags), (
+                                        sorted(g.edges()), terms, w, v, flags
+                                    )
+        assert skipped > 0
 
 
 class TestMax:

@@ -37,7 +37,7 @@ from immersions import (
 )
 
 FLAG_COMBOS = [ImmersionFlags(s, o) for s in (False, True) for o in (False, True)]
-# Written by the benchmark from the sweep code of its day; read, never written, here.
+# Written by perfbench/make_reference.py; this suite only reads it.
 SWEEP_N8_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "ref" / "sweep-alpha2-n8.csv"
 
 

@@ -8,13 +8,13 @@ leading column of a row once, so the CSV schema is fixed, then runs the
 table.  Timings stay in memory, never serialized, so output is
 byte-identical across runs and worker counts.
 
-The strong odd order t is computed first.  Every strong odd K_t
-certificate is also a plain one, so the plain order is found by
-searching K_{t+1}, K_{t+2}, ... until one fails, not from the clique
-number up.  When some step succeeds, the last witness is the one
-max_clique_immersion(g, PLAIN) returns.  When none does, the plain
-order is t and no plain witness is in hand; only a quarantined row
-then searches for it, with the same call max_clique_immersion makes.
+Both immersion orders come from one ascent, which searches K_{t+1},
+K_{t+2}, ... until one fails: the strong odd order from the clique
+number, which a clique proves, and the plain order from the strong odd
+order, since every strong odd certificate is a plain one.  A climb
+that makes no step has no witness; only a quarantined row searches for
+it, with the call max_clique_immersion makes, so a row's witnesses are
+the ones max_clique_immersion returns.
 """
 
 from __future__ import annotations
@@ -29,16 +29,14 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 
 from .construct import build_third_immersion
-from .coloring import ColoringCertificate, chromatic_number
-from .graphs import Graph, encode_graph6, independence_number, parse_graph6
+from .coloring import chromatic_number
+from .graphs import Graph, encode_graph6, independence_number, max_clique, parse_graph6
 from .immersion import (
     PLAIN,
     STRONG_ODD,
-    ImmersionCertificate,
     _ascend,
     certificate_to_json,
     find_clique_immersion,
-    max_clique_immersion,
     verify_certificate,
 )
 
@@ -108,16 +106,17 @@ CHECK_NAMES = tuple(CHECKS)
 
 
 def _require_known(checks: tuple[str, ...]) -> None:
-    for name in checks:
+    for k, name in enumerate(checks):
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
+        if name in checks[:k]:
+            raise ValueError(f"check {name!r} named twice")
 
 
 def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     """Full row: every leading column, the requested outcomes, and any quarantine."""
     _require_known(checks)
     report = CheckReport(encode_graph6(g), g.n)
-    empty = (0, ImmersionCertificate(()))
     clock = time.perf_counter
     start = clock()
     report.alpha = independence_number(g)
@@ -126,10 +125,10 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     report.chi, coloring = chromatic_number(g)
     report.runtime_ms["chi"] = (clock() - start) * 1000
     start = clock()
-    report.t_max_strong_odd, odd_cert = max_clique_immersion(g, STRONG_ODD) if g.n else empty
+    report.t_max_strong_odd, odd_cert = _ascend(g, max_clique(g)[0], STRONG_ODD)
     report.runtime_ms["t_max_strong_odd"] = (clock() - start) * 1000
     start = clock()
-    report.t_max_plain, plain_cert = _ascend(g, report.t_max_strong_odd, PLAIN, None) if g.n else empty
+    report.t_max_plain, plain_cert = _ascend(g, report.t_max_strong_odd, PLAIN)
     report.runtime_ms["t_max_plain"] = (clock() - start) * 1000
 
     for name in checks:
@@ -146,9 +145,15 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
 
     failed = [name for name, outcome in report.bounds.items() if outcome.status == "false"]
     if any(CHECKS[name].quarantine for name in failed):
-        if plain_cert is None:
-            plain_cert = find_clique_immersion(g, report.t_max_plain, PLAIN)
-        report.quarantine = _quarantine_payload(report, failed, coloring, plain_cert, odd_cert)
+        report.quarantine = {**_leading(report), "coloring": list(coloring.colors), "failed_checks": failed}
+        # A climb that made no step found no witness: search the order it
+        # started from, as max_clique_immersion does.
+        for kind, flags, t, cert in (
+            ("plain", PLAIN, report.t_max_plain, plain_cert),
+            ("strong_odd", STRONG_ODD, report.t_max_strong_odd, odd_cert),
+        ):
+            cert = find_clique_immersion(g, t, flags) if cert is None else cert
+            report.quarantine[f"certificate_{kind}"] = json.loads(certificate_to_json(cert, flags))
     return report
 
 
@@ -216,26 +221,14 @@ def _json_bytes(rows: list[CheckReport], checks: tuple[str, ...]) -> bytes:
     return (json.dumps(payload, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def _quarantine_payload(
-    report: CheckReport, failed: list[str], coloring: ColoringCertificate,
-    plain_cert: ImmersionCertificate, odd_cert: ImmersionCertificate,
-) -> dict:
-    return {
-        **_leading(report),
-        "coloring": list(coloring.colors),
-        "failed_checks": failed,
-        "certificate_plain": json.loads(certificate_to_json(plain_cert, PLAIN)),
-        "certificate_strong_odd": json.loads(certificate_to_json(odd_cert, STRONG_ODD)),
-    }
-
-
 def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str = "csv") -> int:
     """Evaluate every graph, write the report, return the exit code.
 
     `source` is a graph6 file path or an iterable of graphs, such as
     `enumerate_alpha_le2(7)`.  Exit 0 when every applicable check holds,
     1 when any fails, 2 on input problems, among them a generator's size
-    cap, raised while the task list is built.  Output is byte-identical
+    cap, raised while the task list is built, and 2 with no report when
+    a worker process dies.  Output is byte-identical
     for a fixed input regardless of worker count: results are collected
     in input order and contain no timing data.
     """
@@ -252,8 +245,14 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         return 2
 
     if workers > 1 and len(tasks) > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
-            rows = list(pool.imap(_worker, tasks, chunksize=1))
+        # Imported here: the pool machinery costs a serial run 1.5 MB of RSS.
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+        try:
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                rows = list(pool.map(_worker, tasks))
+        except BrokenProcessPool as exc:
+            print(f"error: a sweep worker died: {exc}", file=sys.stderr)
+            return 2
     else:
         rows = [_worker(task) for task in tasks]
 

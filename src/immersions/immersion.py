@@ -203,10 +203,11 @@ def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFla
             i, j = (int(part) for part in key.split(","))
         except ValueError as exc:
             raise MalformedCertificateError(f"bad pair key {key!r}") from exc
+        # Only the spelling certificate_to_json writes: no two keys name one pair.
+        if key != f"{i},{j}":
+            raise MalformedCertificateError(f"pair key {key!r} is not written as {i},{j}")
         if not 0 <= i < j < t:
             raise MalformedCertificateError(f"pair key {key!r} out of range for t={t}")
-        if (i, j) in paths:
-            raise MalformedCertificateError(f"pair key {key!r} repeats the pair {i},{j}")
         if not isinstance(seq, list) or not all(_is_int(v) for v in seq):
             raise MalformedCertificateError(f"path for pair {key!r} must be a list of integers")
         paths[(i, j)] = tuple(seq)
@@ -383,28 +384,26 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
 
 
 def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, ImmersionCertificate]:
-    """Largest t admitting a certificate under flags, with a witness."""
+    """Largest t admitting a certificate under flags, with a witness.
+
+    A clique proves K_omega, so the climb starts there unsearched; the
+    K_omega witness is searched only when the climb makes no step.
+    """
     if g.n == 0:
         raise DegenerateInputError("maximum immersion order undefined on the empty graph")
-    omega, _ = max_clique(g)
-    best = find_clique_immersion(g, omega, flags)
-    assert best is not None, "a clique always immerses itself"
-    return _ascend(g, omega, flags, best)
+    t, cert = _ascend(g, max_clique(g)[0], flags)
+    if cert is None:
+        cert = find_clique_immersion(g, t, flags)
+    return t, cert
 
 
-def _ascend(
-    g: Graph, t: int, flags: ImmersionFlags, best: ImmersionCertificate | None
-) -> tuple[int, ImmersionCertificate | None]:
-    """From a K_t known to immerse, with its witness best (None if not in
-    hand), search K_{t+1}, K_{t+2}, ... until one fails.  Returns the
-    largest order and the witness found for it, which stays best when no
-    step succeeds.  Stopping at the first failure is exact, since a
-    K_{t+1} certificate less one terminal is a K_t certificate.
+def _ascend(g: Graph, t: int, flags: ImmersionFlags) -> tuple[int, ImmersionCertificate | None]:
+    """From a K_t known to immerse, search K_{t+1}, K_{t+2}, ... until one
+    fails.  Returns the largest order and the last witness found, None
+    when no step succeeds.  Stopping at the first failure is exact, since
+    a K_{t+1} certificate less one terminal is a K_t certificate.
     """
-    while t < g.n:
-        nxt = find_clique_immersion(g, t + 1, flags)
-        if nxt is None:
-            break
-        best = nxt
-        t += 1
-    return t, best
+    cert = None
+    while t < g.n and (nxt := find_clique_immersion(g, t + 1, flags)) is not None:
+        t, cert = t + 1, nxt
+    return t, cert

@@ -4,12 +4,19 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
+import immersions
 from immersions import (
     CHECK_NAMES,
     PLAIN,
+    STRONG_ODD,
     CheckOutcome,
     Graph,
     certificate_to_json,
@@ -17,6 +24,7 @@ from immersions import (
     enumerate_alpha_le2,
     evaluate_graph,
     find_clique_immersion,
+    max_clique,
     max_clique_immersion,
     parse_graph6,
     run_batch,
@@ -153,25 +161,32 @@ class TestEvaluateGraph:
         for g in alpha2_by_n[8]:
             evaluate_graph(g, ("main", "appendix", "vergara"))
         # 2152 when plain search climbed from omega instead of from the
-        # strong odd order.
-        assert calls == 1529
+        # strong odd order; 1529 when strong odd search also searched
+        # K_omega, which a clique proves, before climbing.
+        assert calls == 1119
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
-        """A quarantined row carries the plain order and the witness that
-        max_clique_immersion gives, whether or not the plain order exceeds
-        the strong odd one."""
+        """A quarantined row carries the orders and the witnesses that
+        max_clique_immersion gives, whether or not each climb steps: plain
+        past the strong odd order, strong odd past the clique number."""
         force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
-        above = level = 0
+        above = level = odd_above = odd_level = 0
         for g in (g for n in range(1, 8) for g in alpha2_by_n[n]):
             payload = evaluate_graph(g, ("vergara",)).quarantine
-            t, cert = max_clique_immersion(g, PLAIN)
-            assert payload["t_max_plain"] == t, payload["graph6"]
-            assert payload["certificate_plain"] == json.loads(certificate_to_json(cert, PLAIN))
-            if t > payload["t_max_strong_odd"]:
+            for flags, kind in ((PLAIN, "plain"), (STRONG_ODD, "strong_odd")):
+                t, cert = max_clique_immersion(g, flags)
+                assert payload[f"t_max_{kind}"] == t, (payload["graph6"], kind)
+                expected = json.loads(certificate_to_json(cert, flags))
+                assert payload[f"certificate_{kind}"] == expected, (payload["graph6"], kind)
+            if payload["t_max_plain"] > payload["t_max_strong_odd"]:
                 above += 1
             else:
                 level += 1
-        assert above and level
+            if payload["t_max_strong_odd"] > max_clique(g)[0]:
+                odd_above += 1
+            else:
+                odd_level += 1
+        assert above and level and odd_above and odd_level
 
 
 class TestRunBatch:
@@ -218,8 +233,10 @@ class TestRunBatch:
         assert run_batch([Graph.complete(2)], ("nope",)) == 2
         assert run_batch([Graph.complete(2)], ()) == 2
         assert run_batch([Graph.complete(2)], ("main",), fmt="yaml") == 2
+        assert run_batch([Graph.complete(2)], ("main", "main")) == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 5
+        assert err.count("error:") == 6
+        assert "check 'main' named twice" in err
 
     def test_str_source_is_always_a_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -281,6 +298,38 @@ class TestRunBatch:
         assert captured.out == ""
         assert captured.err.startswith("error: C~: ")
         assert "ZeroDivisionError" in captured.err
+
+    def test_dead_worker_exits_2(self, tmp_path):
+        """A worker killed mid-sweep stops the sweep with exit 2 and no
+        report, instead of leaving it waiting for the lost row."""
+        script = textwrap.dedent(
+            """
+            import os, signal, sys
+            from immersions import checks
+            from immersions.cli import main
+
+            inner = checks.evaluate_graph
+
+            def dying(g, names):
+                if g.n == 4:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                return inner(g, names)
+
+            checks.evaluate_graph = dying
+            sys.exit(main(sys.argv[1:]))
+            """
+        )
+        words = tmp_path / "words.g6"
+        words.write_text("Bw\nC~\nDhc\n")
+        out = tmp_path / "out.csv"
+        env = {**os.environ, "PYTHONPATH": str(Path(immersions.__file__).resolve().parent.parent)}
+        args = ["sweep", "--input", str(words), "--checks", "main", "--workers", "2", "--out", str(out)]
+        result = subprocess.run(
+            [sys.executable, "-c", script, *args], capture_output=True, text=True, timeout=60, env=env
+        )
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: ")
+        assert not out.exists()
 
     def test_workers_do_not_change_bytes(self, tmp_path):
         checks = ("main", "vergara")

@@ -187,6 +187,13 @@ class TestJson:
             '{"t": 2, "terminals": [0, 1], "paths": {"zz": [0, 1]}, "flags": {}}',
             '{"t": 2, "terminals": [0, 1], "paths": {"0,1": "xy"}, "flags": {}}',
             '{"t": 2, "terminals": "01", "paths": {}, "flags": {}}',
+            # int() reads each of these as the pair 0,1
+            '{"t": 2, "terminals": [0, 1], "paths": {"0, 1": [0, 1]}, "flags": {}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {" 0,1": [0, 1]}, "flags": {}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {"+0,1": [0, 1]}, "flags": {}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {"0,0_1": [0, 1]}, "flags": {}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {"00,01": [0, 1]}, "flags": {}}',
+            '{"t": 2, "terminals": [0, 1], "paths": {"0,1 ": [0, 1]}, "flags": {}}',
         ],
     )
     def test_malformed_json_raises(self, text):
@@ -198,7 +205,7 @@ class TestJson:
             '{"t": 2, "terminals": [0, 1], '
             '"paths": {"0,1": [0, 1], " 0,1": [0, 2, 1]}, "flags": {}}'
         )
-        with pytest.raises(MalformedCertificateError, match="repeats"):
+        with pytest.raises(MalformedCertificateError, match="is not written as 0,1"):
             certificate_from_json(text)
 
     @pytest.mark.parametrize(

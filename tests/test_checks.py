@@ -165,6 +165,26 @@ class TestEvaluateGraph:
         # K_omega, which a clique proves, before climbing.
         assert calls == 1119
 
+    def test_solve_calls(self, alpha2_by_n):
+        """The work inside those searches: calls of the nested solve in
+        find_clique_immersion over the same 410 rows."""
+        calls = 0
+        code_file = immersion_module.__file__
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if event == "call" and code.co_name == "solve" and code.co_filename == code_file:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            for g in alpha2_by_n[8]:
+                evaluate_graph(g, ("main", "appendix", "vergara"))
+        finally:
+            sys.setprofile(None)
+        assert calls == 20887
+
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that
         max_clique_immersion gives, whether or not each climb steps: plain

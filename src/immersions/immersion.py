@@ -17,12 +17,15 @@ conditions, so the first certificate found never depends on it:
 
 - terminal degree >= t-1, since a terminal ends t-1 disjoint paths;
 - the global edge budget C(t,2) <= |E|;
-- per-pair parity-aware reachability;
+- per-pair parity-aware floors over exactly the vertices a route of
+  the set may cross: neither end, nor a terminal with no pass-through
+  budget from the start;
 - a running free-edge budget against the cheapest completion of the
   unsolved pairs;
 - a pass-through budget: a terminal x spends one incident edge per
   path it ends and two per path through it, so it can be interior to
-  at most (deg(x) - (t-1)) // 2 paths of the whole family;
+  at most (deg(x) - (t-1)) // 2 paths of the whole family (to none
+  under the strong flag);
 - a failure memo: the unsolved-pair search is a pure function of the
   pair index k and the used-edge set (free edges and pass-through
   budgets both follow from them), so a (k, used) state that failed
@@ -256,16 +259,15 @@ def _pair_floor(g: Graph, a: int, b: int, allowed: int, odd: bool) -> int | None
     """Shortest possible a-b path length with interiors inside allowed.
 
     One BFS over (vertex, parity) states: the front at distance d holds
-    the vertices first reached at parity d % 2 by a walk of length d
-    whose interior lies in allowed, a or b.  Plain flags take the first
-    distance that reaches b.  The odd flag takes the first odd one, the
-    shortest odd *walk* length, a sound lower bound for the shortest odd
-    path (every path is a walk).  None means no path of the right parity
-    can exist at all.
+    the vertices of allowed, which has neither a nor b, first reached at
+    parity d % 2 by a walk of length d with its interior in allowed.  The
+    plain flag takes the first distance at which b is next to the front,
+    the odd flag the first odd one: the shortest odd *walk* length, a
+    sound lower bound for the shortest odd path (every path is a walk).
+    None means no path of the right parity can exist at all.
     """
     adj = g.adj
-    scope = allowed | 1 << a | 1 << b
-    seen = [1 << a, 0]  # by parity
+    seen = [0, 0]  # by parity
     front = 1 << a
     dist = 0
     while front:
@@ -274,9 +276,9 @@ def _pair_floor(g: Graph, a: int, b: int, allowed: int, odd: bool) -> int | None
         for v in bits(front):
             grown |= adj[v]
         parity = dist & 1
-        front = grown & scope & ~seen[parity]
-        if front >> b & 1 and (parity or not odd):
+        if grown >> b & 1 and (parity or not odd):
             return dist
+        front = grown & allowed & ~seen[parity]
         seen[parity] |= front
     return None
 
@@ -308,7 +310,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     pairs = list(combinations(range(t), 2))
     # Pass-through budget: how many more paths each candidate terminal
     # may be interior to.  A failed search leaves it as it found it.
-    spare = [(g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
+    spare = [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
     no_spare = mask_of(v for v in candidates if not spare[v])
 
     def routes(path: Path, b: int, remaining: int, closed: int, used: int, edge_bits: int):
@@ -338,12 +340,12 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
             return False
         i, j = pairs[k]
         a, b = terms[i], terms[j]
-        closed = term_mask if flags.strong else spent | 1 << a | 1 << b
+        closed = spent | 1 << a | 1 << b
+        open_terms = term_mask & ~closed  # empty under the strong flag
         cap = min(free - suffix[k + 1], max_len)
         for length in range(floors[k], cap + 1, step):
             for path, edge_bits in routes((a,), b, length, closed, used, 0):
-                # Strong paths never cross a terminal.
-                crossed = () if flags.strong else [x for x in path[1:-1] if term_mask >> x & 1]
+                crossed = [x for x in path[1:-1] if open_terms >> x & 1] if open_terms else ()
                 now_spent = spent
                 for x in crossed:
                     spare[x] -= 1
@@ -363,13 +365,11 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
         term_mask = mask_of(terms)
         if any(twins[w] & ~term_mask for w in terms):
             continue  # the twin skip: an earlier set is its image and failed
+        spent = term_mask & no_spare  # only grows: routes stay in the floors' scope
         floors: list[int] = []
         for i, j in pairs:
             a, b = terms[i], terms[j]
-            if flags.strong:
-                allowed = full & ~term_mask
-            else:
-                allowed = full & ~(1 << a) & ~(1 << b)
+            allowed = full & ~spent & ~(1 << a) & ~(1 << b)
             floor = _pair_floor(g, a, b, allowed, flags.odd)
             if floor is None:
                 break
@@ -378,7 +378,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
             suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
             solution: list[Path] = []
             failed: list[set[int]] = [set() for _ in pairs]
-            if suffix[0] <= m and solve(0, 0, m, term_mask & no_spare):
+            if suffix[0] <= m and solve(0, 0, m, spent):
                 return ImmersionCertificate(tuple(terms), dict(zip(pairs, solution)))
     return None
 

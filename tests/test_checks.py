@@ -183,7 +183,9 @@ class TestEvaluateGraph:
                 evaluate_graph(g, ("main", "appendix", "vergara"))
         finally:
             sys.setprofile(None)
-        assert calls == 20887
+        # 20887 when strong flags closed every terminal by a branch of their
+        # own and the floors' walks could pass back through a pair's ends.
+        assert calls == 17896
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that

@@ -337,12 +337,41 @@ class TestPairFloor:
                     for size in range(len(others) + 1):
                         for inside in itertools.combinations(others, size):
                             allowed = mask_of(inside)
-                            # The floor's walks may also pass through a and b.
-                            inner = {a, b, *inside}
+                            inner = set(inside)
                             for odd in (False, True):
                                 assert _pair_floor(g, a, b, allowed, odd) == oracles.walk_floor(
                                     g, a, b, inner, odd
                                 ), (sorted(g.edges()), a, b, inside, odd)
+
+    def test_bounds_every_simple_path(self, all_graphs_small):
+        """Every ordered pair of every graph with n <= 6, every allowed set
+        without a and b: no a-b path of the right parity with its interior
+        in allowed is shorter than the floor."""
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                for a, b in itertools.permutations(range(n), 2):
+                    paths = oracles.simple_paths(g, a, b)  # shortest first
+                    others = [v for v in range(n) if v not in (a, b)]
+                    for size in range(len(others) + 1):
+                        for inside in itertools.combinations(others, size):
+                            allowed = mask_of(inside)
+                            for odd in (False, True):
+                                fits = [
+                                    len(path) - 1
+                                    for path in paths
+                                    if not mask_of(path[1:-1]) & ~allowed and not (odd and len(path) % 2)
+                                ]
+                                if fits:
+                                    floor = _pair_floor(g, a, b, allowed, odd)
+                                    assert floor is not None and floor <= fits[0], (
+                                        sorted(g.edges()), a, b, inside, odd
+                                    )
+
+    def test_walks_never_pass_through_the_ends(self):
+        """The path 0-1-2 with the triangle 2-3-4 hung on 2 has no odd 0-2
+        path; the odd walk 0-1-2-3-4-2 returns through 2 and must not count."""
+        g = Graph.from_edges(5, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4)])
+        assert _pair_floor(g, 0, 2, 0b11010, True) is None
 
 
 class TestTwinSkip:

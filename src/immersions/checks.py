@@ -27,6 +27,7 @@ import sys
 import time
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from .construct import build_third_immersion
 from .coloring import chromatic_number
@@ -267,10 +268,11 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     if failures:
         blob = json.dumps({"violations": failures}, sort_keys=True, indent=2) + "\n"
         if out is not None:
-            with open(f"{out}.quarantine.json", "w", encoding="ascii") as handle:
-                handle.write(blob)
+            Path(f"{out}.quarantine.json").write_text(blob, encoding="ascii")
         else:
             sys.stderr.write(blob)
+    elif out is not None:
+        Path(f"{out}.quarantine.json").unlink(missing_ok=True)  # no earlier run's violations
 
     any_false = any(
         outcome.status == "false" for report in rows for outcome in report.bounds.values()

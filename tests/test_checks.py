@@ -292,6 +292,17 @@ class TestRunBatch:
         assert entry["certificate_plain"]["t"] == 3
         assert entry["certificate_strong_odd"]["flags"] == {"strong": True, "odd": True}
 
+    def test_clean_run_removes_stale_quarantine(self, tmp_path, monkeypatch):
+        target = tmp_path / "sweep.csv"
+        quarantine = tmp_path / "sweep.csv.quarantine.json"
+        with monkeypatch.context() as patch:
+            force_holds(patch, "vergara", lambda g, row, bound: False)
+            assert run_batch([Graph.complete(3)], ("vergara",), out=str(target)) == 1
+        assert quarantine.exists()
+        assert run_batch([Graph.complete(3)], ("vergara",), out=str(target)) == 0
+        assert not quarantine.exists()
+        assert b"true" in target.read_bytes()
+
     def test_quarantine_to_stderr_without_out(self, capsys, monkeypatch):
         force_holds(monkeypatch, "main", lambda g, row, bound: False)
         code = run_batch([Graph.complete(3)], ("main",))

@@ -140,8 +140,6 @@ def parse_graph6(line: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Encode to the canonical single-size-byte graph6 word."""
-    if g.n > MAX_VERTICES:
-        raise UnsupportedSizeError(f"n={g.n} exceeds graph6 single-byte cap {MAX_VERTICES}")
     out = [g.n + 63]
     value, filled = 0, 0
     for v in range(1, g.n):

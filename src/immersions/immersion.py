@@ -309,7 +309,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     step = 2 if flags.odd else 1
     pairs = list(combinations(range(t), 2))
     # Pass-through budget: how many more paths each candidate terminal
-    # may be interior to.  A failed search leaves it as it found it.
+    # may be interior to, none if strong.  Failed searches restore it.
     spare = [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
     no_spare = mask_of(v for v in candidates if not spare[v])
 
@@ -369,7 +369,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
         floors: list[int] = []
         for i, j in pairs:
             a, b = terms[i], terms[j]
-            allowed = full & ~spent & ~(1 << a) & ~(1 << b)
+            allowed = full & ~(spent | 1 << a | 1 << b)  # solve's first closed set
             floor = _pair_floor(g, a, b, allowed, flags.odd)
             if floor is None:
                 break

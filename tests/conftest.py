@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import sys
+
 import pytest
 
 from immersions import Graph, enumerate_alpha_le2, enumerate_graphs
+from immersions import immersion as immersion_module
 
 
 @pytest.fixture(scope="session")
@@ -24,3 +27,29 @@ def all_graphs_by_n() -> dict[int, list[Graph]]:
     """Every isomorphism class on up to 8 vertices (heavyweight corpus)."""
     return {n: list(enumerate_graphs(n)) for n in range(1, 9)}
 
+
+
+@pytest.fixture
+def count_solve_calls():
+    """count(run) calls run() and returns how many times the nested solve
+    of find_clique_immersion was entered meanwhile: the search's work,
+    independent of the host's speed."""
+
+    def count(run) -> int:
+        calls = 0
+        code_file = immersion_module.__file__
+
+        def profile(frame, event, arg):
+            nonlocal calls
+            code = frame.f_code
+            if event == "call" and code.co_name == "solve" and code.co_filename == code_file:
+                calls += 1
+
+        sys.setprofile(profile)
+        try:
+            run()
+        finally:
+            sys.setprofile(None)
+        return calls
+
+    return count

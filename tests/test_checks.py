@@ -165,24 +165,15 @@ class TestEvaluateGraph:
         # K_omega, which a clique proves, before climbing.
         assert calls == 1119
 
-    def test_solve_calls(self, alpha2_by_n):
+    def test_solve_calls(self, alpha2_by_n, count_solve_calls):
         """The work inside those searches: calls of the nested solve in
         find_clique_immersion over the same 410 rows."""
-        calls = 0
-        code_file = immersion_module.__file__
 
-        def profile(frame, event, arg):
-            nonlocal calls
-            code = frame.f_code
-            if event == "call" and code.co_name == "solve" and code.co_filename == code_file:
-                calls += 1
-
-        sys.setprofile(profile)
-        try:
+        def sweep():
             for g in alpha2_by_n[8]:
                 evaluate_graph(g, ("main", "appendix", "vergara"))
-        finally:
-            sys.setprofile(None)
+
+        calls = count_solve_calls(sweep)
         # 20887 when strong flags closed every terminal by a branch of their
         # own and the floors' walks could pass back through a pair's ends.
         assert calls == 17896

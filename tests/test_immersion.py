@@ -435,3 +435,18 @@ class TestMax:
                 t, cert = max_clique_immersion(g, flags)
                 assert t >= omega
                 assert verify_certificate(g, cert, flags).accepted
+
+    @pytest.mark.parametrize("flags,expected", [
+        (PLAIN, 1883), (STRONG, 1848), (ODD, 2462), (STRONG_ODD, 2011),
+    ], ids=["plain", "strong", "odd", "strong+odd"])
+    def test_solve_calls(self, alpha2_by_n, count_solve_calls, flags, expected):
+        """The search's work under each flag setting: solve calls of
+        max_clique_immersion over the 172 alpha <= 2 classes with n <= 7."""
+        graphs = [g for n in range(1, 8) for g in alpha2_by_n[n]]
+        assert len(graphs) == 172
+
+        def climb():
+            for g in graphs:
+                max_clique_immersion(g, flags)
+
+        assert count_solve_calls(climb) == expected

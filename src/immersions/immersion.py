@@ -11,9 +11,10 @@ The searches are exact, not heuristic: `find_clique_immersion` returns
 a certificate iff one exists.  Terminal sets are enumerated in colex
 order over degree-feasible vertices, pairs are solved in lex order, and
 each pair's paths are enumerated by iterative deepening on length
-(odd lengths only under the odd flag), from one path generator that
-carries each path's edge bits.  Pruning is limited to sound necessary
-conditions, so the first certificate found never depends on it:
+(odd lengths only under the odd flag), in one recursion that extends a
+path edge by edge and, at the pair's far end, routes the next pair.
+Pruning is limited to sound necessary conditions, so the first
+certificate found never depends on it:
 
 - terminal degree >= t-1, since a terminal ends t-1 disjoint paths;
 - the global edge budget C(t,2) <= |E|;
@@ -138,13 +139,9 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
         if len(set(path)) != len(path):
             violations.append(f"path for pair ({i},{j}) repeats a vertex")
             continue
-        ok = True
-        for a, b in zip(path, path[1:]):
-            if not g.has_edge(a, b):
-                violations.append(f"path for pair ({i},{j}) uses the non-edge {a}-{b}")
-                ok = False
-                break
-        if not ok:
+        non_edges = [f"{a}-{b}" for a, b in zip(path, path[1:]) if not g.has_edge(a, b)]
+        if non_edges:
+            violations.append(f"path for pair ({i},{j}) uses the non-edge {non_edges[0]}")
             continue
         for a, b in zip(path, path[1:]):
             edge = (a, b) if a < b else (b, a)
@@ -309,30 +306,39 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     step = 2 if flags.odd else 1
     pairs = list(combinations(range(t), 2))
     # Pass-through budget: how many more paths each candidate terminal
-    # may be interior to, none if strong.  Failed searches restore it.
+    # may be interior to, none if strong.  route spends one on each step
+    # and refunds it on return; only terminals' counts are read.
     spare = [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
     no_spare = mask_of(v for v in candidates if not spare[v])
 
-    def routes(path: Path, b: int, remaining: int, closed: int, used: int, edge_bits: int):
-        """Yield (path + rest, edge bits of the whole path) for every rest of
-        exactly remaining edges that ends at b, off closed vertices and used edges.
+    def route(k: int, path: Path, b: int, remaining: int, closed: int, used: int, spent: int) -> bool:
+        """Extend pair k's path by exactly remaining edges to b, off closed
+        vertices and used edges, then route pairs k+1..; True once all are.
         """
         v = path[-1]
         if remaining == 1:
             bit = edge_bit[v].get(b)
             if bit and not used & bit:
-                yield path + (b,), edge_bits | bit
-            return
+                solution.append(path + (b,))
+                if solve(k + 1, used | bit, spent):
+                    return True
+                solution.pop()
+            return False
         for w, bit in edge_bit[v].items():
             if closed >> w & 1 or used & bit:
                 continue
-            yield from routes(path + (w,), b, remaining - 1, closed | 1 << w, used, edge_bits | bit)
+            spare[w] -= 1
+            now_spent = spent | 1 << w if term_mask >> w & 1 and not spare[w] else spent
+            if route(k, path + (w,), b, remaining - 1, closed | 1 << w, used | bit, now_spent):
+                return True
+            spare[w] += 1
+        return False
 
-    def solve(k: int, used: int, free: int, spent: int) -> bool:
+    def solve(k: int, used: int, spent: int) -> bool:
         """Route pairs k.. with edges used taken; spent: terminals out of budget.
 
-        Reads the current terminal set's terms, floors, suffix, memo and
-        solution, which the loop below rebinds for each set.
+        Reads the current terminal set's terms, term_mask, floors, suffix,
+        memo and solution, which the loop below rebinds for each set.
         """
         if k == len(pairs):
             return True
@@ -340,23 +346,10 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
             return False
         i, j = pairs[k]
         a, b = terms[i], terms[j]
-        closed = spent | 1 << a | 1 << b
-        open_terms = term_mask & ~closed  # empty under the strong flag
-        cap = min(free - suffix[k + 1], max_len)
+        cap = min(m - used.bit_count() - suffix[k + 1], max_len)  # a path of length L uses L edges
         for length in range(floors[k], cap + 1, step):
-            for path, edge_bits in routes((a,), b, length, closed, used, 0):
-                crossed = [x for x in path[1:-1] if open_terms >> x & 1] if open_terms else ()
-                now_spent = spent
-                for x in crossed:
-                    spare[x] -= 1
-                    if not spare[x]:
-                        now_spent |= 1 << x
-                solution.append(path)
-                if solve(k + 1, used | edge_bits, free - length, now_spent):
-                    return True
-                solution.pop()
-                for x in crossed:
-                    spare[x] += 1
+            if route(k, (a,), b, length, spent | 1 << a | 1 << b, used, spent):
+                return True
         failed[k].add(used)
         return False
 
@@ -378,7 +371,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
             suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
             solution: list[Path] = []
             failed: list[set[int]] = [set() for _ in pairs]
-            if suffix[0] <= m and solve(0, 0, m, spent):
+            if suffix[0] <= m and solve(0, 0, spent):
                 return ImmersionCertificate(tuple(terms), dict(zip(pairs, solution)))
     return None
 

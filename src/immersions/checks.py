@@ -168,14 +168,20 @@ def _worker(task: tuple[Graph, tuple[str, ...]]) -> CheckReport:
 
 def _resolve_source(source: str | Iterable[Graph]) -> Iterable[Graph]:
     """The graphs of a batch source: a str is always a graph6 file path,
-    whose lines are parsed once; anything else is an iterable of graphs,
-    kept as given, not re-encoded and re-parsed.
+    parsed once, a bad word named by its line (from 1, all lines counted);
+    anything else is an iterable of graphs, kept as given.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="ascii") as handle:
-            lines = [line.strip() for line in handle]
-        return [parse_graph6(line) for line in lines if line and line != ">>graph6<<"]
-    return source
+    if not isinstance(source, str):
+        return source
+    graphs = []
+    with open(source, "r", encoding="ascii") as handle:
+        for number, word in enumerate((line.strip() for line in handle), 1):
+            try:
+                if word not in ("", ">>graph6<<"):
+                    graphs.append(parse_graph6(word))
+            except ValueError as exc:
+                raise ValueError(f"{source}, line {number}: {exc}") from exc
+    return graphs
 
 
 # The leading columns of every report, in CSV order.

@@ -145,7 +145,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    checks = tuple(name.strip() for name in args.checks.split(",") if name.strip())
+    checks = tuple(name.strip() for name in args.checks.split(","))
     if args.family is not None and args.n is None:
         print("error: --family requires --n", file=sys.stderr)
         return 2

@@ -229,6 +229,14 @@ class TestRunBatch:
         rows = [line for line in out.split("\r\n") if line][1:]
         assert [r.split(",")[0] for r in rows] == ["Bw", "Dhc"]
 
+    def test_bad_word_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "words.g6"
+        path.write_text(">>graph6<<\n\nDhc\nD\n")
+        assert run_batch(str(path), ("main",)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {path}, line 4: ")
+
     def test_generator_spec_row_count(self, tmp_path):
         target = tmp_path / "a5.csv"
         code = run_batch(enumerate_alpha_le2(5), ("main", "appendix", "vergara"), out=str(target))

@@ -234,3 +234,9 @@ class TestSweep:
         )
         assert code == 2
         assert "unknown check" in err
+
+    @pytest.mark.parametrize("checks", ["main,,vergara", "main,"])
+    def test_empty_check_name(self, capsys, checks):
+        code, out, err = run(capsys, "sweep", "--family", "alpha2", "--n", "3", "--checks", checks)
+        assert code == 2
+        assert out == "" and "unknown check ''" in err

@@ -174,7 +174,7 @@ def _resolve_source(source: str | Iterable[Graph]) -> Iterable[Graph]:
     if not isinstance(source, str):
         return source
     graphs = []
-    with open(source, "r", encoding="ascii") as handle:
+    with open(source, "r", encoding="latin-1") as handle:  # any byte decodes; the parser names it
         for number, word in enumerate((line.strip() for line in handle), 1):
             try:
                 if word not in ("", ">>graph6<<"):

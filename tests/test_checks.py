@@ -229,13 +229,17 @@ class TestRunBatch:
         rows = [line for line in out.split("\r\n") if line][1:]
         assert [r.split(",")[0] for r in rows] == ["Bw", "Dhc"]
 
-    def test_bad_word_names_its_line(self, tmp_path, capsys):
+    @pytest.mark.parametrize("data,line", [
+        (b">>graph6<<\n\nDhc\nD\n", 4),
+        (b"Dhc\nD\xc3\xa9\n", 2),  # a non-ASCII byte, as UTF-8 writes it
+    ])
+    def test_bad_word_names_its_line(self, tmp_path, capsys, data, line):
         path = tmp_path / "words.g6"
-        path.write_text(">>graph6<<\n\nDhc\nD\n")
+        path.write_bytes(data)
         assert run_batch(str(path), ("main",)) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith(f"error: {path}, line 4: ")
+        assert captured.err.startswith(f"error: {path}, line {line}: ")
 
     def test_generator_spec_row_count(self, tmp_path):
         target = tmp_path / "a5.csv"

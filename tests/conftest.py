@@ -28,7 +28,6 @@ def all_graphs_by_n() -> dict[int, list[Graph]]:
     return {n: list(enumerate_graphs(n)) for n in range(1, 9)}
 
 
-
 @pytest.fixture
 def count_solve_calls():
     """count(run) calls run() and returns how many times the nested solve

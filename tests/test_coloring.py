@@ -9,6 +9,7 @@ import pytest
 
 import oracles
 from immersions import (
+    ColoringCertificate,
     DegenerateInputError,
     Graph,
     bits,
@@ -70,6 +71,7 @@ class TestKColorable:
     def test_zero_colors(self):
         assert is_k_colorable(Graph.empty(1), 0) is None
         assert is_k_colorable(Graph.empty(0), 0) is not None
+        assert is_k_colorable(Graph.empty(0), 2) == ColoringCertificate(0, ())
         with pytest.raises(ValueError):
             is_k_colorable(Graph.empty(1), -1)
 
@@ -117,6 +119,7 @@ class TestVertexCritical:
     def test_complete_graphs_critical(self):
         assert is_vertex_critical(Graph.complete(4), 4)
         assert not is_vertex_critical(Graph.complete(4), 3)
+        assert is_vertex_critical(Graph.empty(0), 0)
 
     def test_odd_cycle_critical(self):
         assert is_vertex_critical(cycle(5), 3)

@@ -281,6 +281,9 @@ class TestFind:
 
     def test_t_above_n_absent(self):
         assert find_clique_immersion(cycle(4), 5, PLAIN) is None
+        for flags in ALL_FLAGS:
+            assert find_clique_immersion(Graph.empty(0), 1, flags) is None
+            assert find_clique_immersion(Graph.empty(1), 1, flags) == ImmersionCertificate((0,), {})
 
     def test_matches_brute_force_n5(self, all_graphs_small):
         for n in range(1, 6):

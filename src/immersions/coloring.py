@@ -49,10 +49,6 @@ def is_k_colorable(g: Graph, k: int) -> ColoringCertificate | None:
     """A normalized proper coloring with at most k colors, or None."""
     if k < 0:
         raise ValueError("color count must be nonnegative")
-    if g.n == 0:
-        return ColoringCertificate(0, ())
-    if k == 0:
-        return None
     adj = g.adj
     colors = [-1] * g.n
     degrees = [g.degree(v) for v in range(g.n)]
@@ -93,10 +89,8 @@ def is_k_colorable(g: Graph, k: int) -> ColoringCertificate | None:
 
 def chromatic_number(g: Graph) -> tuple[int, ColoringCertificate]:
     """Exact chromatic number with a witness coloring."""
-    if g.n == 0:
-        return 0, ColoringCertificate(0, ())
     lower, _ = max_clique(g)
-    for k in range(max(lower, 1), g.n + 1):
+    for k in range(lower, g.n + 1):
         cert = is_k_colorable(g, k)
         if cert is not None:
             return cert.k, cert
@@ -107,8 +101,6 @@ def is_vertex_critical(g: Graph, k: int) -> bool:
     """True iff chi(g) = k and chi(g - v) <= k - 1 for every vertex v."""
     if chromatic_number(g)[0] != k:
         return False
-    if k == 0:
-        return True
     for v in range(g.n):
         sub, _ = induced_subgraph(g, g.vertex_mask & ~(1 << v))
         if is_k_colorable(sub, k - 1) is None:

@@ -61,8 +61,6 @@ def _sort_terminals(cert: ImmersionCertificate) -> ImmersionCertificate:
 
 def _trim_certificate(cert: ImmersionCertificate, k: int) -> ImmersionCertificate:
     """Keep the k lowest terminals (_build returns them ascending) and their paths."""
-    if cert.t <= k:
-        return cert
     paths = {(i, j): path for (i, j), path in cert.paths.items() if j < k}
     return ImmersionCertificate(cert.terminals[:k], paths)
 

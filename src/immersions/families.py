@@ -60,6 +60,7 @@ from .graphs import Graph, are_twins, bits, complement, earlier_twins, mask_of
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
+_SAMPLE_HINT = "; use sample_alpha_le2 for larger sizes"  # sample_alpha_le2 covers alpha <= 2 only
 
 
 def _refine_colors(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
@@ -84,8 +85,6 @@ def _refine_colors(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Canonical lower-triangle rows; equal iff graphs are isomorphic."""
     n, adj = g.n, g.adj
-    if n == 0:
-        return ()
     colors = _refine_colors(n, adj)
     members: dict[int, list[int]] = {}
     for v in range(n):
@@ -196,31 +195,30 @@ def _level(n: int, independent_only: bool) -> tuple[Graph, ...]:
     return tuple(graph_from_canonical_form(form) for form in sorted(seen))
 
 
+def _check_size(family: str, n: int, cap: int, hint: str = "") -> None:
+    """Raise SizeCapError unless 1 <= n <= cap."""
+    if n < 1:
+        raise SizeCapError(f"{family} enumeration needs at least one vertex, got n={n}")
+    if n > cap:
+        raise SizeCapError(f"{family} enumeration capped at n={cap}{hint}")
+
+
 def enumerate_triangle_free(n: int):
     """One representative per isomorphism class of triangle-free graphs."""
-    if not 1 <= n <= ENUM_ALPHA2_CAP:
-        raise SizeCapError(
-            f"triangle-free enumeration capped at n={ENUM_ALPHA2_CAP}; "
-            "use sample_alpha_le2 for larger sizes"
-        )
+    _check_size("triangle-free", n, ENUM_ALPHA2_CAP, _SAMPLE_HINT)
     yield from _level(n, True)
 
 
 def enumerate_alpha_le2(n: int):
     """One representative per isomorphism class with alpha <= 2."""
-    if not 1 <= n <= ENUM_ALPHA2_CAP:
-        raise SizeCapError(
-            f"alpha<=2 enumeration capped at n={ENUM_ALPHA2_CAP}; "
-            "use sample_alpha_le2 for larger sizes"
-        )
+    _check_size("alpha<=2", n, ENUM_ALPHA2_CAP, _SAMPLE_HINT)
     for g in _level(n, True):
         yield complement(g)
 
 
 def enumerate_graphs(n: int):
     """One representative per isomorphism class of all graphs, n <= 8."""
-    if not 1 <= n <= ENUM_ALL_CAP:
-        raise SizeCapError(f"exhaustive enumeration capped at n={ENUM_ALL_CAP}")
+    _check_size("exhaustive", n, ENUM_ALL_CAP)
     yield from _level(n, False)
 
 

@@ -284,10 +284,8 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     """Exact search for a K_t-immersion certificate under flags."""
     if t < 1:
         raise ValueError("clique order must be at least 1")
-    if t > g.n:
-        return None
     if t == 1:
-        return ImmersionCertificate((0,), {})
+        return ImmersionCertificate((0,), {}) if g.n else None
     m = g.edge_count
     pair_count = t * (t - 1) // 2
     if pair_count > m:

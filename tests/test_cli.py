@@ -215,6 +215,13 @@ class TestSweep:
             assert code == 2
             assert out == "" and err.startswith("error:") and cap in err
 
+    @pytest.mark.parametrize("family", ["alpha2", "all"])
+    def test_family_size_below_one(self, capsys, family):
+        code, out, err = run(capsys, "sweep", "--family", family, "--n", "0", "--checks", "main")
+        assert code == 2
+        assert out == "" and err.startswith("error:")
+        assert "needs at least one vertex, got n=0" in err and "capped" not in err
+
     def test_unknown_family_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["sweep", "--family", "bogus", "--n", "4"])

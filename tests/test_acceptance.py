@@ -35,14 +35,11 @@ from immersions import (
     run_batch,
     verify_certificate,
 )
+from common import third_target
 
 FLAG_COMBOS = [ImmersionFlags(s, o) for s in (False, True) for o in (False, True)]
 # Written by perfbench/make_reference.py; this suite only reads it.
 SWEEP_N8_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "ref" / "sweep-alpha2-n8.csv"
-
-
-def third_target(n: int) -> int:
-    return -(-n // 3)
 
 
 @pytest.fixture(scope="session")

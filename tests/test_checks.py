@@ -32,25 +32,13 @@ from immersions import (
 from immersions import checks as checks_module
 from immersions import immersion as immersion_module
 from immersions.cli import main as cli_main
-
-
-def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+from common import cycle, petersen_complement
 
 
 def force_holds(monkeypatch, name: str, holds) -> None:
     """Swap the holds function of one check table entry for this test."""
     check = dataclasses.replace(checks_module.CHECKS[name], holds=holds)
     monkeypatch.setitem(checks_module.CHECKS, name, check)
-
-
-def petersen_complement() -> Graph:
-    from immersions import complement
-
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return complement(Graph.from_edges(10, outer + spokes + inner))
 
 
 class TestSingleCheckers:

@@ -20,17 +20,7 @@ from immersions import (
     is_k_colorable,
     is_vertex_critical,
 )
-
-
-def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def petersen() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return Graph.from_edges(10, outer + spokes + inner)
+from common import cycle, petersen
 
 
 def assert_proper(g: Graph, cert):

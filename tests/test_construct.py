@@ -27,6 +27,7 @@ from immersions import (
     sample_alpha_le2,
     verify_certificate,
 )
+from common import cycle, petersen_complement, third_target
 
 
 # sha256 of the certificate JSON and trace lines of build_third_immersion
@@ -44,25 +45,10 @@ def builder_corpus():
         yield from sample_alpha_le2(n, 40, seed=n)
 
 
-def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
-def petersen_complement() -> Graph:
-    outer = [(i, (i + 1) % 5) for i in range(5)]
-    spokes = [(i, i + 5) for i in range(5)]
-    inner = [(5 + i, 5 + (i + 2) % 5) for i in range(5)]
-    return complement(Graph.from_edges(10, outer + spokes + inner))
-
-
 def cocktail_party(k: int) -> Graph:
     """Complement of a perfect matching on 2k vertices."""
     matching = Graph.from_edges(2 * k, [(2 * i, 2 * i + 1) for i in range(k)])
     return complement(matching)
-
-
-def third_target(n: int) -> int:
-    return -(-n // 3)
 
 
 class TestBuildThird:

@@ -24,6 +24,7 @@ from immersions import (
     sample_alpha_le2,
 )
 from immersions.graphs import are_twins
+from common import random_graph
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
@@ -36,11 +37,6 @@ def permuted(g: Graph, perm: list[int]) -> Graph:
 
 def has_triangle(g: Graph) -> bool:
     return any(g.adj[u] & g.adj[v] for u, v in g.edges())
-
-
-def random_graph(rng: random.Random, n: int) -> Graph:
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5]
-    return Graph.from_edges(n, edges)
 
 
 # (enumerate_level, largest_n, independent_only) for the exhaustive

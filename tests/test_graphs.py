@@ -25,11 +25,7 @@ from immersions import (
     non_neighborhood,
     parse_graph6,
 )
-
-
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
+from common import random_graph
 
 
 def graph_strategy(max_n: int = 8):

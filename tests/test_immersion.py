@@ -32,21 +32,13 @@ from immersions import (
 )
 from immersions.graphs import earlier_twins
 from immersions.immersion import _pair_floor
+from common import cycle, random_graph
 
 ALL_FLAGS = (PLAIN, STRONG, ODD, STRONG_ODD)
 
 
-def cycle(n: int) -> Graph:
-    return Graph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
-
-
 def complete_bipartite(a: int, b: int) -> Graph:
     return Graph.from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
-
-
-def random_graph(rng: random.Random, n: int, p: float = 0.5) -> Graph:
-    edges = [e for e in itertools.combinations(range(n), 2) if rng.random() < p]
-    return Graph.from_edges(n, edges)
 
 
 class TestFlags:

@@ -23,6 +23,7 @@ import csv
 import io
 import json
 import multiprocessing
+import os
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -166,12 +167,12 @@ def _worker(task: tuple[Graph, tuple[str, ...]]) -> CheckReport:
         raise ValueError(f"{encode_graph6(g)}: evaluating the row failed: {exc!r}") from exc
 
 
-def _resolve_source(source: str | Iterable[Graph]) -> Iterable[Graph]:
-    """The graphs of a batch source: a str is always a graph6 file path,
-    parsed once, a bad word named by its line (from 1, all lines counted);
-    anything else is an iterable of graphs, kept as given.
+def _resolve_source(source: str | os.PathLike | Iterable[Graph]) -> Iterable[Graph]:
+    """The graphs of a batch source: a str or path-like is always a graph6
+    file path, parsed once, a bad word named by its line (from 1, all lines
+    counted); anything else is an iterable of graphs, kept as given.
     """
-    if not isinstance(source, str):
+    if not isinstance(source, (str, os.PathLike)):
         return source
     graphs = []
     with open(source, "r", encoding="latin-1") as handle:  # any byte decodes; the parser names it
@@ -231,13 +232,14 @@ def _json_bytes(rows: list[CheckReport], checks: tuple[str, ...]) -> bytes:
 def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str = "csv") -> int:
     """Evaluate every graph, write the report, return the exit code.
 
-    `source` is a graph6 file path or an iterable of graphs, such as
-    `enumerate_alpha_le2(7)`.  Exit 0 when every applicable check holds,
-    1 when any fails, 2 on input problems, among them a generator's size
-    cap, raised while the task list is built, and 2 with no report when
-    a worker process dies.  Output is byte-identical
-    for a fixed input regardless of worker count: results are collected
-    in input order and contain no timing data.
+    `source` is a graph6 file path (str or path-like) or an iterable of
+    graphs, such as `enumerate_alpha_le2(7)`.  Exit 0 when every
+    applicable check holds, 1 when any fails, and 2 before any row on an
+    input problem, among them a generator's size cap and an `out` that is
+    a directory or lies in a missing one.  A worker process that dies
+    exits 2 with no report.  Output is byte-identical for a fixed input
+    regardless of worker count: results are collected in input order and
+    contain no timing data.
     """
     checks = tuple(checks)
     try:
@@ -246,6 +248,8 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         _require_known(checks)
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
+        if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
+            raise ValueError(f"cannot write the report to {out}: not a file in an existing directory")
         tasks = [(g, checks) for g in _resolve_source(source)]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -267,8 +271,7 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     if out is None:
         sys.stdout.write(data.decode("ascii"))
     else:
-        with open(out, "wb") as handle:
-            handle.write(data)
+        Path(out).write_bytes(data)
 
     failures = [report.quarantine for report in rows if report.quarantine is not None]
     if failures:
@@ -280,7 +283,4 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     elif out is not None:
         Path(f"{out}.quarantine.json").unlink(missing_ok=True)  # no earlier run's violations
 
-    any_false = any(
-        outcome.status == "false" for report in rows for outcome in report.bounds.values()
-    )
-    return 1 if any_false else 0
+    return 1 if any(outcome.status == "false" for report in rows for outcome in report.bounds.values()) else 0

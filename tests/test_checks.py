@@ -258,6 +258,32 @@ class TestRunBatch:
         rows = [line for line in capsys.readouterr().out.split("\r\n") if line][1:]
         assert [row.split(",")[0] for row in rows] == ["Bw"]
 
+    def test_path_source_reads_like_its_str(self, tmp_path, capsys):
+        path = tmp_path / "words.g6"
+        path.write_text(">>graph6<<\nBw\nDhc\n")
+        assert run_batch(str(path), ("main", "vergara")) == 0
+        as_str = capsys.readouterr().out
+        assert run_batch(path, ("main", "vergara")) == 0
+        assert capsys.readouterr().out == as_str
+
+    @pytest.mark.parametrize("where", ["missing/r.csv", "."])
+    def test_unwritable_out_exits_before_any_row(self, tmp_path, capsys, monkeypatch, where):
+        calls = 0
+
+        def counted(g, checks):
+            nonlocal calls
+            calls += 1
+            return evaluate_graph(g, checks)
+
+        monkeypatch.setattr(checks_module, "evaluate_graph", counted)
+        out = tmp_path / where
+        assert run_batch([Graph.complete(3)], ("main",), out=str(out)) == 2
+        assert calls == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error:") and str(out) in captured.err
+        assert run_batch([Graph.complete(3)], ("main",), out=str(tmp_path / "r.csv")) == 0
+        assert calls == 1
+
     def test_json_format(self, capsys):
         code = run_batch([Graph.complete(4)], ("main", "alpha3"), fmt="json")
         payload = json.loads(capsys.readouterr().out)

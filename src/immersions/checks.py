@@ -232,14 +232,13 @@ def _json_bytes(rows: list[CheckReport], checks: tuple[str, ...]) -> bytes:
 def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str = "csv") -> int:
     """Evaluate every graph, write the report, return the exit code.
 
-    `source` is a graph6 file path (str or path-like) or an iterable of
+    `source` is a graph6 file path, str or path-like, or an iterable of
     graphs, such as `enumerate_alpha_le2(7)`.  Exit 0 when every
     applicable check holds, 1 when any fails, and 2 before any row on an
-    input problem, among them a generator's size cap and an `out` that is
-    a directory or lies in a missing one.  A worker process that dies
-    exits 2 with no report.  Output is byte-identical for a fixed input
-    regardless of worker count: results are collected in input order and
-    contain no timing data.
+    input problem, such as a generator's size cap or an `out` that is a
+    directory or in a missing one.  A dying worker process exits 2 with
+    no report.  Output is byte-identical for a fixed input regardless of
+    worker count: rows keep input order and hold no timing data.
     """
     checks = tuple(checks)
     try:
@@ -283,4 +282,5 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     elif out is not None:
         Path(f"{out}.quarantine.json").unlink(missing_ok=True)  # no earlier run's violations
 
-    return 1 if any(outcome.status == "false" for report in rows for outcome in report.bounds.values()) else 0
+    statuses = {outcome.status for report in rows for outcome in report.bounds.values()}
+    return 1 if "false" in statuses else 0

@@ -210,17 +210,15 @@ class TestSweep:
         assert out == "" and err.startswith("error:") and "--n" in err
 
     def test_family_size_caps(self, capsys):
-        for family, n, cap in (("alpha2", "99", "capped at n=10"), ("all", "9", "capped at n=8")):
+        for family, n, cap in (
+            ("alpha2", "99", "capped at n=10"),
+            ("all", "9", "capped at n=8"),
+            ("alpha2", "0", "alpha<=2 enumeration needs at least one vertex, got n=0"),
+            ("all", "0", "exhaustive enumeration needs at least one vertex, got n=0"),
+        ):
             code, out, err = run(capsys, "sweep", "--family", family, "--n", n, "--checks", "main")
             assert code == 2
             assert out == "" and err.startswith("error:") and cap in err
-
-    @pytest.mark.parametrize("family", ["alpha2", "all"])
-    def test_family_size_below_one(self, capsys, family):
-        code, out, err = run(capsys, "sweep", "--family", family, "--n", "0", "--checks", "main")
-        assert code == 2
-        assert out == "" and err.startswith("error:")
-        assert "needs at least one vertex, got n=0" in err and "capped" not in err
 
     def test_unknown_family_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -145,6 +145,24 @@ class TestBuildThird:
                         assert is_clique(g, close)
                         assert close.bit_count() >= third_target(n)
 
+    def test_extension_claim_restated(self, alpha2_by_n):
+        """alpha <= 2 and no vertex of degree <= floor(2n/3) - 1 give every
+        independent pair at least ceil((n-2)/3) + 1 common neighbours."""
+        graphs = pairs = tight = 0
+        for n in range(2, 9):
+            for g in alpha2_by_n[n]:
+                if min(g.degree(x) for x in range(n)) <= 2 * n // 3 - 1:
+                    continue
+                graphs += 1
+                for u in range(n):
+                    for v in range(u + 1, n):
+                        if not g.has_edge(u, v):
+                            common = (g.adj[u] & g.adj[v]).bit_count()
+                            assert common >= third_target(n - 2) + 1
+                            pairs += 1
+                            tight += common == third_target(n - 2) + 1
+        assert (graphs, pairs, tight) == (69, 274, 52)
+
 
 class TestExtensionStep:
     def test_direct_edges_only(self):
@@ -176,6 +194,15 @@ class TestExtensionStep:
         adjacent_count = sum(1 for t in (0, 1) if g.has_edge(4, t))
         detours = [p for p in cert.paths.values() if len(p) == 4]
         assert len(detours) == 2 - adjacent_count
+
+    def test_unsorted_base_gives_sorted_certificate(self):
+        """v lands between old terminals and its detour path is reversed,
+        whatever the order of the base's terminals."""
+        g = Graph.from_edges(6, [(0, 4), (0, 2), (3, 4), (3, 5), (2, 5)])
+        for base in (ImmersionCertificate((4, 0), {(0, 1): (4, 0)}), clique_certificate([0, 4])):
+            cert = extension_step(g, 3, 2, base)
+            assert cert.terminals == (0, 2, 4)
+            assert cert.paths == {(0, 1): (0, 2), (0, 2): (0, 4), (1, 2): (2, 5, 3, 4)}
 
     def test_pigeonhole_absent(self):
         g = Graph.from_edges(5, [(0, 3), (1, 4)])  # no common neighbor of 3 and 4

@@ -170,10 +170,17 @@ def _worker(task: tuple[Graph, tuple[str, ...]]) -> CheckReport:
 def _resolve_source(source: str | os.PathLike | Iterable[Graph]) -> Iterable[Graph]:
     """The graphs of a batch source: a str or path-like is always a graph6
     file path, parsed once, a bad word named by its line (from 1, all lines
-    counted); anything else is an iterable of graphs, kept as given.
+    counted); anything else is an iterable of graphs, each item checked.
     """
     if not isinstance(source, (str, os.PathLike)):
-        return source
+        graphs = list(source)
+        for index, g in enumerate(graphs):
+            if not isinstance(g, Graph):
+                raise ValueError(
+                    f"source item {index} (from 0) is a {type(g).__name__}, not a Graph; "
+                    "pass a graph6 file path or Graph objects"
+                )
+        return graphs
     graphs = []
     with open(source, "r", encoding="latin-1") as handle:  # any byte decodes; the parser names it
         for number, word in enumerate((line.strip() for line in handle), 1):
@@ -235,10 +242,12 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     `source` is a graph6 file path, str or path-like, or an iterable of
     graphs, such as `enumerate_alpha_le2(7)`.  Exit 0 when every
     applicable check holds, 1 when any fails, and 2 before any row on an
-    input problem, such as a generator's size cap or an `out` that is a
-    directory or in a missing one.  A dying worker process exits 2 with
-    no report.  Output is byte-identical for a fixed input regardless of
-    worker count: rows keep input order and hold no timing data.
+    input problem, such as a generator's size cap, an item that is not a
+    `Graph`, `workers` < 1, or an `out` that is a directory or in a
+    missing one.  A pool never has more processes than rows, and a dying
+    worker process exits 2 with no report.  Output is byte-identical for
+    a fixed input regardless of worker count: rows keep input order and
+    hold no timing data.
     """
     checks = tuple(checks)
     try:
@@ -247,6 +256,8 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         _require_known(checks)
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
+        if workers < 1:
+            raise ValueError(f"workers must be at least 1, got {workers}")
         if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
             raise ValueError(f"cannot write the report to {out}: not a file in an existing directory")
         tasks = [(g, checks) for g in _resolve_source(source)]
@@ -258,7 +269,9 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         # Imported here: the pool machinery costs a serial run 1.5 MB of RSS.
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         try:
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+            # Under fork, the pool starts all its processes at the first submit.
+            fork = multiprocessing.get_context("fork")
+            with ProcessPoolExecutor(min(workers, len(tasks)), mp_context=fork) as pool:
                 rows = list(pool.map(_worker, tasks))
         except BrokenProcessPool as exc:
             print(f"error: a sweep worker died: {exc}", file=sys.stderr)

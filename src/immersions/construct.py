@@ -10,14 +10,20 @@ certificate that is both strong and odd.  The builder branches:
    clique of size >= ceil(n/3);
 2. a complete graph takes its first ceil(n/3) vertices;
 3. otherwise remove the lex-least independent pair {u, v}, recurse,
-   trim the recursive certificate to exactly ceil((n-2)/3) terminals,
-   and try to promote v to a new terminal: v reaches adjacent terminals
-   by direct edges and each remaining terminal t through a path
-   (v, w, u, t) over a distinct common neighbor w of u and v that
-   avoids the old terminals;
-4. if too few common neighbors exist, the non-neighbors of u outside
-   the old terminals, together with v, form a clique of size
-   >= ceil(n/3).
+   trim the recursive certificate to exactly k = ceil((n-2)/3)
+   terminals, and promote v to a new terminal: v reaches adjacent
+   terminals by direct edges and each remaining terminal t through a
+   path (v, w, u, t) over a distinct common neighbor w of u and v that
+   avoids the old terminals.
+
+Step 3 never fails.  It runs only when every degree is at least
+floor(2n/3).  With A = N(u) - N(v), B = N(v) - N(u) and C = N(u) & N(v),
+alpha <= 2 puts every other vertex in A, B or C, so |A|+|B|+|C| = n - 2,
+and adding the bounds |A|+|C|, |B|+|C| >= floor(2n/3) gives
+|C| >= 2 floor(2n/3) - n + 2 >= k + 1 for every residue of n mod 3.  A
+terminal t that v misses lies in A, and u is adjacent to it since
+{u, v, t} is not independent.  With M the missed terminals, at most
+k - |M| terminals lie in C, so |C - terminals| >= |C| - k + |M| > |M|.
 """
 
 from __future__ import annotations
@@ -45,20 +51,6 @@ from .immersion import (
 )
 
 
-def _sort_terminals(cert: ImmersionCertificate) -> ImmersionCertificate:
-    order = sorted(range(cert.t), key=lambda i: cert.terminals[i])
-    position = {old: new for new, old in enumerate(order)}
-    terminals = tuple(cert.terminals[i] for i in order)
-    paths: dict[tuple[int, int], Path] = {}
-    for (i, j), path in cert.paths.items():
-        a, b = position[i], position[j]
-        if a > b:
-            a, b = b, a
-            path = path[::-1]
-        paths[(a, b)] = path
-    return ImmersionCertificate(terminals, paths)
-
-
 def _trim_certificate(cert: ImmersionCertificate, k: int) -> ImmersionCertificate:
     """Keep the k lowest terminals (_build returns them ascending) and their paths."""
     paths = {(i, j): path for (i, j), path in cert.paths.items() if j < k}
@@ -74,17 +66,19 @@ def extension_step(
     terminal t adjacent to v is reached by the direct edge; every other
     terminal is reached by the odd path (v, w, u, t) through a distinct
     common neighbor w of u and v outside the terminals, provided u is
-    adjacent to t.  Returns None when the common neighbors cannot cover
-    the non-adjacent terminals.
+    adjacent to t.  The enlarged certificate lists its terminals
+    ascending, whatever the order of base's.  Returns None when the
+    common neighbors cannot cover the non-adjacent terminals.
     """
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise PreconditionError(f"need two distinct vertices, got {u}, {v}")
     if g.has_edge(u, v):
         raise PreconditionError(f"vertices {u} and {v} are adjacent, not an independent pair")
     forbidden = 1 << u | 1 << v
-    if mask_of(base.terminals) & forbidden:
+    term_mask = mask_of(base.terminals)
+    if term_mask & forbidden:
         raise PreconditionError("base terminals must avoid u and v")
-    for _, path in sorted(base.paths.items()):
+    for path in base.paths.values():
         if mask_of(path) & forbidden:
             raise PreconditionError("base paths must avoid u and v")
     report = verify_certificate(g, base, STRONG_ODD)
@@ -93,7 +87,6 @@ def extension_step(
             f"base certificate rejected under strong+odd: {report.violations[0]}"
         )
 
-    term_mask = mask_of(base.terminals)
     missing = sorted(t for t in base.terminals if not g.has_edge(v, t))
     if any(not g.has_edge(u, t) for t in missing):
         return None
@@ -102,15 +95,15 @@ def extension_step(
     if len(common) < len(missing):
         return None
 
-    new_paths: dict[tuple[int, int], Path] = dict(base.paths)
-    new_index = base.t
+    terminals = tuple(sorted(base.terminals + (v,)))
+    position = {t: i for i, t in enumerate(terminals)}
     assigned = dict(zip(missing, common))
-    for i, t in enumerate(base.terminals):
-        if t in assigned:
-            new_paths[(i, new_index)] = (t, u, assigned[t], v)
-        else:
-            new_paths[(i, new_index)] = (t, v)
-    enlarged = _sort_terminals(ImmersionCertificate(base.terminals + (v,), new_paths))
+    to_v = [(t, u, assigned[t], v) if t in assigned else (t, v) for t in base.terminals]
+    paths: dict[tuple[int, int], Path] = {}
+    for path in [*base.paths.values(), *to_v]:
+        a, b = position[path[0]], position[path[-1]]
+        paths[(a, b) if a < b else (b, a)] = path if a < b else path[::-1]
+    enlarged = ImmersionCertificate(terminals, paths)
     check = verify_certificate(g, enlarged, STRONG_ODD)
     assert check.accepted, f"extension produced an invalid certificate: {check.violations}"
     return enlarged
@@ -127,10 +120,10 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
             f"independence number exceeds 2: vertices {triple} are pairwise nonadjacent",
             triple,
         )
-    return _build(g, g.vertex_mask, trace)
+    return _build(g, g.vertex_mask, [] if trace is None else trace)
 
 
-def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate:
+def _build(g: Graph, live: int, trace: list[str]) -> ImmersionCertificate:
     """The builder on the subgraph induced by live, in the input's
     labels; g has no edge that leaves live."""
     n = live.bit_count()
@@ -140,12 +133,10 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
         if g.degree(x) <= degree_cap:
             clique = non_neighborhood(g, x) & live
             assert is_clique(g, clique) and clique.bit_count() >= target
-            if trace is not None:
-                trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
+            trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
             return clique_certificate(bits(clique))
     if g.edge_count == n * (n - 1) // 2:
-        if trace is not None:
-            trace.append(f"n={n} branch=complete t={target}")
+        trace.append(f"n={n} branch=complete t={target}")
         return clique_certificate(list(bits(live))[:target])
 
     pair = None
@@ -161,13 +152,6 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
     base = _trim_certificate(_build(sub, sub_mask, trace), -(-(n - 2) // 3))
 
     extended = extension_step(g, u, v, base)
-    if extended is not None:
-        if trace is not None:
-            trace.append(f"n={n} branch=extend pair=({u},{v}) t={extended.t}")
-        return extended
-    outside = sub_mask & ~mask_of(base.terminals)
-    clique = (non_neighborhood(g, u) & outside) | 1 << v
-    assert is_clique(g, clique) and clique.bit_count() >= target
-    if trace is not None:
-        trace.append(f"n={n} branch=clique-fallback pair=({u},{v}) t={clique.bit_count()}")
-    return clique_certificate(bits(clique))
+    assert extended is not None, "every degree >= floor(2n/3) leaves enough common neighbors"
+    trace.append(f"n={n} branch=extend pair=({u},{v}) t={extended.t}")
+    return extended

@@ -231,7 +231,7 @@ def sample_alpha_le2(n: int, count: int, seed: int):
     identical stream.
     """
     if n < 1:
-        raise ValueError("need at least one vertex")
+        raise ValueError(f"alpha<=2 sampling needs at least one vertex, got n={n}")
     if count < 1:
         raise ValueError(f"need at least one sample, got count={count}")
     rng = random.Random(seed)

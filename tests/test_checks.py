@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures.process
 import dataclasses
 import json
 import os
@@ -190,6 +191,9 @@ class TestEvaluateGraph:
         assert above and level and odd_above and odd_level
 
 
+_PASS_GRAPHS = "pass a graph6 file path or Graph objects"
+
+
 class TestRunBatch:
     def test_single_word_csv(self, tmp_path, capsys):
         code = run_batch([Graph.complete(3)], ("main",))
@@ -283,6 +287,51 @@ class TestRunBatch:
         assert captured.out == "" and captured.err.startswith("error:") and str(out) in captured.err
         assert run_batch([Graph.complete(3)], ("main",), out=str(tmp_path / "r.csv")) == 0
         assert calls == 1
+
+    @pytest.mark.parametrize("source,workers,message", [
+        (["Dhc"], 1, "source item 0 (from 0) is a str, not a Graph; " + _PASS_GRAPHS),
+        ([Graph.complete(3), None], 1, "source item 1 (from 0) is a NoneType, not a Graph; " + _PASS_GRAPHS),
+        ([Graph.complete(3)], 0, "workers must be at least 1, got 0"),
+        ([Graph.complete(3)], -3, "workers must be at least 1, got -3"),
+    ])
+    def test_bad_batch_input_exits_before_any_row(self, capsys, monkeypatch, source, workers, message):
+        calls = 0
+
+        def counted(g, checks):
+            nonlocal calls
+            calls += 1
+            return evaluate_graph(g, checks)
+
+        monkeypatch.setattr(checks_module, "evaluate_graph", counted)
+        assert run_batch(source, ("main",), workers=workers) == 2
+        assert calls == 0
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: {message}\n"
+
+    def test_pool_never_exceeds_rows(self, capsys, monkeypatch):
+        """The pool is sized by the row count; a fake pool maps in process."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, mp_context=None):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures.process, "ProcessPoolExecutor", InProcessPool)
+        graphs = [Graph.complete(3), cycle(5), parse_graph6("Dhc")]
+        assert run_batch(graphs, ("main",), workers=64) == 0
+        pooled = capsys.readouterr().out
+        assert run_batch(graphs, ("main",), workers=2) == 0
+        assert capsys.readouterr().out == pooled
+        assert sizes == [3, 2]
 
     def test_json_format(self, capsys):
         code = run_batch([Graph.complete(4)], ("main", "alpha3"), fmt="json")

@@ -215,6 +215,7 @@ class TestSweep:
             ("all", "9", "capped at n=8"),
             ("alpha2", "0", "alpha<=2 enumeration needs at least one vertex, got n=0"),
             ("all", "0", "exhaustive enumeration needs at least one vertex, got n=0"),
+            ("sample", "0", "alpha<=2 sampling needs at least one vertex, got n=0"),
         ):
             code, out, err = run(capsys, "sweep", "--family", family, "--n", n, "--checks", "main")
             assert code == 2

@@ -16,11 +16,8 @@ from .checks import (
 )
 from .coloring import (
     ColoringCertificate,
-    JoinPartition,
     chromatic_number,
-    find_join_partition,
     is_k_colorable,
-    is_vertex_critical,
 )
 from .construct import (
     build_third_immersion,
@@ -49,7 +46,6 @@ from .graphs import (
     complement,
     encode_graph6,
     independence_number,
-    induced_subgraph,
     is_clique,
     mask_of,
     max_clique,
@@ -86,7 +82,6 @@ __all__ = [
     "ImmersionCertificate",
     "ImmersionFlags",
     "IndependencePreconditionError",
-    "JoinPartition",
     "MalformedCertificateError",
     "PLAIN",
     "ODD",
@@ -111,13 +106,10 @@ __all__ = [
     "evaluate_graph",
     "extension_step",
     "find_clique_immersion",
-    "find_join_partition",
     "graph_from_canonical_form",
     "independence_number",
-    "induced_subgraph",
     "is_clique",
     "is_k_colorable",
-    "is_vertex_critical",
     "mask_of",
     "max_clique",
     "max_clique_immersion",

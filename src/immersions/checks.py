@@ -24,6 +24,7 @@ import io
 import json
 import multiprocessing
 import os
+import string
 import sys
 import time
 from collections.abc import Callable, Iterable
@@ -183,7 +184,7 @@ def _resolve_source(source: str | os.PathLike | Iterable[Graph]) -> Iterable[Gra
         return graphs
     graphs = []
     with open(source, "r", encoding="latin-1") as handle:  # any byte decodes; the parser names it
-        for number, word in enumerate((line.strip() for line in handle), 1):
+        for number, word in enumerate((line.strip(string.whitespace) for line in handle), 1):
             try:
                 if word not in ("", ">>graph6<<"):
                     graphs.append(parse_graph6(word))

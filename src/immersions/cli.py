@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import string
 import sys
 
 from .checks import CHECK_NAMES, run_batch
@@ -145,7 +146,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    checks = tuple(name.strip() for name in args.checks.split(","))
+    checks = tuple(name.strip(string.whitespace) for name in args.checks.split(","))
     if args.family is not None and args.n is None:
         print("error: --family requires --n", file=sys.stderr)
         return 2

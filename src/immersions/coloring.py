@@ -1,4 +1,4 @@
-"""Exact vertex coloring, criticality, and join-partition detection.
+"""Exact vertex coloring.
 
 The chromatic number is computed by iterative deepening on the color
 count k with a DSATUR-flavored exact search for each k: branch on the
@@ -7,18 +7,13 @@ lowest index, try existing colors in increasing order plus at most one
 fresh color.  A maximum clique supplies the starting lower bound.
 Colorings are normalized so color names appear in increasing order of
 first occurrence, which keeps expected values stable in tests.
-
-A join partition (two nonempty sides with every cross pair adjacent)
-exists iff the complement is disconnected; the finder returns the
-complement component containing vertex 0 as the first side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import DegenerateInputError
-from .graphs import Graph, bits, induced_subgraph, max_clique
+from .graphs import Graph, bits, max_clique
 
 
 @dataclass(frozen=True)
@@ -27,14 +22,6 @@ class ColoringCertificate:
 
     k: int
     colors: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class JoinPartition:
-    """Vertex bipartition (x1, x2) with every cross pair adjacent."""
-
-    x1: int
-    x2: int
 
 
 def _normalize(colors: list[int]) -> ColoringCertificate:
@@ -95,32 +82,3 @@ def chromatic_number(g: Graph) -> tuple[int, ColoringCertificate]:
         if cert is not None:
             return cert.k, cert
     raise AssertionError("unreachable: every graph is n-colorable")
-
-
-def is_vertex_critical(g: Graph, k: int) -> bool:
-    """True iff chi(g) = k and chi(g - v) <= k - 1 for every vertex v."""
-    if chromatic_number(g)[0] != k:
-        return False
-    for v in range(g.n):
-        sub, _ = induced_subgraph(g, g.vertex_mask & ~(1 << v))
-        if is_k_colorable(sub, k - 1) is None:
-            return False
-    return True
-
-
-def find_join_partition(g: Graph) -> JoinPartition | None:
-    """Complement-component split, or None when the complement is connected."""
-    if g.n < 2:
-        raise DegenerateInputError("join partition needs at least 2 vertices")
-    full = g.vertex_mask
-    component = 1
-    frontier = 1
-    while frontier:
-        grown = component
-        for v in bits(frontier):
-            grown |= full & ~g.adj[v] & ~(1 << v)
-        frontier = grown & ~component
-        component = grown
-    if component == full:
-        return None
-    return JoinPartition(component, full & ~component)

@@ -14,6 +14,7 @@ coloring upper bound, deterministic for reproducible reports.
 
 from __future__ import annotations
 
+import string
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -105,7 +106,8 @@ class Graph:
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 word (single size byte form, n <= 62)."""
-    text = line.strip()
+    # ASCII whitespace only: a bare strip() would also drop U+00A0, U+0085, 0x1C-0x1F.
+    text = line.strip(string.whitespace)
     if text.startswith(">>graph6<<"):
         text = text[len(">>graph6<<"):]
     if not text:
@@ -178,16 +180,6 @@ def non_neighborhood(g: Graph, x: int) -> int:
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
     return g.vertex_mask & ~g.adj[x] & ~(1 << x)
-
-
-def induced_subgraph(g: Graph, s: int) -> tuple[Graph, dict[int, int]]:
-    """Subgraph induced by the bitset s, plus the old->new index map."""
-    if s & ~g.vertex_mask:
-        raise ValueError("vertex set not contained in the graph")
-    old = list(bits(s))
-    relabel = {v: i for i, v in enumerate(old)}
-    adj = tuple(mask_of(relabel[w] for w in bits(g.adj[v] & s)) for v in old)
-    return Graph(len(old), adj), relabel
 
 
 def is_clique(g: Graph, s: int) -> bool:

@@ -27,15 +27,12 @@ from immersions import (
     enumerate_alpha_le2,
     evaluate_graph,
     find_clique_immersion,
-    find_join_partition,
     independence_number,
-    induced_subgraph,
-    is_vertex_critical,
     max_clique_immersion,
     run_batch,
     verify_certificate,
 )
-from common import third_target
+from common import find_join_partition, induced_subgraph, is_vertex_critical, third_target
 
 FLAG_COMBOS = [ImmersionFlags(s, o) for s in (False, True) for o in (False, True)]
 # Written by perfbench/make_reference.py; this suite only reads it.

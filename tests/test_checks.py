@@ -224,6 +224,7 @@ class TestRunBatch:
     @pytest.mark.parametrize("data,line", [
         (b">>graph6<<\n\nDhc\nD\n", 4),
         (b"Dhc\nD\xc3\xa9\n", 2),  # a non-ASCII byte, as UTF-8 writes it
+        (b"Dhc\nDhc\xa0\n", 2),  # a trailing no-break space is not whitespace to skip
     ])
     def test_bad_word_names_its_line(self, tmp_path, capsys, data, line):
         path = tmp_path / "words.g6"

@@ -241,6 +241,13 @@ class TestSweep:
         assert code == 2
         assert "unknown check" in err
 
+    def test_non_ascii_space_in_check_name(self, capsys):
+        code, out, err = run(
+            capsys, "sweep", "--family", "alpha2", "--n", "3", "--checks", "main\u00a0"
+        )
+        assert code == 2
+        assert out == "" and "unknown check 'main\\xa0'" in err
+
     @pytest.mark.parametrize("checks", ["main,,vergara", "main,"])
     def test_empty_check_name(self, capsys, checks):
         code, out, err = run(capsys, "sweep", "--family", "alpha2", "--n", "3", "--checks", checks)

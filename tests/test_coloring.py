@@ -15,12 +15,9 @@ from immersions import (
     bits,
     chromatic_number,
     complement,
-    find_join_partition,
-    induced_subgraph,
     is_k_colorable,
-    is_vertex_critical,
 )
-from common import cycle, petersen
+from common import cycle, find_join_partition, induced_subgraph, is_vertex_critical, petersen
 
 
 def assert_proper(g: Graph, cert):

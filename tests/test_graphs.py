@@ -17,7 +17,6 @@ from immersions import (
     complement,
     encode_graph6,
     independence_number,
-    induced_subgraph,
     is_clique,
     mask_of,
     max_clique,
@@ -25,7 +24,7 @@ from immersions import (
     non_neighborhood,
     parse_graph6,
 )
-from common import random_graph
+from common import induced_subgraph, random_graph
 
 
 def graph_strategy(max_n: int = 8):
@@ -98,6 +97,16 @@ class TestGraph6:
         """A non-ASCII character is not read as '?', an all-zero byte."""
         with pytest.raises(Graph6Error, match=f"at offset {offset}$"):
             parse_graph6(word)
+
+    @pytest.mark.parametrize("word", ["Dhc\u00a0", "Dhc\u0085", "\x1cDhc"])
+    def test_rejects_non_ascii_whitespace_around_word(self, word):
+        """Only ASCII whitespace is skipped; str.strip() would also drop these."""
+        with pytest.raises(Graph6Error, match="out of range"):
+            parse_graph6(word)
+
+    @pytest.mark.parametrize("word", [" Dhc\r\n", "Dhc\t"])
+    def test_ascii_whitespace_around_word_skipped(self, word):
+        assert parse_graph6(word) == parse_graph6("Dhc")
 
     def test_rejects_wrong_length(self):
         with pytest.raises(Graph6Error):

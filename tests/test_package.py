@@ -1,10 +1,17 @@
-"""package surface: the import list and __all__ name the same objects."""
+"""package surface: the import list and __all__ name the same objects,
+and every public name but a pinned few is used by the package itself."""
 
 from __future__ import annotations
 
+import ast
 import types
+from pathlib import Path
 
 import immersions
+
+# Public names that no package module uses: pure API for callers.  Code
+# only the tests need belongs in tests/, not in this set.
+API_ONLY = {"STRONG", "ODD", "enumerate_triangle_free"}
 
 
 def test_all_matches_public_attributes():
@@ -15,3 +22,33 @@ def test_all_matches_public_attributes():
     }
     assert len(immersions.__all__) == len(set(immersions.__all__))
     assert set(immersions.__all__) == public
+
+
+def _defined_names(statement: ast.stmt) -> set[str]:
+    if isinstance(statement, (ast.FunctionDef, ast.ClassDef)):
+        return {statement.name}
+    if isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        return {node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)}
+    return set()
+
+
+def _used_names(statement: ast.stmt) -> set[str]:
+    used = set()
+    for node in ast.walk(statement):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+    return used
+
+
+def test_every_public_name_but_the_api_only_ones_is_used_by_the_package():
+    package = Path(immersions.__file__).parent
+    used = set()
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            used |= _used_names(statement) - _defined_names(statement)
+    assert set(immersions.__all__) - used == API_ONLY

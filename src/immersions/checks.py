@@ -108,17 +108,22 @@ CHECKS: dict[str, _Check] = {
 CHECK_NAMES = tuple(CHECKS)
 
 
-def _require_known(checks: tuple[str, ...]) -> None:
+def _require_known(checks) -> tuple[str, ...]:
+    """checks as a tuple of known names, each named once; a str is refused."""
+    if isinstance(checks, str):
+        raise ValueError(f"checks must be a sequence of check names, not the str {checks!r}")
+    checks = tuple(checks)
     for k, name in enumerate(checks):
         if name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
         if name in checks[:k]:
             raise ValueError(f"check {name!r} named twice")
+    return checks
 
 
 def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     """Full row: every leading column, the requested outcomes, and any quarantine."""
-    _require_known(checks)
+    checks = _require_known(checks)
     report = CheckReport(encode_graph6(g), g.n)
     clock = time.perf_counter
     start = clock()
@@ -250,11 +255,10 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     a fixed input regardless of worker count: rows keep input order and
     hold no timing data.
     """
-    checks = tuple(checks)
     try:
+        checks = _require_known(checks)
         if not checks:
             raise ValueError("at least one check is required")
-        _require_known(checks)
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
         if workers < 1:

@@ -8,7 +8,8 @@ certificate that is both strong and odd.  The builder branches:
 
 1. a vertex x of degree <= floor(2n/3) - 1 makes its non-neighborhood a
    clique of size >= ceil(n/3);
-2. a complete graph takes its first ceil(n/3) vertices;
+2. a graph with no independent pair is complete and takes its first
+   ceil(n/3) vertices;
 3. otherwise remove the lex-least independent pair {u, v}, recurse,
    trim the recursive certificate to exactly k = ceil((n-2)/3)
    terminals, and promote v to a new terminal: v reaches adjacent
@@ -36,10 +37,9 @@ from .errors import (
 from .graphs import (
     Graph,
     bits,
-    complement,
     is_clique,
     mask_of,
-    max_clique,
+    max_independent_set,
     non_neighborhood,
 )
 from .immersion import (
@@ -113,9 +113,9 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
     """Strong odd certificate with at least ceil(n/3) terminals, alpha <= 2."""
     if g.n == 0:
         raise DegenerateInputError("no terminals exist in the empty graph")
-    size, witness = max_clique(complement(g))
-    if size >= 3:
-        triple = tuple(sorted(bits(witness)))[:3]
+    witness = max_independent_set(g)
+    if witness.bit_count() >= 3:
+        triple = tuple(bits(witness))[:3]
         raise IndependencePreconditionError(
             f"independence number exceeds 2: vertices {triple} are pairwise nonadjacent",
             triple,
@@ -135,18 +135,15 @@ def _build(g: Graph, live: int, trace: list[str]) -> ImmersionCertificate:
             assert is_clique(g, clique) and clique.bit_count() >= target
             trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
             return clique_certificate(bits(clique))
-    if g.edge_count == n * (n - 1) // 2:
-        trace.append(f"n={n} branch=complete t={target}")
-        return clique_certificate(list(bits(live))[:target])
-
-    pair = None
     for u in bits(live):
         rest = (non_neighborhood(g, u) & live) >> (u + 1) << (u + 1)
         if rest:
-            pair = (u, next(bits(rest)))
+            v = next(bits(rest))
             break
-    assert pair is not None, "non-complete graph has an independent pair"
-    u, v = pair
+    else:
+        trace.append(f"n={n} branch=complete t={target}")
+        return clique_certificate(list(bits(live))[:target])
+
     sub_mask = live & ~(1 << u) & ~(1 << v)
     sub = Graph(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(g.adj)))
     base = _trim_certificate(_build(sub, sub_mask, trace), -(-(n - 2) // 3))

@@ -55,8 +55,8 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from .errors import SizeCapError
-from .graphs import Graph, are_twins, bits, complement, earlier_twins, mask_of
+from .errors import SizeCapError, UnsupportedSizeError
+from .graphs import MAX_VERTICES, Graph, are_twins, bits, complement, earlier_twins, mask_of
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
@@ -232,6 +232,8 @@ def sample_alpha_le2(n: int, count: int, seed: int):
     """
     if n < 1:
         raise ValueError(f"alpha<=2 sampling needs at least one vertex, got n={n}")
+    if n > MAX_VERTICES:
+        raise UnsupportedSizeError(f"alpha<=2 sampling supports at most {MAX_VERTICES} vertices, got n={n}")
     if count < 1:
         raise ValueError(f"need at least one sample, got count={count}")
     rng = random.Random(seed)

@@ -75,8 +75,6 @@ class Graph:
     def from_edges(cls, n: int, edges) -> Graph:
         adj = [0] * n
         for u, v in edges:
-            if u == v:
-                raise ValueError(f"loop at vertex {u}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u}-{v} outside 0..{n - 1}")
             adj[u] |= 1 << v

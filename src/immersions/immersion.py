@@ -17,7 +17,7 @@ Pruning is limited to sound necessary conditions, so the first
 certificate found never depends on it:
 
 - terminal degree >= t-1, since a terminal ends t-1 disjoint paths;
-- the global edge budget C(t,2) <= |E|;
+  t such terminals have t(t-1) <= degree sum <= 2|E|, so C(t,2) <= |E|;
 - per-pair parity-aware floors over exactly the vertices a route of
   the set may cross: neither end, nor a terminal with no pass-through
   budget from the start;
@@ -286,10 +286,6 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
         raise ValueError("clique order must be at least 1")
     if t == 1:
         return ImmersionCertificate((0,), {}) if g.n else None
-    m = g.edge_count
-    pair_count = t * (t - 1) // 2
-    if pair_count > m:
-        return None
     candidates = [v for v in range(g.n) if g.degree(v) >= t - 1]
     if len(candidates) < t:
         return None
@@ -299,6 +295,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     for k, (u, v) in enumerate(g.edges()):
         edge_bit[u][v] = edge_bit[v][u] = 1 << k
 
+    m = g.edge_count
     full = g.vertex_mask
     max_len = g.n - 1
     step = 2 if flags.odd else 1

@@ -134,6 +134,8 @@ class TestEvaluateGraph:
     def test_unknown_check_rejected(self):
         with pytest.raises(ValueError, match="unknown check"):
             evaluate_graph(Graph.complete(2), ("main", "bogus"))
+        with pytest.raises(ValueError, match="not the str 'main'"):
+            evaluate_graph(Graph.complete(3), "main")
 
     def test_find_clique_immersion_calls(self, monkeypatch, alpha2_by_n):
         """Searches over the 410 alpha <= 2 rows at n = 8, counted through
@@ -252,9 +254,11 @@ class TestRunBatch:
         assert run_batch([Graph.complete(2)], ()) == 2
         assert run_batch([Graph.complete(2)], ("main",), fmt="yaml") == 2
         assert run_batch([Graph.complete(2)], ("main", "main")) == 2
+        assert run_batch([Graph.complete(3)], "main") == 2
         err = capsys.readouterr().err
-        assert err.count("error:") == 6
+        assert err.count("error:") == 7
         assert "check 'main' named twice" in err
+        assert "checks must be a sequence of check names, not the str 'main'" in err
 
     def test_str_source_is_always_a_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)

@@ -216,6 +216,7 @@ class TestSweep:
             ("alpha2", "0", "alpha<=2 enumeration needs at least one vertex, got n=0"),
             ("all", "0", "exhaustive enumeration needs at least one vertex, got n=0"),
             ("sample", "0", "alpha<=2 sampling needs at least one vertex, got n=0"),
+            ("sample", "63", "alpha<=2 sampling supports at most 62 vertices, got n=63"),
         ):
             code, out, err = run(capsys, "sweep", "--family", family, "--n", n, "--checks", "main")
             assert code == 2

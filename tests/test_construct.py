@@ -125,9 +125,11 @@ class TestBuildThird:
 
     def test_alpha3_rejected_with_witness(self):
         g = Graph.from_edges(6, [(0, 1), (2, 3), (4, 5)])
-        with pytest.raises(IndependencePreconditionError) as exc:
+        message = r"independence number exceeds 2: vertices \(1, 3, 5\) are pairwise nonadjacent"
+        with pytest.raises(IndependencePreconditionError, match=f"^{message}$") as exc:
             build_third_immersion(g)
         a, b, c = exc.value.witness
+        assert (a, b, c) == (1, 3, 5)
         assert not g.has_edge(a, b) and not g.has_edge(a, c) and not g.has_edge(b, c)
 
     def test_empty_graph_degenerate(self):

@@ -45,10 +45,18 @@ class TestGraphType:
     def test_construction_rejects_loops(self):
         with pytest.raises(ValueError):
             Graph(1, (1,))
+        with pytest.raises(ValueError, match="loop at vertex 1"):
+            Graph.from_edges(3, [(1, 1)])
 
     def test_construction_rejects_out_of_range_bits(self):
         with pytest.raises(ValueError):
             Graph(2, (4, 0))
+        with pytest.raises(ValueError, match=r"edge 0-3 outside 0\.\.2"):
+            Graph.from_edges(3, [(0, 3)])
+        with pytest.raises(ValueError, match=r"edge -1-0 outside 0\.\.2"):
+            Graph.from_edges(3, [(-1, 0)])
+        with pytest.raises(ValueError, match="adjacency has 2 rows for n=3"):
+            Graph(3, (0, 0))
 
     def test_from_edges_and_accessors(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])

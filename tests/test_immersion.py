@@ -179,6 +179,8 @@ class TestJson:
             '{"t": 2, "terminals": [0, 1], "paths": {"zz": [0, 1]}, "flags": {}}',
             '{"t": 2, "terminals": [0, 1], "paths": {"0,1": "xy"}, "flags": {}}',
             '{"t": 2, "terminals": "01", "paths": {}, "flags": {}}',
+            '{"t": 1, "terminals": [0], "paths": [], "flags": {}}',  # paths not an object
+            '{"t": 1, "terminals": [0], "paths": {}, "flags": []}',  # flags not an object
             # int() reads each of these as the pair 0,1
             '{"t": 2, "terminals": [0, 1], "paths": {"0, 1": [0, 1]}, "flags": {}}',
             '{"t": 2, "terminals": [0, 1], "paths": {" 0,1": [0, 1]}, "flags": {}}',
@@ -313,13 +315,17 @@ class TestFind:
                 assert (not so or s) and (not so or o) and (not s or p) and (not o or p)
 
     def test_edge_budget_respected(self):
+        """C(t,2) > |E| leaves fewer than t vertices of degree >= t-1:
+        t of them would have a degree sum of at least t(t-1) > 2|E|."""
         rng = random.Random(33)
         for _ in range(60):
             g = random_graph(rng, rng.randint(2, 8))
             m = g.edge_count
             for t in range(2, g.n + 1):
-                if find_clique_immersion(g, t, PLAIN) is not None:
-                    assert t * (t - 1) // 2 <= m
+                found = find_clique_immersion(g, t, PLAIN)
+                if t * (t - 1) // 2 > m:
+                    assert sum(g.degree(v) >= t - 1 for v in range(g.n)) < t
+                    assert found is None
 
 
 class TestPairFloor:

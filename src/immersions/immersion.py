@@ -280,6 +280,34 @@ def _pair_floor(g: Graph, a: int, b: int, allowed: int, odd: bool) -> int | None
     return None
 
 
+def _edge_classes_short(g: Graph, term_mask: int, odd: bool) -> bool:
+    """Whether the terminal set term_mask = T has too few edges of some
+    class for a strong certificate, N being the other vertices.
+
+    A strong path crosses no terminal, so each of the M non-adjacent
+    terminal pairs takes two T-N edges of its own, and under odd flags,
+    with length at least 3, also an N-N edge.
+    """
+    inside = toward_n = 0  # T-T edges counted twice, T-N edges once
+    for v in bits(term_mask):
+        row = g.adj[v]
+        inside += (row & term_mask).bit_count()
+        toward_n += (row & ~term_mask).bit_count()
+    t = term_mask.bit_count()
+    apart = t * (t - 1) // 2 - inside // 2  # M
+    return toward_n < 2 * apart or odd and g.edge_count - inside // 2 - toward_n < apart
+
+
+def _decision_order(g: Graph, terms: tuple[int, ...], pairs: list[tuple[int, int]], floors: list[int]) -> list[int]:
+    """Pair positions in the decision pass's order: smaller endpoint
+    degree first, then the longer floor, then position."""
+    def key(k: int) -> tuple[int, int, int]:
+        i, j = pairs[k]
+        return min(g.degree(terms[i]), g.degree(terms[j])), -floors[k], k
+
+    return sorted(range(len(pairs)), key=key)
+
+
 def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionCertificate | None:
     """Exact search for a K_t-immersion certificate under flags."""
     if t < 1:
@@ -299,12 +327,13 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     full = g.vertex_mask
     max_len = g.n - 1
     step = 2 if flags.odd else 1
-    pairs = list(combinations(range(t), 2))
+    lex = list(combinations(range(t), 2))
     # Pass-through budget: how many more paths each candidate terminal
     # may be interior to, none if strong.  route spends one on each step
-    # and refunds it on return; only terminals' counts are read.
-    spare = [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
-    no_spare = mask_of(v for v in candidates if not spare[v])
+    # and refunds it on a failed return; only terminals' counts are read.
+    budget = [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
+    spare = budget[:]
+    no_spare = mask_of(v for v in candidates if not budget[v])
 
     def route(k: int, path: Path, b: int, remaining: int, closed: int, used: int, spent: int) -> bool:
         """Extend pair k's path by exactly remaining edges to b, off closed
@@ -332,8 +361,9 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
     def solve(k: int, used: int, spent: int) -> bool:
         """Route pairs k.. with edges used taken; spent: terminals out of budget.
 
-        Reads the current terminal set's terms, term_mask, floors, suffix,
-        memo and solution, which the loop below rebinds for each set.
+        Reads the current terminal set's terms, term_mask, and the current
+        pass's pairs, floors, suffix, memo and solution, which the loop
+        below rebinds for each pass of each set.
         """
         if k == len(pairs):
             return True
@@ -353,21 +383,33 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
         term_mask = mask_of(terms)
         if any(twins[w] & ~term_mask for w in terms):
             continue  # the twin skip: an earlier set is its image and failed
+        if flags.strong and _edge_classes_short(g, term_mask, flags.odd):
+            continue
         spent = term_mask & no_spare  # only grows: routes stay in the floors' scope
-        floors: list[int] = []
-        for i, j in pairs:
+        lex_floors: list[int] = []
+        for i, j in lex:
             a, b = terms[i], terms[j]
             allowed = full & ~(spent | 1 << a | 1 << b)  # solve's first closed set
             floor = _pair_floor(g, a, b, allowed, flags.odd)
             if floor is None:
                 break
-            floors.append(floor)
+            lex_floors.append(floor)
         else:
-            suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
-            solution: list[Path] = []
-            failed: list[set[int]] = [set() for _ in pairs]
-            if suffix[0] <= m and solve(0, 0, spent):
-                return ImmersionCertificate(tuple(terms), dict(zip(pairs, solution)))
+            if sum(lex_floors) > m:
+                continue
+            # A set fails in every pair order or in none: decide it in the
+            # tightest-first order, and find the certificate in lex order.
+            for order in (_decision_order(g, terms, lex, lex_floors), range(len(lex))):
+                pairs = [lex[k] for k in order]
+                floors = [lex_floors[k] for k in order]
+                suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
+                solution: list[Path] = []
+                failed: list[set[int]] = [set() for _ in pairs]  # keyed by position
+                if not solve(0, 0, spent):
+                    break
+                if pairs == lex:
+                    return ImmersionCertificate(tuple(terms), dict(zip(lex, solution)))
+                spare[:] = budget  # a success leaves its spending unrefunded
     return None
 
 

@@ -166,8 +166,9 @@ class TestEvaluateGraph:
 
         calls = count_solve_calls(sweep)
         # 20887 when strong flags closed every terminal by a branch of their
-        # own and the floors' walks could pass back through a pair's ends.
-        assert calls == 17896
+        # own and the floors' walks could pass back through a pair's ends;
+        # 17896 before the edge-class count and the decision pass.
+        assert calls == 8920
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that

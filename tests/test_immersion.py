@@ -30,8 +30,9 @@ from immersions import (
     max_clique_immersion,
     verify_certificate,
 )
+from immersions import immersion as immersion_module
 from immersions.graphs import earlier_twins
-from immersions.immersion import _pair_floor
+from immersions.immersion import _edge_classes_short, _pair_floor
 from common import cycle, random_graph
 
 ALL_FLAGS = (PLAIN, STRONG, ODD, STRONG_ODD)
@@ -406,6 +407,66 @@ class TestTwinSkip:
         assert skipped > 0
 
 
+class TestEdgeClassCount:
+    def test_killed_sets_fail(self, all_graphs_small):
+        """Every terminal set the edge-class count kills, on every graph
+        with n <= 6, has no certificate by the brute oracle, under both
+        strong flag settings."""
+        killed = {STRONG: 0, STRONG_ODD: 0}
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                path_cache: dict = {}
+                for t in range(2, n + 1):
+                    for terms in itertools.combinations(range(n), t):
+                        for flags in killed:
+                            if _edge_classes_short(g, mask_of(terms), flags.odd):
+                                killed[flags] += 1
+                                assert not oracles.brute_terminals_immerse(
+                                    g, terms, True, flags.odd, path_cache
+                                ), (sorted(g.edges()), terms, flags)
+        # The N-N count kills sets of its own: odd flags kill more.
+        assert 0 < killed[STRONG] < killed[STRONG_ODD]
+
+
+class TestDecisionOrder:
+    def test_certificates_do_not_depend_on_it(self, all_graphs_small, monkeypatch):
+        """The decision pass's pair order, replaced by the identity, its
+        reverse or a seeded shuffle, leaves every certificate of every
+        graph with n <= 6 unchanged, under every flag setting and t."""
+        cases = [
+            (g, t, flags)
+            for n, graphs in all_graphs_small.items()
+            for g in graphs
+            for t in range(1, n + 1)
+            for flags in ALL_FLAGS
+        ]
+        expected = [find_clique_immersion(g, t, flags) for g, t, flags in cases]
+        rng = random.Random(36)
+        orders = {
+            "identity": lambda g, terms, pairs, floors: list(range(len(pairs))),
+            "reverse": lambda g, terms, pairs, floors: list(range(len(pairs)))[::-1],
+            "shuffle": lambda g, terms, pairs, floors: rng.sample(range(len(pairs)), len(pairs)),
+        }
+        for name, order in orders.items():
+            monkeypatch.setattr(immersion_module, "_decision_order", order)
+            for (g, t, flags), want in zip(cases, expected):
+                assert find_clique_immersion(g, t, flags) == want, (name, sorted(g.edges()), t, flags)
+
+    def test_lex_pass_starts_with_the_full_pass_through_budget(self):
+        """Terminal 3 (degree 7, budget (7 - 3) // 2 = 2) is interior to
+        two paths of this certificate.  The lex pass finds it only if the
+        decision pass's unrefunded spending is undone first."""
+        g = Graph.from_edges(8, [
+            (0, 2), (0, 3), (0, 5), (0, 6), (0, 7), (1, 2), (1, 3), (1, 6), (1, 7), (2, 3),
+            (2, 4), (2, 5), (3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7), (5, 6),
+        ])
+        cert = find_clique_immersion(g, 4, PLAIN)
+        assert cert == ImmersionCertificate((0, 1, 2, 3), {
+            (0, 1): (0, 2, 1), (0, 2): (0, 3, 2), (0, 3): (0, 5, 3),
+            (1, 2): (1, 3, 4, 2), (1, 3): (1, 6, 3), (2, 3): (2, 5, 4, 7, 3),
+        })
+
+
 class TestMax:
     def test_complete(self):
         for n in range(1, 7):
@@ -437,8 +498,11 @@ class TestMax:
                 assert t >= omega
                 assert verify_certificate(g, cert, flags).accepted
 
+    # 1883, 1848, 2462 and 2011 before the edge-class count and the
+    # decision pass: a set that passes is solved twice, which costs more
+    # at these small n than the sets the two cuts refute sooner.
     @pytest.mark.parametrize("flags,expected", [
-        (PLAIN, 1883), (STRONG, 1848), (ODD, 2462), (STRONG_ODD, 2011),
+        (PLAIN, 2773), (STRONG, 2696), (ODD, 3480), (STRONG_ODD, 2320),
     ], ids=["plain", "strong", "odd", "strong+odd"])
     def test_solve_calls(self, alpha2_by_n, count_solve_calls, flags, expected):
         """The search's work under each flag setting: solve calls of

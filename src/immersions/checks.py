@@ -38,6 +38,7 @@ from .immersion import (
     PLAIN,
     STRONG_ODD,
     _ascend,
+    _is_int,
     certificate_to_json,
     find_clique_immersion,
     verify_certificate,
@@ -110,11 +111,13 @@ CHECK_NAMES = tuple(CHECKS)
 
 def _require_known(checks) -> tuple[str, ...]:
     """checks as a tuple of known names, each named once; a str is refused."""
-    if isinstance(checks, str):
-        raise ValueError(f"checks must be a sequence of check names, not the str {checks!r}")
+    if isinstance(checks, str) or not isinstance(checks, Iterable):
+        raise ValueError(
+            f"checks must be a sequence of check names, not the {type(checks).__name__} {checks!r}"
+        )
     checks = tuple(checks)
     for k, name in enumerate(checks):
-        if name not in CHECKS:
+        if not isinstance(name, str) or name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
         if name in checks[:k]:
             raise ValueError(f"check {name!r} named twice")
@@ -249,7 +252,8 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     graphs, such as `enumerate_alpha_le2(7)`.  Exit 0 when every
     applicable check holds, 1 when any fails, and 2 before any row on an
     input problem, such as a generator's size cap, an item that is not a
-    `Graph`, `workers` < 1, or an `out` that is a directory or in a
+    `Graph`, `checks` that is not a sequence of names, `workers` that is
+    not an int or is < 1, or an `out` that is a directory or in a
     missing one.  A pool never has more processes than rows, and a dying
     worker process exits 2 with no report.  Output is byte-identical for
     a fixed input regardless of worker count: rows keep input order and
@@ -261,6 +265,8 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
             raise ValueError("at least one check is required")
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
+        if not _is_int(workers):
+            raise ValueError(f"workers must be an int, not the {type(workers).__name__} {workers!r}")
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):

@@ -36,8 +36,20 @@ certificate found never depends on it:
   have equal degree, so v is a candidate whenever w is, and swapping
   them is an automorphism.  It maps the set to the one with v in place
   of w, which comes earlier in colex order and so has already failed
-  (tried, or skipped by the same rule); an automorphic image has the
-  same outcome.
+  (tried, or skipped by this rule or the edge-class count, which skip
+  only sets that fail); an automorphic image has the same outcome;
+- an edge-class count, under the strong flag only: with T the terminal
+  set, N the other vertices and M the number of non-adjacent terminal
+  pairs, T is skipped when e(T,N) < 2M or, under the odd flag too, when
+  e(N,N) < M.  A strong path crosses no terminal, so the path of a
+  non-adjacent pair leaves its ends by two T-N edges, and an odd one,
+  of length >= 3, also takes an N-N edge; paths share no edge;
+- a decision pass: each set is first solved with its pairs in
+  tightest-first order (smaller endpoint degree, then longer floor),
+  with its own memo, and a set that fails there is dropped.  Whether a
+  set has a certificate does not depend on the order its pairs are
+  routed in, so only a set that passes is solved again in lex order,
+  which finds the same first certificate as without the pass.
 """
 
 from __future__ import annotations
@@ -298,7 +310,8 @@ def _edge_classes_short(g: Graph, term_mask: int, odd: bool) -> bool:
     return toward_n < 2 * apart or odd and g.edge_count - inside // 2 - toward_n < apart
 
 
-def _decision_order(g: Graph, terms: tuple[int, ...], pairs: list[tuple[int, int]], floors: list[int]) -> list[int]:
+def _decision_order(g: Graph, terms: tuple[int, ...], pairs: list[tuple[int, int]],
+                    floors: list[int]) -> list[int]:
     """Pair positions in the decision pass's order: smaller endpoint
     degree first, then the longer floor, then position."""
     def key(k: int) -> tuple[int, int, int]:
@@ -404,7 +417,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
                 floors = [lex_floors[k] for k in order]
                 suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
                 solution: list[Path] = []
-                failed: list[set[int]] = [set() for _ in pairs]  # keyed by position
+                failed: list[set[int]] = [set() for _ in pairs]  # by position: one per pass
                 if not solve(0, 0, spent):
                     break
                 if pairs == lex:

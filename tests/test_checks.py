@@ -257,16 +257,18 @@ class TestRunBatch:
         assert run_batch([Graph.complete(2)], ("main", "main")) == 2
         assert run_batch([Graph.complete(3)], "main") == 2
         assert run_batch([Graph.complete(3)], None) == 2
+        assert run_batch([Graph.complete(3)], [["main"]]) == 2  # an unhashable name
         assert run_batch([Graph.complete(3)], ("main",), workers="2") == 2
         assert run_batch([Graph.complete(3)], ("main",), workers=2.5) == 2
         assert run_batch([Graph.complete(3)], ("main",), workers=True) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         err = captured.err
-        assert err.count("error:") == 11
+        assert err.count("error:") == 12
         assert "check 'main' named twice" in err
         assert "checks must be a sequence of check names, not the str 'main'" in err
         assert "checks must be a sequence of check names, not the NoneType None" in err
+        assert "unknown check ['main']" in err
         assert "workers must be an int, not the str '2'" in err
         assert "workers must be an int, not the float 2.5" in err
         assert "workers must be an int, not the bool True" in err

@@ -57,10 +57,13 @@ class Graph:
                 raise ValueError(f"vertex {v} has neighbors outside 0..{self.n - 1}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v in range(self.n):
-            for w in bits(self.adj[v]):
+        for v, row in enumerate(self.adj):
+            while row:  # bits(row) inlined: this loop runs for every graph built
+                low = row & -row
+                w = low.bit_length() - 1
                 if not self.adj[w] >> v & 1:
                     raise ValueError(f"asymmetric edge {v}-{w}")
+                row ^= low
 
     @classmethod
     def empty(cls, n: int) -> Graph:

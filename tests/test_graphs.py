@@ -42,6 +42,11 @@ class TestGraphType:
         with pytest.raises(ValueError):
             Graph(2, (2, 0))  # 0 -> 1 edge missing its mirror
 
+    def test_asymmetry_names_the_first_edge_in_row_order(self):
+        """Rows 1 and 3 list 2 and 0 with no mirror; row 1 comes first."""
+        with pytest.raises(ValueError, match="^asymmetric edge 1-2$"):
+            Graph(4, (0b0000, 0b0100, 0b0000, 0b0001))
+
     def test_construction_rejects_loops(self):
         with pytest.raises(ValueError):
             Graph(1, (1,))

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import immersions
 from immersions import STRONG_ODD, certificate_to_json, clique_certificate
 from immersions.cli import main
 
@@ -30,6 +35,16 @@ class TestQueries:
         payload = json.loads(out)
         assert payload["alpha"] == 2
         assert len(payload["witness"]) == 2
+
+    def test_runs_as_a_module(self):
+        """python -m immersions is the same front end as main()."""
+        src = str(Path(immersions.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "immersions", "chromatic", C5],
+            capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": src},
+        )
+        assert result.returncode == 0, result.stderr
+        assert json.loads(result.stdout) == {"chi": 3, "coloring": [0, 1, 0, 1, 2]}
 
     def test_malformed_word_is_usage_error(self, capsys):
         code, out, err = run(capsys, "chromatic", "=bad=")

@@ -8,13 +8,18 @@ leading column of a row once, so the CSV schema is fixed, then runs the
 table.  Timings stay in memory, never serialized, so output is
 byte-identical across runs and worker counts.
 
-Both immersion orders come from one ascent, which searches K_{t+1},
+Both immersion orders come from one ascent, which decides K_{t+1},
 K_{t+2}, ... until one fails: the strong odd order from the clique
 number, which a clique proves, and the plain order from the strong odd
 order, since every strong odd certificate is a plain one.  A climb
-that makes no step has no witness; only a quarantined row searches for
-it, with the call max_clique_immersion makes, so a row's witnesses are
-the ones max_clique_immersion returns.
+keeps only the terminal set of its last step, and only a quarantined
+row routes its certificates, as max_clique_immersion does, so a row's
+witnesses are the ones max_clique_immersion returns.
+
+For alpha <= 2, a color class is a vertex or an edge of the
+complement H, so chi = n - nu(H), nu being H's matching number; the
+exponential coloring search runs only for alpha >= 3 and for the
+witness coloring of a quarantined row.
 """
 
 from __future__ import annotations
@@ -32,15 +37,16 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .construct import build_third_immersion
-from .coloring import chromatic_number
-from .graphs import Graph, encode_graph6, independence_number, max_clique, parse_graph6
+from .coloring import chromatic_number, matching_number
+from .graphs import Graph, complement, encode_graph6, max_clique, parse_graph6
 from .immersion import (
     PLAIN,
     STRONG_ODD,
     _ascend,
     _is_int,
+    _SearchIndex,
+    _witness,
     certificate_to_json,
-    find_clique_immersion,
     verify_certificate,
 )
 
@@ -130,16 +136,22 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     report = CheckReport(encode_graph6(g), g.n)
     clock = time.perf_counter
     start = clock()
-    report.alpha = independence_number(g)
+    h = complement(g)
+    report.alpha = max_clique(h)[0]
     report.runtime_ms["alpha"] = (clock() - start) * 1000
     start = clock()
-    report.chi, coloring = chromatic_number(g)
+    coloring = None  # a witness coloring, searched only where chi needs it
+    if report.alpha <= 2:
+        report.chi = g.n - matching_number(h)  # a color class is a vertex or an edge of h
+    else:
+        report.chi, coloring = chromatic_number(g)
     report.runtime_ms["chi"] = (clock() - start) * 1000
+    index = _SearchIndex(g)
     start = clock()
-    report.t_max_strong_odd, odd_cert = _ascend(g, max_clique(g)[0], STRONG_ODD)
+    report.t_max_strong_odd, odd_decided = _ascend(index, max_clique(g)[0], STRONG_ODD)
     report.runtime_ms["t_max_strong_odd"] = (clock() - start) * 1000
     start = clock()
-    report.t_max_plain, plain_cert = _ascend(g, report.t_max_strong_odd, PLAIN)
+    report.t_max_plain, plain_decided = _ascend(index, report.t_max_strong_odd, PLAIN)
     report.runtime_ms["t_max_plain"] = (clock() - start) * 1000
 
     for name in checks:
@@ -156,14 +168,16 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
 
     failed = [name for name, outcome in report.bounds.items() if outcome.status == "false"]
     if any(CHECKS[name].quarantine for name in failed):
+        if coloring is None:
+            coloring = chromatic_number(g)[1]
+        if coloring.k != report.chi:
+            raise AssertionError(f"the witness coloring has {coloring.k} colors, the row's chi is {report.chi}")
         report.quarantine = {**_leading(report), "coloring": list(coloring.colors), "failed_checks": failed}
-        # A climb that made no step found no witness: search the order it
-        # started from, as max_clique_immersion does.
-        for kind, flags, t, cert in (
-            ("plain", PLAIN, report.t_max_plain, plain_cert),
-            ("strong_odd", STRONG_ODD, report.t_max_strong_odd, odd_cert),
+        for kind, flags, t, decided in (
+            ("plain", PLAIN, report.t_max_plain, plain_decided),
+            ("strong_odd", STRONG_ODD, report.t_max_strong_odd, odd_decided),
         ):
-            cert = find_clique_immersion(g, t, flags) if cert is None else cert
+            cert = _witness(index, t, decided, flags)
             report.quarantine[f"certificate_{kind}"] = json.loads(certificate_to_json(cert, flags))
     return report
 

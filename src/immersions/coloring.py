@@ -1,4 +1,4 @@
-"""Exact vertex coloring.
+"""Exact vertex coloring, and the matching number it reduces to.
 
 The chromatic number is computed by iterative deepening on the color
 count k with a DSATUR-flavored exact search for each k: branch on the
@@ -7,6 +7,10 @@ lowest index, try existing colors in increasing order plus at most one
 fresh color.  A maximum clique supplies the starting lower bound.
 Colorings are normalized so color names appear in increasing order of
 first occurrence, which keeps expected values stable in tests.
+
+When alpha(G) <= 2, a color class is a vertex or an edge of the
+complement H, so chi(G) = n - nu(H), and matching_number computes nu in
+polynomial time.
 """
 
 from __future__ import annotations
@@ -82,3 +86,81 @@ def chromatic_number(g: Graph) -> tuple[int, ColoringCertificate]:
         if cert is not None:
             return cert.k, cert
     raise AssertionError("unreachable: every graph is n-colorable")
+
+
+def matching_number(g: Graph) -> int:
+    """nu(g), the size of a maximum matching, by Edmonds' blossom algorithm.
+
+    Each unmatched vertex in turn roots a breadth-first alternating tree;
+    an odd cycle met in the tree is contracted into its base, and a path
+    to an unmatched vertex is flipped.  A vertex with no augmenting path
+    gains none when other paths are flipped later, so one search per
+    vertex suffices: O(n^3) in all.
+    """
+    n, adj = g.n, g.adj
+    mate = [-1] * n
+    size = 0
+    for root in range(n):
+        if mate[root] == -1 and _augment(adj, mate, root):
+            size += 1
+    return size
+
+
+def _augment(adj: tuple[int, ...], mate: list[int], root: int) -> bool:
+    """Grow the alternating tree at the unmatched root and flip the first
+    augmenting path it finds; False when there is none."""
+    n = len(adj)
+    parent = [-1] * n  # the tree edge into each odd vertex
+    base = list(range(n))  # the base of each vertex's contracted blossom
+    in_tree = [False] * n  # even vertices, reached and queued
+    in_tree[root] = True
+    queue = [root]
+
+    def lowest_common_base(a: int, b: int) -> int:
+        seen = [False] * n
+        while True:
+            a = base[a]
+            seen[a] = True
+            if mate[a] == -1:
+                break
+            a = parent[mate[a]]
+        while True:
+            b = base[b]
+            if seen[b]:
+                return b
+            b = parent[mate[b]]
+
+    def mark_path(v: int, stop: int, child: int, blossom: list[bool]) -> None:
+        while base[v] != stop:
+            blossom[base[v]] = blossom[base[mate[v]]] = True
+            parent[v] = child
+            child = mate[v]
+            v = parent[mate[v]]
+
+    for v in queue:  # the queue grows as the loop runs
+        for w in bits(adj[v]):
+            if base[v] == base[w] or mate[v] == w:
+                continue
+            if w == root or mate[w] != -1 and parent[mate[w]] != -1:
+                # w is even too: the tree edge vw closes an odd cycle.
+                stop = lowest_common_base(v, w)
+                blossom = [False] * n
+                mark_path(v, stop, w, blossom)
+                mark_path(w, stop, v, blossom)
+                for u in range(n):
+                    if blossom[base[u]]:
+                        base[u] = stop
+                        if not in_tree[u]:
+                            in_tree[u] = True
+                            queue.append(u)
+            elif parent[w] == -1:
+                parent[w] = v
+                if mate[w] == -1:
+                    while w != -1:  # flip the path root ... v w
+                        v, after = parent[w], mate[parent[w]]
+                        mate[v], mate[w] = w, v
+                        w = after
+                    return True
+                in_tree[mate[w]] = True
+                queue.append(mate[w])
+    return False

@@ -30,7 +30,8 @@ certificate found never depends on it:
 - a failure memo: the unsolved-pair search is a pure function of the
   pair index k and the used-edge set (free edges and pass-through
   budgets both follow from them), so a (k, used) state that failed
-  once fails again and is cut.  The memo lives for one terminal set;
+  once fails again and is cut.  The memo lives for one pass over one
+  terminal set;
 - a twin skip: a terminal set that holds w but not some twin v < w
   (equal neighborhoods apart from each other) is never tried.  Twins
   have equal degree, so v is a candidate whenever w is, and swapping
@@ -48,14 +49,18 @@ certificate found never depends on it:
   tightest-first order (smaller endpoint degree, then longer floor),
   with its own memo, and a set that fails there is dropped.  Whether a
   set has a certificate does not depend on the order its pairs are
-  routed in, so only a set that passes is solved again in lex order,
-  which finds the same first certificate as without the pass.
+  routed in, so the first set that passes is the certificate's, and it
+  alone is solved again in lex order, which finds the same first
+  certificate as without the pass.  A climb stops at the decision
+  pass: it keeps the set of each order it reaches and routes only the
+  last one, and only when a caller asks for the certificate.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import accumulate, combinations
 
 from .errors import DegenerateInputError, MalformedCertificateError
@@ -321,32 +326,128 @@ def _decision_order(g: Graph, terms: tuple[int, ...], pairs: list[tuple[int, int
     return sorted(range(len(pairs)), key=key)
 
 
+class _SearchIndex:
+    """What the searches on one graph share, each part built at first use.
+
+    edge_bit[v][w] is the used-edge bit of the edge vw, its keys
+    ascending as in adj[v]; twins[w] is the bitset of the twins v < w
+    of w.  Each caller builds one for the orders it decides (a sweep row
+    one for both its climbs), and nothing keeps it past that call.
+    """
+
+    def __init__(self, g: Graph):
+        self.g = g
+
+    @cached_property
+    def edge_bit(self) -> list[dict[int, int]]:
+        edge_bit: list[dict[int, int]] = [{} for _ in range(self.g.n)]
+        for k, (u, v) in enumerate(self.g.edges()):
+            edge_bit[u][v] = edge_bit[v][u] = 1 << k
+        return edge_bit
+
+    @cached_property
+    def twins(self) -> list[int]:
+        return earlier_twins(self.g.adj)
+
+
 def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionCertificate | None:
     """Exact search for a K_t-immersion certificate under flags."""
+    index = _SearchIndex(g)
+    decided = _decide(index, t, flags)
+    return None if decided is None else _route(index, decided, flags)
+
+
+# The terminals of a certificate, with its paths in lex pair order when
+# the search that found the terminals already routed them so.
+_Decided = tuple[tuple[int, ...], list[Path] | None]
+
+
+def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> _Decided | None:
+    """The first terminal set in colex order that passes the decision
+    pass, or None: the terminals of find_clique_immersion's certificate.
+    The pass's paths come along when its order is the lex order."""
     if t < 1:
         raise ValueError("clique order must be at least 1")
+    g = index.g
     if t == 1:
-        return ImmersionCertificate((0,), {}) if g.n else None
+        return ((0,), []) if g.n else None
     candidates = [v for v in range(g.n) if g.degree(v) >= t - 1]
     if len(candidates) < t:
         return None
+    budget = _pass_through_budget(g, t, flags)
+    no_spare = mask_of(v for v in candidates if not budget[v])
+    lex = list(combinations(range(t), 2))
+    twins = index.twins
+    for terms in _colex_combinations(candidates, t):
+        term_mask = mask_of(terms)
+        if any(twins[w] & ~term_mask for w in terms):
+            continue  # the twin skip: an earlier set is its image and failed
+        if flags.strong and _edge_classes_short(g, term_mask, flags.odd):
+            continue
+        spent = term_mask & no_spare
+        floors = _lex_floors(g, terms, spent, flags.odd)
+        if floors is None or sum(floors) > g.edge_count:
+            continue
+        order = _decision_order(g, terms, lex, floors)
+        pairs = [lex[k] for k in order]
+        paths = _solve_pairs(index, terms, flags, budget, spent, pairs, [floors[k] for k in order])
+        if paths is not None:
+            return terms, (paths if pairs == lex else None)
+    return None
 
-    # edge_bit[v][w] is the used-edge bit of vw; keys ascend, as in adj[v].
-    edge_bit: list[dict[int, int]] = [{} for _ in range(g.n)]
-    for k, (u, v) in enumerate(g.edges()):
-        edge_bit[u][v] = edge_bit[v][u] = 1 << k
 
+def _route(index: _SearchIndex, decided: _Decided, flags: ImmersionFlags) -> ImmersionCertificate:
+    """find_clique_immersion's certificate on the set _decide returned:
+    its pairs solved in lex order, unless the decision pass did that."""
+    terms, paths = decided
+    lex = list(combinations(range(len(terms)), 2))
+    if paths is None:
+        g = index.g
+        budget = _pass_through_budget(g, len(terms), flags)
+        spent = mask_of(v for v in terms if not budget[v])
+        paths = _solve_pairs(index, terms, flags, budget, spent, lex, _lex_floors(g, terms, spent, flags.odd))
+    return ImmersionCertificate(terms, dict(zip(lex, paths)))
+
+
+def _pass_through_budget(g: Graph, t: int, flags: ImmersionFlags) -> list[int]:
+    """How many paths of a K_t certificate each vertex may be interior to
+    as a terminal, none if strong; only terminals' budgets are read."""
+    return [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
+
+
+def _lex_floors(g: Graph, terms: tuple[int, ...], spent: int, odd: bool) -> list[int] | None:
+    """The floor of each terminal pair, in lex order, over the vertices a
+    route may cross; None when some pair has no path at all.  spent, the
+    terminals with no pass-through budget, only grows during a search, so
+    routes stay in the floors' scope."""
+    floors = []
+    for a, b in combinations(terms, 2):
+        allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)  # solve's first closed set
+        floor = _pair_floor(g, a, b, allowed, odd)
+        if floor is None:
+            return None
+        floors.append(floor)
+    return floors
+
+
+def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags, budget: list[int],
+                 spent: int, pairs: list[tuple[int, int]], floors: list[int]) -> list[Path] | None:
+    """Route the terminal pairs of terms in the order given, floors[k]
+    being the floor of pairs[k]: one path per pair, in that order, or None.
+    """
+    g = index.g
+    edge_bit = index.edge_bit
     m = g.edge_count
-    full = g.vertex_mask
     max_len = g.n - 1
     step = 2 if flags.odd else 1
-    lex = list(combinations(range(t), 2))
-    # Pass-through budget: how many more paths each candidate terminal
-    # may be interior to, none if strong.  route spends one on each step
-    # and refunds it on a failed return; only terminals' counts are read.
-    budget = [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
+    term_mask = mask_of(terms)
+    # route spends a terminal's pass-through budget on each step through
+    # it and refunds it on a failed return; a success keeps its spending,
+    # so each pass starts from a fresh copy.
     spare = budget[:]
-    no_spare = mask_of(v for v in candidates if not budget[v])
+    suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
+    solution: list[Path] = []
+    failed: list[set[int]] = [set() for _ in pairs]  # the failure memo, by position
 
     def route(k: int, path: Path, b: int, remaining: int, closed: int, used: int, spent: int) -> bool:
         """Extend pair k's path by exactly remaining edges to b, off closed
@@ -372,12 +473,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
         return False
 
     def solve(k: int, used: int, spent: int) -> bool:
-        """Route pairs k.. with edges used taken; spent: terminals out of budget.
-
-        Reads the current terminal set's terms, term_mask, and the current
-        pass's pairs, floors, suffix, memo and solution, which the loop
-        below rebinds for each pass of each set.
-        """
+        """Route pairs k.. with edges used taken; spent: terminals out of budget."""
         if k == len(pairs):
             return True
         if used in failed[k]:
@@ -391,39 +487,7 @@ def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionC
         failed[k].add(used)
         return False
 
-    twins = earlier_twins(g.adj)
-    for terms in _colex_combinations(candidates, t):
-        term_mask = mask_of(terms)
-        if any(twins[w] & ~term_mask for w in terms):
-            continue  # the twin skip: an earlier set is its image and failed
-        if flags.strong and _edge_classes_short(g, term_mask, flags.odd):
-            continue
-        spent = term_mask & no_spare  # only grows: routes stay in the floors' scope
-        lex_floors: list[int] = []
-        for i, j in lex:
-            a, b = terms[i], terms[j]
-            allowed = full & ~(spent | 1 << a | 1 << b)  # solve's first closed set
-            floor = _pair_floor(g, a, b, allowed, flags.odd)
-            if floor is None:
-                break
-            lex_floors.append(floor)
-        else:
-            if sum(lex_floors) > m:
-                continue
-            # A set fails in every pair order or in none: decide it in the
-            # tightest-first order, and find the certificate in lex order.
-            for order in (_decision_order(g, terms, lex, lex_floors), range(len(lex))):
-                pairs = [lex[k] for k in order]
-                floors = [lex_floors[k] for k in order]
-                suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
-                solution: list[Path] = []
-                failed: list[set[int]] = [set() for _ in pairs]  # by position: one per pass
-                if not solve(0, 0, spent):
-                    break
-                if pairs == lex:
-                    return ImmersionCertificate(tuple(terms), dict(zip(lex, solution)))
-                spare[:] = budget  # a success leaves its spending unrefunded
-    return None
+    return solution if solve(0, 0, spent) else None
 
 
 def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, ImmersionCertificate]:
@@ -434,19 +498,27 @@ def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, Immersio
     """
     if g.n == 0:
         raise DegenerateInputError("maximum immersion order undefined on the empty graph")
-    t, cert = _ascend(g, max_clique(g)[0], flags)
-    if cert is None:
-        cert = find_clique_immersion(g, t, flags)
-    return t, cert
+    index = _SearchIndex(g)
+    t, decided = _ascend(index, max_clique(g)[0], flags)
+    return t, _witness(index, t, decided, flags)
 
 
-def _ascend(g: Graph, t: int, flags: ImmersionFlags) -> tuple[int, ImmersionCertificate | None]:
-    """From a K_t known to immerse, search K_{t+1}, K_{t+2}, ... until one
-    fails.  Returns the largest order and the last witness found, None
-    when no step succeeds.  Stopping at the first failure is exact, since
-    a K_{t+1} certificate less one terminal is a K_t certificate.
+def _ascend(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, _Decided | None]:
+    """From a K_t known to immerse, decide K_{t+1}, K_{t+2}, ... until one
+    fails.  Returns the largest order and what _decide found for it, None
+    when no step succeeds; no certificate is routed.  Stopping at the
+    first failure is exact, since a K_{t+1} certificate less one terminal
+    is a K_t certificate.
     """
-    cert = None
-    while t < g.n and (nxt := find_clique_immersion(g, t + 1, flags)) is not None:
-        t, cert = t + 1, nxt
-    return t, cert
+    decided = None
+    while t < index.g.n and (nxt := _decide(index, t + 1, flags)) is not None:
+        t, decided = t + 1, nxt
+    return t, decided
+
+
+def _witness(index: _SearchIndex, t: int, decided: _Decided | None,
+             flags: ImmersionFlags) -> ImmersionCertificate:
+    """find_clique_immersion's K_t certificate for a climb that ended at t
+    with decided; a climb that made no step decided nothing, so K_t is
+    decided here."""
+    return _route(index, _decide(index, t, flags) if decided is None else decided, flags)

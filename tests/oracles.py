@@ -60,6 +60,27 @@ def brute_chromatic(g: Graph) -> int:
     raise AssertionError("unreachable")
 
 
+# ------------------------------------------------------------- matching
+
+def brute_matching_number(g: Graph) -> int:
+    """Size of a maximum matching: the lowest free vertex stays unmatched
+    or is matched to each free neighbour in turn, over every choice."""
+
+    @lru_cache(maxsize=None)
+    def best(free: int) -> int:
+        if not free:
+            return 0
+        v = (free & -free).bit_length() - 1
+        rest = free & ~(1 << v)
+        options = [best(rest)]
+        for w in range(g.n):
+            if rest >> w & 1 and g.adj[v] >> w & 1:
+                options.append(1 + best(rest & ~(1 << w)))
+        return max(options)
+
+    return best(g.vertex_mask)
+
+
 # ------------------------------------------------------------ immersion
 
 def _edge_key(a: int, b: int) -> tuple[int, int]:

@@ -21,10 +21,10 @@ from immersions import (
     CheckOutcome,
     Graph,
     certificate_to_json,
+    chromatic_number,
     encode_graph6,
     enumerate_alpha_le2,
     evaluate_graph,
-    find_clique_immersion,
     max_clique,
     max_clique_immersion,
     parse_graph6,
@@ -138,22 +138,25 @@ class TestEvaluateGraph:
             evaluate_graph(Graph.complete(3), "main")
 
     def test_find_clique_immersion_calls(self, monkeypatch, alpha2_by_n):
-        """Searches over the 410 alpha <= 2 rows at n = 8, counted through
-        every binding of find_clique_immersion."""
+        """Orders searched over the 410 alpha <= 2 rows at n = 8, counted
+        at _decide, which a climb calls for each order and
+        find_clique_immersion for its one."""
         calls = 0
+        decide = immersion_module._decide
 
-        def counted(g, t, flags):
+        def counted(index, t, flags):
             nonlocal calls
             calls += 1
-            return find_clique_immersion(g, t, flags)
+            return decide(index, t, flags)
 
-        monkeypatch.setattr(immersion_module, "find_clique_immersion", counted)
-        monkeypatch.setattr(checks_module, "find_clique_immersion", counted)
+        monkeypatch.setattr(immersion_module, "_decide", counted)
         for g in alpha2_by_n[8]:
             evaluate_graph(g, ("main", "appendix", "vergara"))
         # 2152 when plain search climbed from omega instead of from the
         # strong odd order; 1529 when strong odd search also searched
-        # K_omega, which a clique proves, before climbing.
+        # K_omega, which a clique proves, before climbing.  Counted at
+        # find_clique_immersion while each climb step also routed its
+        # certificate.
         assert calls == 1119
 
     def test_solve_calls(self, alpha2_by_n, count_solve_calls):
@@ -167,8 +170,9 @@ class TestEvaluateGraph:
         calls = count_solve_calls(sweep)
         # 20887 when strong flags closed every terminal by a branch of their
         # own and the floors' walks could pass back through a pair's ends;
-        # 17896 before the edge-class count and the decision pass.
-        assert calls == 8920
+        # 17896 before the edge-class count and the decision pass; 8920
+        # while every climb step also solved its set in lex order.
+        assert calls == 4793
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that
@@ -192,6 +196,22 @@ class TestEvaluateGraph:
             else:
                 odd_level += 1
         assert above and level and odd_above and odd_level
+
+    def test_quarantined_coloring_is_chromatic_numbers(self, monkeypatch, alpha2_by_n):
+        """A row's chi comes from a matching, and a quarantined row's
+        coloring from chromatic_number, with as many colors."""
+        force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
+        for g in (g for n in range(1, 8) for g in alpha2_by_n[n]):
+            report = evaluate_graph(g, ("vergara",))
+            coloring = report.quarantine["coloring"]
+            assert coloring == list(chromatic_number(g)[1].colors), report.graph6
+            assert len(set(coloring)) == report.chi == report.quarantine["chi"], report.graph6
+
+    def test_quarantine_refuses_a_coloring_that_disagrees_with_chi(self, monkeypatch):
+        force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
+        monkeypatch.setattr(checks_module, "matching_number", lambda h: 0)
+        with pytest.raises(AssertionError, match="3 colors, the row's chi is 5"):
+            evaluate_graph(cycle(5), ("vergara",))
 
 
 _PASS_GRAPHS = "pass a graph6 file path or Graph objects"

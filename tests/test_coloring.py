@@ -15,9 +15,12 @@ from immersions import (
     bits,
     chromatic_number,
     complement,
+    enumerate_alpha_le2,
     is_k_colorable,
+    sample_alpha_le2,
 )
-from common import cycle, find_join_partition, induced_subgraph, is_vertex_critical, petersen
+from immersions.coloring import matching_number
+from common import cycle, find_join_partition, induced_subgraph, is_vertex_critical, petersen, random_graph
 
 
 def assert_proper(g: Graph, cert):
@@ -100,6 +103,45 @@ class TestChromaticNumber:
         for n in range(1, 8):
             for g in all_graphs_by_n[n]:
                 assert chromatic_number(g)[0] == oracles.brute_chromatic(g)
+
+
+def relabeled(g: Graph, perm: list[int]) -> Graph:
+    """g with vertex v renamed perm[v]."""
+    return Graph.from_edges(g.n, [(perm[u], perm[v]) for u, v in g.edges()])
+
+
+class TestMatching:
+    def test_matches_brute_force_exhaustively(self, all_graphs_by_n):
+        for n in range(1, 8):
+            for g in all_graphs_by_n[n]:
+                assert matching_number(g) == oracles.brute_matching_number(g), sorted(g.edges())
+
+    def test_matches_brute_force_on_random_graphs(self):
+        rng = random.Random(41)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 12), rng.random())
+            assert matching_number(g) == oracles.brute_matching_number(g), sorted(g.edges())
+
+    @pytest.mark.parametrize("g,nu", [
+        (cycle(5), 2),
+        (cycle(7), 3),
+        (petersen(), 5),
+        (Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)]), 3),
+    ], ids=["C5", "C7", "Petersen", "two triangles and a bridge"])
+    def test_blossoms(self, g, nu):
+        """Odd cycles the search must contract, under 50 relabelings each."""
+        rng = random.Random(42)
+        for _ in range(50):
+            perm = rng.sample(range(g.n), g.n)
+            assert matching_number(relabeled(g, perm)) == nu, perm
+
+    def test_chi_of_alpha_le2_is_n_minus_nu_of_the_complement(self):
+        """A color class of an alpha <= 2 graph is a vertex or an edge of
+        its complement: every class with n <= 9, and seeded samples."""
+        graphs = [g for n in range(1, 10) for g in enumerate_alpha_le2(n)]
+        graphs += [g for n in (12, 16, 20) for g in sample_alpha_le2(n, 20, seed=7)]
+        for g in graphs:
+            assert g.n - matching_number(complement(g)) == chromatic_number(g)[0], sorted(g.edges())
 
 
 class TestVertexCritical:

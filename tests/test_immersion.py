@@ -32,7 +32,7 @@ from immersions import (
 )
 from immersions import immersion as immersion_module
 from immersions.graphs import earlier_twins
-from immersions.immersion import _edge_classes_short, _pair_floor
+from immersions.immersion import _SearchIndex, _decide, _edge_classes_short, _pair_floor, _route
 from common import cycle, random_graph
 
 ALL_FLAGS = (PLAIN, STRONG, ODD, STRONG_ODD)
@@ -467,6 +467,38 @@ class TestDecisionOrder:
         })
 
 
+class TestDecideRoute:
+    def test_routing_the_decided_set_finds_the_certificate(self, all_graphs_small):
+        """For every graph with n <= 6, every flag setting and every t,
+        _decide returns None exactly when find_clique_immersion does, and
+        otherwise the colex-first terminal set that immerses by the brute
+        oracle.  Routing that set gives find_clique_immersion's
+        certificate, also when the paths _decide kept are dropped."""
+        decided_sets = 0
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                path_cache: dict = {}
+                for flags in ALL_FLAGS:
+                    for t in range(1, n + 1):
+                        index = _SearchIndex(g)
+                        decided = _decide(index, t, flags)
+                        cert = find_clique_immersion(g, t, flags)
+                        case = (sorted(g.edges()), t, flags)
+                        assert (decided is None) == (cert is None), case
+                        if decided is None:
+                            continue
+                        decided_sets += 1
+                        colex = sorted(itertools.combinations(range(n), t), key=lambda s: s[::-1])
+                        first = next(
+                            s for s in colex
+                            if oracles.brute_terminals_immerse(g, s, flags.strong, flags.odd, path_cache)
+                        )
+                        assert decided[0] == first, case
+                        assert _route(index, decided, flags) == cert, case
+                        assert _route(index, (decided[0], None), flags) == cert, case
+        assert decided_sets > 0
+
+
 class TestMax:
     def test_complete(self):
         for n in range(1, 7):
@@ -500,9 +532,11 @@ class TestMax:
 
     # 1883, 1848, 2462 and 2011 before the edge-class count and the
     # decision pass: a set that passes is solved twice, which costs more
-    # at these small n than the sets the two cuts refute sooner.
+    # at these small n than the sets the two cuts refute sooner.  2773
+    # and 2696 for plain and strong while every climb step also solved
+    # its set in lex order; only the last step's set is now.
     @pytest.mark.parametrize("flags,expected", [
-        (PLAIN, 2773), (STRONG, 2696), (ODD, 3480), (STRONG_ODD, 2320),
+        (PLAIN, 2723), (STRONG, 2646), (ODD, 3480), (STRONG_ODD, 2320),
     ], ids=["plain", "strong", "odd", "strong+odd"])
     def test_solve_calls(self, alpha2_by_n, count_solve_calls, flags, expected):
         """The search's work under each flag setting: solve calls of

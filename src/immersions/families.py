@@ -17,6 +17,20 @@ vertices (identical neighborhoods apart from each other) generate
 identical subtrees and are explored once, which keeps the
 near-symmetric worst cases (empty and complete graphs) polynomial.
 
+A round's signature of v is one int, c(v) * B**k minus the sum of
+B**(k-1-c(w)) over the neighbors w of v, with B = n + 1 and k the
+number of classes.  It orders vertices as the pair (c(v), sorted
+neighbor colors) would.  Below c(v) * B**k the subtracted number is a
+base-B numeral whose digits, lowest color first, count v's neighbors
+of each color; each count is below B, so the numeral is below B**k and
+colors never interleave.  Within one class every vertex has the same
+degree (the classes refine the degree ranking), and of two sorted
+tuples of one length, the smaller is the one with more of the lowest
+color whose counts differ, so the larger numeral.  Negating the
+numeral reverses its order, so the ranks, and the colors, are those of
+the tuples.  A discrete coloring leaves one ordering, so its rows are
+read off directly.
+
 Families are generated level by level: a child adds vertex n-1 to an
 (n-1)-vertex parent with some neighborhood N, and a child is
 canonicalized only if it passes three rules.  Each keeps at least one
@@ -24,15 +38,27 @@ member of every class.  The neighborhoods are not filtered out of all
 2^(n-1) subsets but grown one parent vertex w at a time, in ascending
 order: N takes w only if the twin rule allows it and, for the
 triangle-free family, N holds no neighbor of w, so N stays independent.
+A child's neighbor lists are its parent's with n-1 appended for each
+vertex of N, and it is refined once: the refinement decides the
+top-class rule, and its colors feed the canonical search.
 
 - Degree: the new vertex has maximum degree, that is no old vertex v
   has deg_parent(v) + [v in N] > |N|.
-- f-maximality: with f(v) = (deg v, sorted neighbor degrees), no old
-  vertex of the new vertex's degree has a larger f.  Delete an
-  f-maximal vertex from any member G; what is left is isomorphic to a
-  parent, and adding the vertex back with its image neighborhood
-  (independent when G is triangle-free) is a child isomorphic to G
-  whose new vertex is f-maximal, so it passes both rules.
+- Top class: the new vertex stays in the highest color class.  After
+  the degree round that class holds the vertices of maximum degree, so
+  the degree rule covers it; each later round is checked, and the
+  child is dropped at the first round its new vertex leaves, as it
+  cannot come back: every round ranks by the previous color first.
+  After the round past the degrees the top class holds the vertices
+  of maximum degree with the largest sorted neighbor degrees, so this
+  rule implies the f-rule (no vertex of the new vertex's degree has
+  larger sorted neighbor degrees), and the later rounds cut more.
+  Delete a vertex of the top class of the refined colors from any
+  member G; what is left is isomorphic to a parent, and adding the
+  vertex back with its image neighborhood (independent when G is
+  triangle-free) is a child isomorphic to G.  The refined colors are
+  isomorphism-invariant, so in that child the new vertex is in the top
+  class and has maximum degree, and it passes both rules.
 - Twins: N holds a vertex w of the parent only with every twin v < w.
   Being twins is an equivalence, and each class holds only true twins
   or only false twins, since no vertex has both kinds; so any
@@ -40,8 +66,9 @@ triangle-free family, N holds no neighbor of w, so N stays independent.
   maps N to the N' that meets every class in an initial segment, and
   extends to an isomorphism of the children that fixes the new vertex.
   N' has the same size, is independent when N is, and the degree and
-  f tests depend only on the child up to such an isomorphism, so N'
-  passes whatever N passes.
+  top-class tests depend only on the child up to an isomorphism that
+  fixes the new vertex, which keeps its color, so N' passes whatever N
+  passes.
 
 Canonical forms are sorted, so each level's representatives and their
 order do not depend on which children are tried.  Graphs with
@@ -57,108 +84,129 @@ from itertools import combinations
 
 from .errors import SizeCapError, UnsupportedSizeError
 from .graphs import MAX_VERTICES, Graph, are_twins, bits, complement, earlier_twins, mask_of
+from .immersion import _is_int
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
 _SAMPLE_HINT = "; use sample_alpha_le2 for larger sizes"  # sample_alpha_le2 covers alpha <= 2 only
 
 
-def _refine_colors(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
-    neighbors = [list(bits(row)) for row in adj]
+def _neighbor_lists(adj: tuple[int, ...]) -> list[list[int]]:
+    return [list(bits(row)) for row in adj]
+
+
+def _refine_colors(neighbors: list[list[int]], watched: int | None = None) -> list[int] | None:
+    """The refined colors of the graph with these neighbor lists, or
+    None as soon as vertex `watched`, which must have maximum degree,
+    leaves the highest color class."""
+    n = len(neighbors)
     # One round from uniform colors ranks vertices by degree.
-    ranking = {d: r for r, d in enumerate(sorted({len(ns) for ns in neighbors}))}
-    colors = [ranking[len(ns)] for ns in neighbors]
+    degrees = [len(ns) for ns in neighbors]
+    ranking = {d: r for r, d in enumerate(sorted(set(degrees)))}
+    colors = [ranking[d] for d in degrees]
     classes = len(ranking)
+    base = n + 1
     while 1 < classes < n:
-        signatures = [
-            (colors[v], tuple(sorted([colors[w] for w in neighbors[v]])))
-            for v in range(n)
-        ]
+        # Color times base**classes, less the base-`base` number whose
+        # digits count the neighbors of each color, lowest color first.
+        shift = base**classes
+        weights = [base ** (classes - 1 - c) for c in colors]
+        signatures = [colors[v] * shift - sum([weights[w] for w in ns]) for v, ns in enumerate(neighbors)]
+        if watched is not None and signatures[watched] != max(signatures):
+            return None
         ranking = {s: r for r, s in enumerate(sorted(set(signatures)))}
         colors = [ranking[s] for s in signatures]
         if len(ranking) == classes:
             break
         classes = len(ranking)
-    return tuple(colors)
+    return colors
 
 
-def canonical_form(g: Graph) -> tuple[int, ...]:
-    """Canonical lower-triangle rows; equal iff graphs are isomorphic."""
-    n, adj = g.n, g.adj
-    colors = _refine_colors(n, adj)
-    members: dict[int, list[int]] = {}
-    for v in range(n):
-        members.setdefault(colors[v], []).append(v)
-    slot_class = [c for c in sorted(members) for _ in members[c]]
+def _search(adj: tuple[int, ...], neighbors: list[list[int]], colors: list[int]) -> tuple[int, ...]:
+    """The least rows over the vertex orders that list colors in ascending order."""
+    n = len(adj)
+    members: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
+    for v, c in enumerate(colors):
+        members[c].append(v)
+    if len(members) == n:
+        # A discrete coloring leaves one order: vertex v at position colors[v].
+        rows = [0] * n
+        for v, ns in enumerate(neighbors):
+            p = colors[v]
+            for w in ns:
+                if colors[w] < p:
+                    rows[p] |= 1 << colors[w]
+        return tuple(rows)
+    slot_class = [c for c, vs in enumerate(members) for _ in vs]
 
     best: list[int] | None = None
-    placed: list[int] = []
     rows: list[int] = []
-    placed_mask = 0
+    # Each unplaced vertex's row over the positions placed so far.
+    row_of = [0] * n
+    unplaced = (1 << n) - 1
 
     def descend(p: int, equal_prefix: bool):
-        nonlocal best, placed_mask
+        nonlocal best, unplaced
         if p == n:
             if best is None or rows < best:
                 best = rows.copy()
             return
-        candidates = []
-        for v in members[slot_class[p]]:
-            if placed_mask >> v & 1:
-                continue
-            row = 0
-            for q in range(p):
-                if adj[v] >> placed[q] & 1:
-                    row |= 1 << q
-            candidates.append((row, v))
-        candidates.sort()
-        explored: list[tuple[int, int]] = []
+        candidates = sorted([(row_of[v], v) for v in members[slot_class[p]] if unplaced >> v & 1])
+        bit = 1 << p
+        explored: list[int] = []  # explored vertices with the current row
+        explored_row = -1
         for row, v in candidates:
             if best is not None and equal_prefix and row > best[p]:
                 break
-            if any(row == r2 and are_twins(adj, v, w) for r2, w in explored):
+            if row != explored_row:
+                explored, explored_row = [], row
+            elif any(are_twins(adj, v, w) for w in explored):
                 continue
-            explored.append((row, v))
+            explored.append(v)
             child_equal = equal_prefix and (best is None or row == best[p])
-            placed.append(v)
-            placed_mask |= 1 << v
+            unplaced ^= 1 << v
+            later = adj[v] & unplaced
+            mask = later
+            while mask:
+                low = mask & -mask
+                row_of[low.bit_length() - 1] |= bit
+                mask ^= low
             rows.append(row)
             descend(p + 1, child_equal)
             rows.pop()
-            placed_mask &= ~(1 << v)
-            placed.pop()
+            mask = later
+            while mask:
+                low = mask & -mask
+                row_of[low.bit_length() - 1] ^= bit
+                mask ^= low
+            unplaced |= 1 << v
 
     descend(0, True)
     assert best is not None
     return tuple(best)
 
 
+def canonical_form(g: Graph) -> tuple[int, ...]:
+    """Canonical lower-triangle rows; equal iff graphs are isomorphic."""
+    neighbors = _neighbor_lists(g.adj)
+    return _search(g.adj, neighbors, _refine_colors(neighbors))
+
+
 def graph_from_canonical_form(form: tuple[int, ...]) -> Graph:
     n = len(form)
-    adj = [0] * n
+    adj = list(form)
     for p, row in enumerate(form):
-        for q in bits(row):
-            adj[p] |= 1 << q
-            adj[q] |= 1 << p
+        while row:
+            low = row & -row
+            adj[low.bit_length() - 1] |= 1 << p
+            row ^= low
     return Graph(n, tuple(adj))
 
 
-def _outranked(g: Graph) -> bool:
-    """Whether a vertex of g with the degree of the last vertex has a
-    larger sorted tuple of neighbor degrees."""
-    degrees = [row.bit_count() for row in g.adj]
-
-    def profile(v: int) -> list[int]:
-        return sorted([degrees[w] for w in bits(g.adj[v])])
-
-    new = g.n - 1
-    mine = profile(new)
-    return any(degrees[v] == degrees[new] and profile(v) > mine for v in range(new))
-
-
 def _children(parent: Graph, independent_only: bool):
-    """The children of `parent` that pass the degree, twin and
-    f-maximality rules, by ascending neighborhood.
+    """(child, neighbor lists, colors) for each child of `parent` that
+    passes the degree, twin and top-class rules, by ascending
+    neighborhood.
 
     The neighborhoods are grown one vertex w at a time: N takes w only
     if it holds every earlier twin of w and, when independent_only, no
@@ -169,7 +217,8 @@ def _children(parent: Graph, independent_only: bool):
     for w, twins in enumerate(earlier_twins(adj)):
         blocked = adj[w] if independent_only else 0
         neighborhoods += [s | 1 << w for s in neighborhoods if s & twins == twins and not s & blocked]
-    degrees = [row.bit_count() for row in adj]
+    neighbors = _neighbor_lists(adj)
+    degrees = [len(ns) for ns in neighbors]
     top = max(degrees)
     top_mask = mask_of(v for v, d in enumerate(degrees) if d == top)
     for neighborhood in neighborhoods:
@@ -180,8 +229,19 @@ def _children(parent: Graph, independent_only: bool):
         if size < top or (size == top and neighborhood & top_mask):
             continue
         child = Graph(n + 1, (*[row | (neighborhood >> v & 1) << n for v, row in enumerate(adj)], neighborhood))
-        if not _outranked(child):
-            yield child
+        lists = neighbors.copy()
+        new: list[int] = []
+        mask = neighborhood
+        while mask:
+            low = mask & -mask
+            v = low.bit_length() - 1
+            lists[v] = neighbors[v] + [n]
+            new.append(v)
+            mask ^= low
+        lists.append(new)
+        colors = _refine_colors(lists, n)
+        if colors is not None:
+            yield child, lists, colors
 
 
 @lru_cache(maxsize=None)
@@ -191,12 +251,22 @@ def _level(n: int, independent_only: bool) -> tuple[Graph, ...]:
     if n == 1:
         return (Graph.empty(1),)
     parents = _level(n - 1, independent_only)
-    seen = {canonical_form(child) for parent in parents for child in _children(parent, independent_only)}
+    seen = {
+        _search(child.adj, lists, colors)
+        for parent in parents
+        for child, lists, colors in _children(parent, independent_only)
+    }
     return tuple(graph_from_canonical_form(form) for form in sorted(seen))
 
 
+def _require_int(value, what: str) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{what} needs an int, not the {type(value).__name__} {value!r}")
+
+
 def _check_size(family: str, n: int, cap: int, hint: str = "") -> None:
-    """Raise SizeCapError unless 1 <= n <= cap."""
+    """Raise ValueError unless n is an int, SizeCapError unless 1 <= n <= cap."""
+    _require_int(n, f"{family} enumeration size n")
     if n < 1:
         raise SizeCapError(f"{family} enumeration needs at least one vertex, got n={n}")
     if n > cap:
@@ -230,6 +300,8 @@ def sample_alpha_le2(n: int, count: int, seed: int):
     graph has independence number at most 2.  Identical seeds give the
     identical stream.
     """
+    _require_int(n, "alpha<=2 sampling size n")
+    _require_int(count, "alpha<=2 sampling count")
     if n < 1:
         raise ValueError(f"alpha<=2 sampling needs at least one vertex, got n={n}")
     if n > MAX_VERTICES:

@@ -64,7 +64,7 @@ def brute_chromatic(g: Graph) -> int:
 
 def brute_matching_number(g: Graph) -> int:
     """Size of a maximum matching: the lowest free vertex stays unmatched
-    or is matched to each free neighbour in turn, over every choice."""
+    or is matched to each free neighbor in turn, over every choice."""
 
     @lru_cache(maxsize=None)
     def best(free: int) -> int:
@@ -248,3 +248,103 @@ def brute_independence(g: Graph) -> int:
             if all(not g.adj[a] >> b & 1 for a, b in itertools.combinations(subset, 2)):
                 return size
     return best
+
+
+# ---------------------------------------- reference canonical form
+#
+# Unlike the oracles above, these share their design with the package:
+# they are its refinement and canonical search as they stood before the
+# search took integer signatures, incremental rows and the colors of
+# the child's own refinement, and before the top-class rule replaced
+# the f-rule.  The new code must reproduce their output exactly.
+
+def _bit_positions(mask: int) -> list[int]:
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
+
+
+def _twins(adj: tuple[int, ...], v: int, w: int) -> bool:
+    return adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
+
+
+def reference_refine_colors(n: int, adj: tuple[int, ...]) -> tuple[int, ...]:
+    """Colours by (color, sorted neighbor colors) tuples."""
+    neighbors = [_bit_positions(row) for row in adj]
+    ranking = {d: r for r, d in enumerate(sorted({len(ns) for ns in neighbors}))}
+    colors = [ranking[len(ns)] for ns in neighbors]
+    classes = len(ranking)
+    while 1 < classes < n:
+        signatures = [
+            (colors[v], tuple(sorted([colors[w] for w in neighbors[v]])))
+            for v in range(n)
+        ]
+        ranking = {s: r for r, s in enumerate(sorted(set(signatures)))}
+        colors = [ranking[s] for s in signatures]
+        if len(ranking) == classes:
+            break
+        classes = len(ranking)
+    return tuple(colors)
+
+
+def reference_canonical_form(g: Graph) -> tuple[int, ...]:
+    """Least rows over the color-consistent orders, each row rebuilt
+    bit by bit at every node of the descent."""
+    n, adj = g.n, g.adj
+    colors = reference_refine_colors(n, adj)
+    members: dict[int, list[int]] = {}
+    for v in range(n):
+        members.setdefault(colors[v], []).append(v)
+    slot_class = [c for c in sorted(members) for _ in members[c]]
+
+    best: list[int] | None = None
+    placed: list[int] = []
+    rows: list[int] = []
+    placed_mask = 0
+
+    def descend(p: int, equal_prefix: bool):
+        nonlocal best, placed_mask
+        if p == n:
+            if best is None or rows < best:
+                best = rows.copy()
+            return
+        candidates = []
+        for v in members[slot_class[p]]:
+            if placed_mask >> v & 1:
+                continue
+            row = 0
+            for q in range(p):
+                if adj[v] >> placed[q] & 1:
+                    row |= 1 << q
+            candidates.append((row, v))
+        candidates.sort()
+        explored: list[tuple[int, int]] = []
+        for row, v in candidates:
+            if best is not None and equal_prefix and row > best[p]:
+                break
+            if any(row == r2 and _twins(adj, v, w) for r2, w in explored):
+                continue
+            explored.append((row, v))
+            child_equal = equal_prefix and (best is None or row == best[p])
+            placed.append(v)
+            placed_mask |= 1 << v
+            rows.append(row)
+            descend(p + 1, child_equal)
+            rows.pop()
+            placed_mask &= ~(1 << v)
+            placed.pop()
+
+    descend(0, True)
+    assert best is not None
+    return tuple(best)
+
+
+def f_outranked(g: Graph) -> bool:
+    """The former f-rule: whether an old vertex with the degree of the
+    last vertex has a larger sorted tuple of neighbor degrees."""
+    degrees = [row.bit_count() for row in g.adj]
+
+    def profile(v: int) -> list[int]:
+        return sorted([degrees[w] for w in _bit_positions(g.adj[v])])
+
+    new = g.n - 1
+    mine = profile(new)
+    return any(degrees[v] == degrees[new] and profile(v) > mine for v in range(new))

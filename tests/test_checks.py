@@ -293,6 +293,12 @@ class TestRunBatch:
         assert "workers must be an int, not the float 2.5" in err
         assert "workers must be an int, not the bool True" in err
 
+    def test_enumeration_size_not_an_int_exits_2(self, capsys):
+        assert run_batch(enumerate_alpha_le2(2.5), ("main",)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: alpha<=2 enumeration size n needs an int, not the float 2.5\n"
+
     def test_str_source_is_always_a_path(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "alpha2:n=3").write_text("Bw\n")

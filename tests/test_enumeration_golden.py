@@ -7,11 +7,13 @@ n = 1..8 and alpha <= 2 graphs for n = 1..10.  The values for n <= 9
 were written by the enumerator that canonicalized every child of every
 parent, before generation was restricted to maximum-degree
 augmentations; the alpha <= 2 value for n = 10 was written by the
-maximum-degree generator, before the twin and f-maximality rules.  A
-change to the generator that drops a class, adds one, or reorders a
-level shows up here.  The counts are the published ones (OEIS A000088
-for all graphs, A006785 for triangle-free graphs, whose complements
-are the alpha <= 2 graphs).
+maximum-degree generator, before the twin and f-maximality rules.  No
+digest moved when the top-class rule replaced the f-maximality rule
+and each child came to be refined once, its colors shared by that rule
+and the canonical search.  A change to the generator that drops a
+class, adds one, or reorders a level shows up here.  The counts are
+the published ones (OEIS A000088 for all graphs, A006785 for
+triangle-free graphs, whose complements are the alpha <= 2 graphs).
 
 Print the digests of the current code with:
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import re
 from itertools import combinations
 
 import pytest
@@ -15,6 +16,7 @@ from immersions import (
     SizeCapError,
     bits,
     canonical_form,
+    complement,
     encode_graph6,
     enumerate_alpha_le2,
     enumerate_graphs,
@@ -24,7 +26,7 @@ from immersions import (
     sample_alpha_le2,
 )
 from immersions.graphs import are_twins
-from common import random_graph
+from common import cycle, petersen, random_graph
 
 
 def permuted(g: Graph, perm: list[int]) -> Graph:
@@ -33,6 +35,12 @@ def permuted(g: Graph, perm: list[int]) -> Graph:
         for w in bits(g.adj[v]):
             adj[perm[v]] |= 1 << perm[w]
     return Graph(g.n, tuple(adj))
+
+
+def new_vertex_stays_on_top(child: Graph) -> bool:
+    """Whether the last vertex stays in the highest color class."""
+    colors = families._refine_colors(families._neighbor_lists(child.adj))
+    return colors[-1] == max(colors)
 
 
 def has_triangle(g: Graph) -> bool:
@@ -58,6 +66,30 @@ def unfiltered_children(enumerate_level, largest_n: int, independent_only: bool)
                     continue
                 adj = [row | (neighborhood >> v & 1) << parent.n for v, row in enumerate(parent.adj)]
                 yield parent, neighborhood, Graph(n, (*adj, neighborhood))
+
+
+def cube() -> Graph:
+    """Q3: vertices are 3-bit words, adjacent when they differ in one bit."""
+    return Graph.from_edges(8, [(v, v ^ 1 << i) for v in range(8) for i in range(3) if v < v ^ 1 << i])
+
+
+def complete_bipartite(a: int, b: int) -> Graph:
+    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+
+
+def paley13() -> Graph:
+    """Adjacent when the difference is a nonzero square mod 13."""
+    squares = {x * x % 13 for x in range(1, 13)}
+    return Graph.from_edges(13, [(u, v) for u, v in combinations(range(13), 2) if (v - u) % 13 in squares])
+
+
+def checked_form(g: Graph) -> tuple[int, ...]:
+    """canonical_form(g), once its colors and rows equal the reference's."""
+    colors = families._refine_colors(families._neighbor_lists(g.adj))
+    assert tuple(colors) == oracles.reference_refine_colors(g.n, g.adj), g
+    form = canonical_form(g)
+    assert form == oracles.reference_canonical_form(g), g
+    return form
 
 
 class TestCanonicalForm:
@@ -99,6 +131,52 @@ class TestCanonicalForm:
             level = all_graphs_small[n]
             brute = {oracles.brute_canonical(g) for g in level}
             assert len(brute) == len(level)
+
+
+class TestSearchMatchesReference:
+    """Colors and forms equal those of the refinement by sorted tuples
+    and the descent that rebuilt every row (oracles.reference_*)."""
+
+    @pytest.mark.parametrize("enumerate_level,largest_n,independent_only", UNFILTERED)
+    def test_every_unfiltered_child(self, enumerate_level, largest_n, independent_only):
+        for _, _, child in unfiltered_children(enumerate_level, largest_n, independent_only):
+            checked_form(child)
+
+    @pytest.mark.parametrize("enumerate_level,largest_n,independent_only", UNFILTERED)
+    def test_inherited_lists_of_kept_children(self, enumerate_level, largest_n, independent_only):
+        """The generator's own lists, colors and search, child by child."""
+        for n in range(1, largest_n):
+            for parent in enumerate_level(n):
+                for child, lists, colors in families._children(parent, independent_only):
+                    assert lists == families._neighbor_lists(child.adj)
+                    assert tuple(colors) == oracles.reference_refine_colors(child.n, child.adj)
+                    assert families._search(child.adj, lists, colors) == oracles.reference_canonical_form(child)
+
+    def test_sampled_alpha2_graphs(self):
+        for n in range(11, 21):
+            for g in sample_alpha_le2(n, 30, seed=n):
+                checked_form(g)
+
+    def test_random_graphs(self):
+        rng = random.Random(20)
+        for _ in range(300):
+            checked_form(random_graph(rng, rng.randrange(1, 21), rng.choice((0.2, 0.5, 0.8))))
+
+    @pytest.mark.parametrize(
+        "g",
+        [cycle(n) for n in range(3, 13)] + [petersen(), cube(), complete_bipartite(4, 4), paley13()],
+        ids=[f"C{n}" for n in range(3, 13)] + ["petersen", "Q3", "K44", "paley13"],
+    )
+    def test_symmetric_graphs_relabeled(self, g):
+        """Where the descent branches most: vertex-transitive graphs and
+        their complements, each under 20 seeded relabelings."""
+        rng = random.Random(g.n)
+        for h in (g, complement(g)):
+            form = canonical_form(h)
+            for _ in range(20):
+                perm = list(range(h.n))
+                rng.shuffle(perm)
+                assert checked_form(permuted(h, perm)) == form
 
 
 class TestEnumeration:
@@ -145,7 +223,7 @@ class TestEnumeration:
         skipped = 0
         for parent, neighborhood, child in unfiltered_children(enumerate_level, largest_n, independent_only):
             if parent not in kept:
-                kept[parent] = {canonical_form(c) for c in families._children(parent, independent_only)}
+                kept[parent] = {canonical_form(c) for c, _, _ in families._children(parent, independent_only)}
             twin_pairs = [
                 (1 << v, 1 << w)
                 for v, w in combinations(range(parent.n), 2)
@@ -153,48 +231,75 @@ class TestEnumeration:
             ]
             if (
                 max(row.bit_count() for row in child.adj) == neighborhood.bit_count()
-                and not families._outranked(child)
+                and new_vertex_stays_on_top(child)
                 and any(neighborhood & w and not neighborhood & v for v, w in twin_pairs)
             ):
                 skipped += 1
                 assert canonical_form(child) in kept[parent], (parent, neighborhood)
         assert skipped > 0
 
-    @pytest.mark.parametrize("enumerate_level,largest_n,independent_only", UNFILTERED)
-    def test_f_rule_skips_only_isomorphic_children(self, enumerate_level, largest_n, independent_only):
-        """A child whose new vertex has maximum degree but is outranked
-        is isomorphic to a child kept at the same level (whose new
-        vertex is f-maximal, so it comes from another parent)."""
+    # The f-rule (oracles.f_outranked), which kept a child unless an old
+    # vertex of the new vertex's degree had larger sorted neighbor
+    # degrees, skips only children the top-class rule skips; the rounds
+    # after the first past the degrees skip these few more (2 and 3 of
+    # the children that also pass the twin rule).
+    @pytest.mark.parametrize(
+        "enumerate_level,largest_n,independent_only,beyond_f_rule",
+        [(*args, extra) for args, extra in zip(UNFILTERED, (7, 5))],
+    )
+    def test_top_class_rule_skips_only_isomorphic_children(
+        self, enumerate_level, largest_n, independent_only, beyond_f_rule
+    ):
+        """A child whose new vertex has maximum degree but leaves the top
+        color class is isomorphic to a child kept at the same level
+        (whose new vertex stays on top, so it comes from another parent)."""
         level: dict[int, set] = {}
-        skipped = 0
+        skipped = f_skipped = 0
         for _, neighborhood, child in unfiltered_children(enumerate_level, largest_n, independent_only):
             if child.n not in level:
                 level[child.n] = {canonical_form(g) for g in enumerate_level(child.n)}
-            if (
-                max(row.bit_count() for row in child.adj) == neighborhood.bit_count()
-                and families._outranked(child)
-            ):
+            if max(row.bit_count() for row in child.adj) != neighborhood.bit_count():
+                continue
+            outranked = oracles.f_outranked(child)
+            if not new_vertex_stays_on_top(child):
                 skipped += 1
+                f_skipped += outranked
                 assert canonical_form(child) in level[child.n], (child, neighborhood)
-        assert skipped > 0
+            else:
+                assert not outranked, (child, neighborhood)
+        assert skipped - f_skipped == beyond_f_rule
 
     # enumerate_graphs(7) took 3131 calls with the degree rule alone;
-    # canonicalizing every child takes 11,290.
+    # canonicalizing every child takes 11,290.  With the f-rule in place
+    # of the top-class rule, canonical_form ran on 1672 and 3356 children.
     @pytest.mark.parametrize(
-        "enumerate_level,n,expected", [(enumerate_graphs, 7, 1672), (enumerate_triangle_free, 9, 3356)]
+        "enumerate_level,n,expected", [(enumerate_graphs, 7, 1612), (enumerate_triangle_free, 9, 3195)]
     )
-    def test_canonical_form_calls_from_cold(self, monkeypatch, enumerate_level, n, expected):
+    def test_canonical_searches_from_cold(self, monkeypatch, enumerate_level, n, expected):
         calls = 0
+        search = families._search
 
-        def counted(g):
+        def counted(*args):
             nonlocal calls
             calls += 1
-            return canonical_form(g)
+            return search(*args)
 
-        monkeypatch.setattr(families, "canonical_form", counted)
+        monkeypatch.setattr(families, "_search", counted)
         families._level.cache_clear()
         list(enumerate_level(n))
         assert calls == expected
+
+    @pytest.mark.parametrize(
+        "enumerate_level,family",
+        [(enumerate_graphs, "exhaustive"), (enumerate_triangle_free, "triangle-free"), (enumerate_alpha_le2, "alpha<=2")],
+    )
+    @pytest.mark.parametrize("n", [2.5, True, "3"])
+    def test_rejects_size_not_an_int(self, enumerate_level, family, n):
+        before = families._level.cache_info()
+        message = f"{family} enumeration size n needs an int, not the {type(n).__name__} {n!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            list(enumerate_level(n))
+        assert families._level.cache_info() == before
 
     def test_size_caps(self):
         with pytest.raises(SizeCapError):
@@ -220,6 +325,16 @@ class TestSampler:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             list(sample_alpha_le2(0, 1, seed=0))
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_rejects_size_or_count_not_an_int(self, value):
+        before = families._level.cache_info()
+        kind = f"not the {type(value).__name__} {value!r}"
+        with pytest.raises(ValueError, match=re.escape(f"alpha<=2 sampling size n needs an int, {kind}")):
+            list(sample_alpha_le2(value, 1, seed=0))
+        with pytest.raises(ValueError, match=re.escape(f"alpha<=2 sampling count needs an int, {kind}")):
+            list(sample_alpha_le2(5, value, seed=0))
+        assert families._level.cache_info() == before
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_rejects_count_below_one(self, count):

@@ -38,12 +38,11 @@ from pathlib import Path
 
 from .construct import build_third_immersion
 from .coloring import chromatic_number, matching_number
-from .graphs import Graph, complement, encode_graph6, max_clique, parse_graph6
+from .graphs import Graph, _is_int, complement, encode_graph6, max_clique, parse_graph6
 from .immersion import (
     PLAIN,
     STRONG_ODD,
     _ascend,
-    _is_int,
     _SearchIndex,
     _witness,
     certificate_to_json,

@@ -40,7 +40,11 @@ order: N takes w only if the twin rule allows it and, for the
 triangle-free family, N holds no neighbor of w, so N stays independent.
 A child's neighbor lists are its parent's with n-1 appended for each
 vertex of N, and it is refined once: the refinement decides the
-top-class rule, and its colors feed the canonical search.
+top-class rule, and its colors feed the canonical search.  A child is
+just rows, lists and colors, its rows built once the refinement keeps
+it; a checked Graph is built per class, from its canonical form.  The
+rows need no check: the parent is a valid Graph, N lies in 0..n-2,
+row n-1 is N and row v gains bit n-1 exactly when v is in N.
 
 - Degree: the new vertex has maximum degree, that is no old vertex v
   has deg_parent(v) + [v in N] > |N|.
@@ -83,8 +87,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SizeCapError, UnsupportedSizeError
-from .graphs import MAX_VERTICES, Graph, are_twins, bits, complement, earlier_twins, mask_of
-from .immersion import _is_int
+from .graphs import MAX_VERTICES, Graph, _is_int, are_twins, bits, complement, earlier_twins, mask_of
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
@@ -204,14 +207,12 @@ def graph_from_canonical_form(form: tuple[int, ...]) -> Graph:
 
 
 def _children(parent: Graph, independent_only: bool):
-    """(child, neighbor lists, colors) for each child of `parent` that
+    """(rows, neighbor lists, colors) for each child of `parent` that
     passes the degree, twin and top-class rules, by ascending
     neighborhood.
 
-    The neighborhoods are grown one vertex w at a time: N takes w only
-    if it holds every earlier twin of w and, when independent_only, no
-    neighbor of w.  The sets that gain w are appended after those that
-    do not, so the list stays in ascending order."""
+    The neighborhoods grow one vertex w at a time, as the module says,
+    each set that gains w after those that do not, so they stay ascending."""
     n, adj = parent.n, parent.adj
     neighborhoods = [0]
     for w, twins in enumerate(earlier_twins(adj)):
@@ -228,7 +229,6 @@ def _children(parent: Graph, independent_only: bool):
         size = neighborhood.bit_count()
         if size < top or (size == top and neighborhood & top_mask):
             continue
-        child = Graph(n + 1, (*[row | (neighborhood >> v & 1) << n for v, row in enumerate(adj)], neighborhood))
         lists = neighbors.copy()
         new: list[int] = []
         mask = neighborhood
@@ -241,7 +241,7 @@ def _children(parent: Graph, independent_only: bool):
         lists.append(new)
         colors = _refine_colors(lists, n)
         if colors is not None:
-            yield child, lists, colors
+            yield (*[row | (neighborhood >> v & 1) << n for v, row in enumerate(adj)], neighborhood), lists, colors
 
 
 @lru_cache(maxsize=None)
@@ -252,9 +252,9 @@ def _level(n: int, independent_only: bool) -> tuple[Graph, ...]:
         return (Graph.empty(1),)
     parents = _level(n - 1, independent_only)
     seen = {
-        _search(child.adj, lists, colors)
+        _search(rows, lists, colors)
         for parent in parents
-        for child, lists, colors in _children(parent, independent_only)
+        for rows, lists, colors in _children(parent, independent_only)
     }
     return tuple(graph_from_canonical_form(form) for form in sorted(seen))
 

@@ -39,6 +39,11 @@ def mask_of(vertices) -> int:
     return m
 
 
+def _is_int(value) -> bool:
+    """Integer check for outside input: bool is an int subclass but never a vertex, size or count."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""

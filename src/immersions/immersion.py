@@ -64,7 +64,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 
 from .errors import DegenerateInputError, MalformedCertificateError
-from .graphs import Graph, bits, earlier_twins, mask_of, max_clique
+from .graphs import Graph, _is_int, bits, earlier_twins, mask_of, max_clique
 
 
 @dataclass(frozen=True)
@@ -252,11 +252,6 @@ def _reject_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
     unknown = sorted(set(obj) - set(known))
     if unknown:
         raise MalformedCertificateError(f"unknown {where} key(s) {unknown}; known: {list(known)}")
-
-
-def _is_int(value) -> bool:
-    """JSON integer check: bool is an int subclass but never a vertex or count."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _colex_combinations(items: list[int], k: int):

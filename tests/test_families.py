@@ -56,6 +56,12 @@ UNFILTERED = [(enumerate_graphs, 6, False), (enumerate_triangle_free, 7, True)]
 CANONICAL_PIN = "30deaf3a6fd319034e2668cb7321971f9547c26ec7481021ba6bf6c45131ec7f"
 
 
+def child_of(parent: Graph, neighborhood: int) -> Graph:
+    """The parent with a new last vertex adjacent to `neighborhood`."""
+    adj = [row | (neighborhood >> v & 1) << parent.n for v, row in enumerate(parent.adj)]
+    return Graph(parent.n + 1, (*adj, neighborhood))
+
+
 def unfiltered_children(enumerate_level, largest_n: int, independent_only: bool):
     """(parent, neighborhood, child) for every child of every parent on
     at most largest_n vertices, with no degree or symmetry test."""
@@ -64,8 +70,17 @@ def unfiltered_children(enumerate_level, largest_n: int, independent_only: bool)
             for neighborhood in range(1 << parent.n):
                 if independent_only and any(parent.adj[v] & neighborhood for v in bits(neighborhood)):
                     continue
-                adj = [row | (neighborhood >> v & 1) << parent.n for v, row in enumerate(parent.adj)]
-                yield parent, neighborhood, Graph(n, (*adj, neighborhood))
+                yield parent, neighborhood, child_of(parent, neighborhood)
+
+
+def kept_children(parent: Graph, independent_only: bool):
+    """(child, lists, colors) for each child `_children` keeps, its rows
+    checked by Graph and equal to those child_of builds for its
+    neighborhood."""
+    for rows, lists, colors in families._children(parent, independent_only):
+        child = Graph(len(rows), rows)
+        assert child == child_of(parent, rows[-1]), (parent, rows)
+        yield child, lists, colors
 
 
 def cube() -> Graph:
@@ -147,7 +162,7 @@ class TestSearchMatchesReference:
         """The generator's own lists, colors and search, child by child."""
         for n in range(1, largest_n):
             for parent in enumerate_level(n):
-                for child, lists, colors in families._children(parent, independent_only):
+                for child, lists, colors in kept_children(parent, independent_only):
                     assert lists == families._neighbor_lists(child.adj)
                     assert tuple(colors) == oracles.reference_refine_colors(child.n, child.adj)
                     assert families._search(child.adj, lists, colors) == oracles.reference_canonical_form(child)
@@ -223,7 +238,7 @@ class TestEnumeration:
         skipped = 0
         for parent, neighborhood, child in unfiltered_children(enumerate_level, largest_n, independent_only):
             if parent not in kept:
-                kept[parent] = {canonical_form(c) for c, _, _ in families._children(parent, independent_only)}
+                kept[parent] = {canonical_form(c) for c, _, _ in kept_children(parent, independent_only)}
             twin_pairs = [
                 (1 << v, 1 << w)
                 for v, w in combinations(range(parent.n), 2)
@@ -288,6 +303,30 @@ class TestEnumeration:
         families._level.cache_clear()
         list(enumerate_level(n))
         assert calls == expected
+
+    # Before candidate children were kept as bare rows, a Graph was
+    # built for each child that passed the degree rule: 488 and 411.
+    @pytest.mark.parametrize(
+        "enumerate_level,counts,n,expected",
+        [
+            (enumerate_graphs, oracles.ALL_GRAPH_COUNTS, 6, 208),
+            (enumerate_triangle_free, oracles.TRIANGLE_FREE_COUNTS, 7, 172),
+        ],
+    )
+    def test_one_graph_per_class_from_cold(self, monkeypatch, enumerate_level, counts, n, expected):
+        """Levels 1..n build one checked Graph per class and none per child."""
+        calls = 0
+        check = Graph.__post_init__
+
+        def counted(g):
+            nonlocal calls
+            calls += 1
+            check(g)
+
+        monkeypatch.setattr(Graph, "__post_init__", counted)
+        families._level.cache_clear()
+        list(enumerate_level(n))
+        assert calls == expected == sum(counts[m] for m in range(1, n + 1))
 
     @pytest.mark.parametrize(
         "enumerate_level,family",

@@ -33,18 +33,20 @@ certificate found never depends on it:
   once fails again and is cut.  The memo lives for one pass over one
   terminal set;
 - a twin skip: a terminal set that holds w but not some twin v < w
-  (equal neighborhoods apart from each other) is never tried.  Twins
-  have equal degree, so v is a candidate whenever w is, and swapping
-  them is an automorphism.  It maps the set to the one with v in place
-  of w, which comes earlier in colex order and so has already failed
-  (tried, or skipped by this rule or the edge-class count, which skip
-  only sets that fail); an automorphic image has the same outcome;
-- an edge-class count, under the strong flag only: with T the terminal
-  set, N the other vertices and M the number of non-adjacent terminal
-  pairs, T is skipped when e(T,N) < 2M or, under the odd flag too, when
-  e(N,N) < M.  A strong path crosses no terminal, so the path of a
-  non-adjacent pair leaves its ends by two T-N edges, and an odd one,
-  of length >= 3, also takes an N-N edge; paths share no edge;
+  (equal neighborhoods apart from each other) is never yielded by the
+  walk over candidate sets.  Twins have equal degree, so v is a
+  candidate whenever w is, and swapping them is an automorphism.  It
+  maps the set to the one with v in place of w, which comes earlier in
+  colex order and so has already failed (tried, or skipped by this rule
+  or the edge-class count, which skip only sets that fail); an
+  automorphic image has the same outcome;
+- an edge-class count, under strong odd flags only: with T the
+  terminal set, N the other vertices and M the number of non-adjacent
+  terminal pairs, T is skipped when e(N,N) < M.  A strong odd path of a
+  non-adjacent pair crosses no terminal and has length >= 3, so it
+  takes an N-N edge; paths share no edge.  The matching count of T-N
+  edges, e(T,N) >= 2M, holds for every candidate set: its degree sum
+  is at least t(t-1), and e(T,N) is that sum less 2e(T);
 - a decision pass: each set is first solved with its pairs in
   tightest-first order (smaller endpoint degree, then longer floor),
   with its own memo, and a set that fails there is dropped.  Whether a
@@ -254,14 +256,37 @@ def _reject_unknown_keys(obj: dict, known: tuple[str, ...], where: str) -> None:
         raise MalformedCertificateError(f"unknown {where} key(s) {unknown}; known: {list(known)}")
 
 
-def _colex_combinations(items: list[int], k: int):
-    """Yield k-subsets of items (ascending tuples) in colexicographic order."""
-    if k == 0:
-        yield ()
-        return
-    for i in range(k - 1, len(items)):
-        for rest in _colex_combinations(items[:i], k - 1):
-            yield rest + (items[i],)
+def _twin_closed_sets(candidates: list[int], t: int, twins: list[int]):
+    """Yield (terms, term_mask) for the t-subsets of candidates, which
+    ascend, in colex order, skipping every set that holds some w but not
+    a twin v < w of it (twins[w] has those v).
+
+    A set is a bitmask over candidate positions, and increasing masks are
+    colex order; Gosper's step goes from one t-bit mask to the next.  A
+    twin of a candidate is a candidate (twins have equal degree), so the
+    twin test runs on positions, before the set's vertices are listed.
+    """
+    position = {v: p for p, v in enumerate(candidates)}
+    position_twins = [mask_of(position[v] for v in bits(twins[w])) for w in candidates]
+    top = 1 << len(candidates)
+    mask = (1 << t) - 1
+    while mask < top:
+        terms = []
+        term_mask = 0
+        rest = mask
+        while rest:
+            low = rest & -rest
+            p = low.bit_length() - 1
+            if position_twins[p] & ~mask:
+                break
+            terms.append(candidates[p])
+            term_mask |= 1 << candidates[p]
+            rest ^= low
+        else:
+            yield tuple(terms), term_mask
+        low = mask & -mask
+        ripple = mask + low
+        mask = ripple | ((mask ^ ripple) >> 2) // low
 
 
 def _pair_floor(g: Graph, a: int, b: int, allowed: int, odd: bool) -> int | None:
@@ -292,38 +317,41 @@ def _pair_floor(g: Graph, a: int, b: int, allowed: int, odd: bool) -> int | None
     return None
 
 
-def _edge_classes_short(g: Graph, term_mask: int, odd: bool) -> bool:
-    """Whether the terminal set term_mask = T has too few edges of some
-    class for a strong certificate, N being the other vertices.
+def _edge_classes_short(index: _SearchIndex, terms: tuple[int, ...], term_mask: int) -> bool:
+    """Whether the terminal set T = terms has too few edges among the
+    other vertices N for a strong odd certificate.
 
-    A strong path crosses no terminal, so each of the M non-adjacent
-    terminal pairs takes two T-N edges of its own, and under odd flags,
-    with length at least 3, also an N-N edge.
+    A strong odd path of a non-adjacent terminal pair crosses no terminal
+    and has length at least 3, so it takes an N-N edge of its own.  With
+    M = C(t,2) - e(T) such pairs and e(N,N) = m - sum of deg(T) + e(T),
+    the set is short when e(N,N) < M.
     """
-    inside = toward_n = 0  # T-T edges counted twice, T-N edges once
-    for v in bits(term_mask):
-        row = g.adj[v]
-        inside += (row & term_mask).bit_count()
-        toward_n += (row & ~term_mask).bit_count()
-    t = term_mask.bit_count()
-    apart = t * (t - 1) // 2 - inside // 2  # M
-    return toward_n < 2 * apart or odd and g.edge_count - inside // 2 - toward_n < apart
+    adj, degrees = index.g.adj, index.degrees
+    inside = degree_sum = 0  # T-T edges counted twice
+    for v in terms:
+        inside += (adj[v] & term_mask).bit_count()
+        degree_sum += degrees[v]
+    t = len(terms)
+    return index.g.edge_count - degree_sum + inside < t * (t - 1) // 2
 
 
-def _decision_order(g: Graph, terms: tuple[int, ...], pairs: list[tuple[int, int]],
+def _decision_order(degrees: list[int], terms: tuple[int, ...], pairs: list[tuple[int, int]],
                     floors: list[int]) -> list[int]:
     """Pair positions in the decision pass's order: smaller endpoint
     degree first, then the longer floor, then position."""
     def key(k: int) -> tuple[int, int, int]:
         i, j = pairs[k]
-        return min(g.degree(terms[i]), g.degree(terms[j])), -floors[k], k
+        return min(degrees[terms[i]], degrees[terms[j]]), -floors[k], k
 
     return sorted(range(len(pairs)), key=key)
 
 
 class _SearchIndex:
-    """What the searches on one graph share, each part built at first use.
+    """What the searches on one graph share: the degrees at once, each
+    other part at first use.
 
+    degrees[v] is the degree of v, the one source of the candidate
+    filter, the pass-through budgets and the decision order;
     edge_bit[v][w] is the used-edge bit of the edge vw, its keys
     ascending as in adj[v]; twins[w] is the bitset of the twins v < w
     of w.  Each caller builds one for the orders it decides (a sweep row
@@ -332,6 +360,7 @@ class _SearchIndex:
 
     def __init__(self, g: Graph):
         self.g = g
+        self.degrees = [row.bit_count() for row in g.adj]
 
     @cached_property
     def edge_bit(self) -> list[dict[int, int]]:
@@ -347,6 +376,8 @@ class _SearchIndex:
 
 def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionCertificate | None:
     """Exact search for a K_t-immersion certificate under flags."""
+    if not _is_int(t):
+        raise ValueError(f"clique order t needs an int, not the {type(t).__name__} {t!r}")
     index = _SearchIndex(g)
     decided = _decide(index, t, flags)
     return None if decided is None else _route(index, decided, flags)
@@ -366,24 +397,22 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> _Decided | No
     g = index.g
     if t == 1:
         return ((0,), []) if g.n else None
-    candidates = [v for v in range(g.n) if g.degree(v) >= t - 1]
+    degrees = index.degrees
+    candidates = [v for v, degree in enumerate(degrees) if degree >= t - 1]
     if len(candidates) < t:
         return None
-    budget = _pass_through_budget(g, t, flags)
+    budget = _pass_through_budget(degrees, t, flags)
     no_spare = mask_of(v for v in candidates if not budget[v])
     lex = list(combinations(range(t), 2))
-    twins = index.twins
-    for terms in _colex_combinations(candidates, t):
-        term_mask = mask_of(terms)
-        if any(twins[w] & ~term_mask for w in terms):
-            continue  # the twin skip: an earlier set is its image and failed
-        if flags.strong and _edge_classes_short(g, term_mask, flags.odd):
+    strong_odd = flags.strong and flags.odd
+    for terms, term_mask in _twin_closed_sets(candidates, t, index.twins):
+        if strong_odd and _edge_classes_short(index, terms, term_mask):
             continue
         spent = term_mask & no_spare
         floors = _lex_floors(g, terms, spent, flags.odd)
         if floors is None or sum(floors) > g.edge_count:
             continue
-        order = _decision_order(g, terms, lex, floors)
+        order = _decision_order(degrees, terms, lex, floors)
         pairs = [lex[k] for k in order]
         paths = _solve_pairs(index, terms, flags, budget, spent, pairs, [floors[k] for k in order])
         if paths is not None:
@@ -398,16 +427,16 @@ def _route(index: _SearchIndex, decided: _Decided, flags: ImmersionFlags) -> Imm
     lex = list(combinations(range(len(terms)), 2))
     if paths is None:
         g = index.g
-        budget = _pass_through_budget(g, len(terms), flags)
+        budget = _pass_through_budget(index.degrees, len(terms), flags)
         spent = mask_of(v for v in terms if not budget[v])
         paths = _solve_pairs(index, terms, flags, budget, spent, lex, _lex_floors(g, terms, spent, flags.odd))
     return ImmersionCertificate(terms, dict(zip(lex, paths)))
 
 
-def _pass_through_budget(g: Graph, t: int, flags: ImmersionFlags) -> list[int]:
+def _pass_through_budget(degrees: list[int], t: int, flags: ImmersionFlags) -> list[int]:
     """How many paths of a K_t certificate each vertex may be interior to
     as a terminal, none if strong; only terminals' budgets are read."""
-    return [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(g.n)]
+    return [0 if flags.strong else (degree - (t - 1)) // 2 for degree in degrees]
 
 
 def _lex_floors(g: Graph, terms: tuple[int, ...], spent: int, odd: bool) -> list[int] | None:

@@ -195,6 +195,31 @@ def walk_floor(g: Graph, a: int, b: int, inner: set[int], odd: bool) -> int | No
     return None
 
 
+# ------------------------------------------ reference terminal-set walk
+#
+# Like the reference canonical form below, this shares its design with
+# the package: it is how the search listed terminal sets before it
+# walked bitmasks over candidate positions.
+
+def reference_colex_combinations(items: list[int], k: int):
+    """Yield k-subsets of items (ascending tuples) in colexicographic order."""
+    if k == 0:
+        yield ()
+        return
+    for i in range(k - 1, len(items)):
+        for rest in reference_colex_combinations(items[:i], k - 1):
+            yield rest + (items[i],)
+
+
+def reference_twin_closed_sets(candidates: list[int], t: int, twins: list[int]):
+    """(terms, term_mask) for each t-subset of candidates in colex order
+    that holds, with each w, every twin v < w of it (twins[w])."""
+    for terms in reference_colex_combinations(candidates, t):
+        term_mask = sum(1 << v for v in terms)
+        if not any(twins[w] & ~term_mask for w in terms):
+            yield terms, term_mask
+
+
 # ---------------------------------------------------------- isomorphism
 
 def brute_canonical(g: Graph) -> tuple[int, ...]:

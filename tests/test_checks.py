@@ -31,6 +31,8 @@ from immersions import (
     run_batch,
 )
 from immersions import checks as checks_module
+from immersions import construct as construct_module
+from immersions import graphs as graphs_module
 from immersions import immersion as immersion_module
 from immersions.cli import main as cli_main
 from common import cycle, petersen_complement
@@ -212,6 +214,42 @@ class TestEvaluateGraph:
         monkeypatch.setattr(checks_module, "matching_number", lambda h: 0)
         with pytest.raises(AssertionError, match="3 colors, the row's chi is 5"):
             evaluate_graph(cycle(5), ("vergara",))
+
+    def test_alpha_is_computed_once(self, monkeypatch, alpha2_by_n):
+        """An alpha <= 2 row runs max_clique twice, on the complement for
+        alpha and on the graph for omega, and the appendix check proves
+        no alpha <= 2 again with max_independent_set."""
+        counts = {"max_clique": 0, "max_independent_set": 0}
+        for name in counts:
+            original = getattr(graphs_module, name)
+
+            def counted(*args, name=name, original=original):
+                counts[name] += 1
+                return original(*args)
+
+            for module in (graphs_module, checks_module, construct_module, immersion_module):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, counted)
+        rows = [g for n in range(1, 9) for g in alpha2_by_n[n]]
+        for g in rows:
+            evaluate_graph(g, ("main", "appendix", "vergara"))
+        assert counts == {"max_clique": 2 * len(rows), "max_independent_set": 0}
+
+    def test_appendix_builds_the_builder_certificate(self, monkeypatch, alpha2_by_n):
+        """On every alpha <= 2 class with n <= 8, the appendix check
+        builds the certificate that build_third_immersion returns."""
+        build = checks_module._build
+        built = []
+
+        def recorded(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(checks_module, "_build", recorded)
+        for g in (g for n in range(1, 9) for g in alpha2_by_n[n]):
+            report = evaluate_graph(g, ("appendix",))
+            assert report.bounds["appendix"].status == "true", report.graph6
+            assert built.pop() == construct_module.build_third_immersion(g), report.graph6
 
 
 _PASS_GRAPHS = "pass a graph6 file path or Graph objects"

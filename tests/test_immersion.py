@@ -32,7 +32,14 @@ from immersions import (
 )
 from immersions import immersion as immersion_module
 from immersions.graphs import earlier_twins
-from immersions.immersion import _SearchIndex, _decide, _edge_classes_short, _pair_floor, _route
+from immersions.immersion import (
+    _SearchIndex,
+    _decide,
+    _edge_classes_short,
+    _pair_floor,
+    _route,
+    _twin_closed_sets,
+)
 from common import cycle, random_graph
 
 ALL_FLAGS = (PLAIN, STRONG, ODD, STRONG_ODD)
@@ -274,6 +281,17 @@ class TestFind:
         with pytest.raises(ValueError):
             find_clique_immersion(cycle(4), 0, PLAIN)
 
+    @pytest.mark.parametrize("t", [True, False, 2.0, "3", None], ids=repr)
+    def test_t_not_an_int_rejected_before_any_search(self, t, monkeypatch):
+        """A bool is an int subclass but no clique order: True once gave a
+        K_1 certificate, and 2.0 a bare TypeError from range."""
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(immersion_module, "_decide", no_search)
+        with pytest.raises(ValueError, match="clique order t needs an int"):
+            find_clique_immersion(Graph.complete(4), t, PLAIN)
+
     def test_t_above_n_absent(self):
         assert find_clique_immersion(cycle(4), 5, PLAIN) is None
         for flags in ALL_FLAGS:
@@ -407,25 +425,59 @@ class TestTwinSkip:
         assert skipped > 0
 
 
-class TestEdgeClassCount:
-    def test_killed_sets_fail(self, all_graphs_small):
-        """Every terminal set the edge-class count kills, on every graph
-        with n <= 6, has no certificate by the brute oracle, under both
-        strong flag settings."""
-        killed = {STRONG: 0, STRONG_ODD: 0}
+class TestTwinClosedSets:
+    def test_matches_the_reference_walk(self, all_graphs_small):
+        """On every graph with n <= 6 and for every t, the bitmask walk
+        over _decide's candidates (degree >= t-1, the same list under
+        every flag setting) yields exactly the sets and masks of the
+        recursive colex walk with the twin test, in the same order."""
+        yielded = skipped = 0
         for n, graphs in all_graphs_small.items():
             for g in graphs:
+                twins = earlier_twins(g.adj)
+                for t in range(1, n + 1):
+                    candidates = [v for v in range(n) if g.degree(v) >= t - 1]
+                    got = list(_twin_closed_sets(candidates, t, twins))
+                    want = list(oracles.reference_twin_closed_sets(candidates, t, twins))
+                    assert got == want, (sorted(g.edges()), t)
+                    yielded += len(got)
+                    skipped += len(list(itertools.combinations(candidates, t))) - len(got)
+        assert yielded and skipped
+
+
+class TestEdgeClassCount:
+    def test_killed_sets_fail(self, all_graphs_small):
+        """Every terminal set the N-N count kills, on every graph with
+        n <= 6, has no strong odd certificate by the brute oracle."""
+        killed = killed_candidates = 0
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                index = _SearchIndex(g)
                 path_cache: dict = {}
                 for t in range(2, n + 1):
                     for terms in itertools.combinations(range(n), t):
-                        for flags in killed:
-                            if _edge_classes_short(g, mask_of(terms), flags.odd):
-                                killed[flags] += 1
-                                assert not oracles.brute_terminals_immerse(
-                                    g, terms, True, flags.odd, path_cache
-                                ), (sorted(g.edges()), terms, flags)
-        # The N-N count kills sets of its own: odd flags kill more.
-        assert 0 < killed[STRONG] < killed[STRONG_ODD]
+                        if _edge_classes_short(index, terms, mask_of(terms)):
+                            killed += 1
+                            killed_candidates += all(g.degree(v) >= t - 1 for v in terms)
+                            assert not oracles.brute_terminals_immerse(
+                                g, terms, True, True, path_cache
+                            ), (sorted(g.edges()), terms)
+        assert killed and killed_candidates
+
+    def test_candidate_sets_have_enough_t_n_edges(self, all_graphs_small):
+        """The T-N count, e(T,N) >= 2M with M the non-adjacent terminal
+        pairs, holds for every set _decide offers, so it can kill none:
+        each of the t candidates has degree >= t-1, the degree sum is at
+        least t(t-1), and e(T,N) is that sum less 2e(T)."""
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                for t in range(2, n + 1):
+                    candidates = [v for v in range(n) if g.degree(v) >= t - 1]
+                    for terms in itertools.combinations(candidates, t):
+                        assert sum(g.degree(v) for v in terms) >= t * (t - 1), (sorted(g.edges()), terms)
+                        inside = sum(g.has_edge(a, b) for a, b in itertools.combinations(terms, 2))
+                        toward_n = sum(g.has_edge(v, w) for v in terms for w in range(n) if w not in terms)
+                        assert toward_n >= 2 * (t * (t - 1) // 2 - inside), (sorted(g.edges()), terms)
 
 
 class TestDecisionOrder:

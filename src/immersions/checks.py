@@ -33,7 +33,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import multiprocessing
 import os
 import string
 import sys
@@ -297,6 +296,7 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
 
     if workers > 1 and len(tasks) > 1:
         # Imported here: the pool machinery costs a serial run 1.5 MB of RSS.
+        import multiprocessing
         from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
         try:
             # Under fork, the pool starts all its processes at the first submit.

@@ -93,13 +93,25 @@ def matching_number(g: Graph) -> int:
 
     Each unmatched vertex in turn roots a breadth-first alternating tree;
     an odd cycle met in the tree is contracted into its base, and a path
-    to an unmatched vertex is flipped.  A vertex with no augmenting path
-    gains none when other paths are flipped later, so one search per
-    vertex suffices: O(n^3) in all.
+    to an unmatched vertex is flipped.  The search starts from a greedy
+    matching: each free vertex in turn takes its lowest free neighbor.
+    Flipping a path keeps every matched vertex matched, and a free vertex
+    with no augmenting path gains none when other paths are flipped
+    later, from any starting matching, greedy or empty.  So one search
+    per vertex still free at its turn leaves no augmenting path at all,
+    and by Berge's lemma the matching is maximum: O(n^3) in all.
     """
     n, adj = g.n, g.adj
     mate = [-1] * n
     size = 0
+    free = g.vertex_mask
+    for v in range(n):
+        mine = adj[v] & free
+        if free >> v & 1 and mine:
+            w = (mine & -mine).bit_length() - 1
+            mate[v], mate[w] = w, v
+            free &= ~(1 << v | 1 << w)
+            size += 1
     for root in range(n):
         if mate[root] == -1 and _augment(adj, mate, root):
             size += 1

@@ -87,7 +87,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SizeCapError, UnsupportedSizeError
-from .graphs import MAX_VERTICES, Graph, _is_int, are_twins, bits, complement, earlier_twins, mask_of
+from .graphs import MAX_VERTICES, Graph, _is_int, _mirror_lower, are_twins, bits, complement, earlier_twins, mask_of
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
@@ -196,14 +196,7 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 
 
 def graph_from_canonical_form(form: tuple[int, ...]) -> Graph:
-    n = len(form)
-    adj = list(form)
-    for p, row in enumerate(form):
-        while row:
-            low = row & -row
-            adj[low.bit_length() - 1] |= 1 << p
-            row ^= low
-    return Graph(n, tuple(adj))
+    return Graph(len(form), _mirror_lower(form))
 
 
 def _children(parent: Graph, independent_only: bool):

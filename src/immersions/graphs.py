@@ -7,6 +7,17 @@ This representation caps n at 62, which matches the single-size-byte
 graph6 form and is far beyond what the exponential searches downstream
 can digest anyway.
 
+A graph is also a square bit matrix, and one packed transpose serves
+three jobs: the symmetry check (adj equals its transpose), graph6
+decoding (lower-triangle rows OR their transpose) and rebuilding a
+graph from its canonical rows.  The rows go side by side into one int,
+each in a lane of 8, 16, 32 or 64 bits, the narrowest that holds n
+bits, and log2(lane) masked swaps of blocks transpose it (Warren,
+Hacker's Delight, section 7-3).  A row never exceeds its lane: the
+lane has at least n bits, and every packed row lies in 0..2^n - 1.
+Graph checks that before it packs the rows, and the graph6 decoder and
+the canonical rows build lower row v below 2^v.
+
 The exact solvers here (maximum clique, and the independence number as
 the clique number of the complement) are branch-and-bound with a greedy
 coloring upper bound, deterministic for reproducible reports.
@@ -14,13 +25,85 @@ coloring upper bound, deterministic for reproducible reports.
 
 from __future__ import annotations
 
+import binascii
+import re
 import string
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 from .errors import Graph6Error, UnsupportedSizeError
 
 MAX_VERTICES = 62
+
+
+def _swap_rounds(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) for each round of a width x width transpose, the
+    entry of row r, column c at bit r * width + c.  Round j's mask holds
+    the entries with bit j clear in r and set in c; each trades places
+    with row r + j, column c - j, which sits shift bits higher."""
+    rounds = []
+    j = width >> 1
+    while j:
+        columns = sum(1 << c for c in range(width) if c & j)
+        rows = sum(1 << r * width for r in range(width) if not r & j)
+        rounds.append((j * (width - 1), rows * columns))
+        j >>= 1
+    return tuple(rounds)
+
+
+class _Lane(NamedTuple):
+    width: int  # bits
+    code: str  # the unsigned array typecode of that many bits
+    rounds: tuple[tuple[int, int], ...]  # _swap_rounds(width)
+
+
+# Typecodes are picked by itemsize, since the C type behind each one
+# varies by platform.
+_LANE_CODES = {8 * array(code).itemsize: code for code in "BHILQ"}
+_LANE_OF_WIDTH = {width: _Lane(width, _LANE_CODES[width], _swap_rounds(width)) for width in (8, 16, 32, 64)}
+# The narrowest lane that holds n bits, by n.
+_LANES = [_LANE_OF_WIDTH[max(8, 1 << (n - 1).bit_length())] for n in range(MAX_VERTICES + 1)]
+
+
+def _pack(rows, lane: _Lane) -> int:
+    """The rows side by side, row v in bits v * width ... (v + 1) * width - 1."""
+    packed = array(lane.code, rows)
+    if sys.byteorder == "big":
+        packed.byteswap()
+    return int.from_bytes(packed, "little")
+
+
+def _unpack(packed: int, n: int, lane: _Lane) -> tuple[int, ...]:
+    """The n rows _pack put side by side."""
+    rows = array(lane.code, packed.to_bytes(n * lane.width // 8, "little"))
+    if sys.byteorder == "big":
+        rows.byteswap()
+    return tuple(rows)
+
+
+def _transpose_packed(packed: int, lane: _Lane) -> int:
+    """The transpose of packed rows: one masked swap per round."""
+    for shift, mask in lane.rounds:
+        swap = (packed ^ packed >> shift) & mask
+        packed ^= swap | swap << shift
+    return packed
+
+
+def _transpose(rows) -> tuple[int, ...]:
+    """The transpose of the bit matrix whose row v is rows[v], each row
+    inside 0..2^n - 1 for n = len(rows)."""
+    lane = _LANES[len(rows)]
+    return _unpack(_transpose_packed(_pack(rows, lane), lane), len(rows), lane)
+
+
+def _mirror_lower(rows) -> tuple[int, ...]:
+    """The symmetric rows whose lower triangle is rows (row v inside 0..2^v - 1)."""
+    lane = _LANES[len(rows)]
+    packed = _pack(rows, lane)
+    return _unpack(packed | _transpose_packed(packed, lane), len(rows), lane)
 
 
 def bits(mask: int):
@@ -52,23 +135,24 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self):
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise UnsupportedSizeError(f"vertex count {self.n} outside 0..{MAX_VERTICES}")
-        if len(self.adj) != self.n:
-            raise ValueError(f"adjacency has {len(self.adj)} rows for n={self.n}")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        n, adj = self.n, self.adj
+        if not 0 <= n <= MAX_VERTICES:
+            raise UnsupportedSizeError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+        if len(adj) != n:
+            raise ValueError(f"adjacency has {len(adj)} rows for n={n}")
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
-                raise ValueError(f"vertex {v} has neighbors outside 0..{self.n - 1}")
+                raise ValueError(f"vertex {v} has neighbors outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        for v, row in enumerate(self.adj):
-            while row:  # bits(row) inlined: this loop runs for every graph built
-                low = row & -row
-                w = low.bit_length() - 1
-                if not self.adj[w] >> v & 1:
-                    raise ValueError(f"asymmetric edge {v}-{w}")
-                row ^= low
+        lane = _LANES[n]
+        packed = _pack(adj, lane)
+        if packed != _transpose_packed(packed, lane):
+            # Name the first edge in row order that has no mirror.
+            mirror = _transpose(adj)
+            v, unmirrored = next((v, row & ~mirror[v]) for v, row in enumerate(adj) if row & ~mirror[v])
+            raise ValueError(f"asymmetric edge {v}-{(unmirrored & -unmirrored).bit_length() - 1}")
 
     @classmethod
     def empty(cls, n: int) -> Graph:
@@ -110,6 +194,18 @@ class Graph:
                 yield (u, v)
 
 
+# graph6 writes the upper triangle column by column, six bits to a
+# character of code 63 + value, high bit first: base64 with another
+# alphabet.  Read from its low end after each byte's bits are reversed,
+# the bit stream holds the edge u < v at bit v(v-1)/2 + u, so lower row
+# v is the next v bits.
+_BASE64 = (string.ascii_uppercase + string.ascii_lowercase + string.digits + "+/").encode("ascii")
+_TO_BASE64 = bytes.maketrans(bytes(range(63, 127)), _BASE64)
+_FROM_BASE64 = bytes.maketrans(_BASE64, bytes(range(63, 127)))
+_OUT_OF_RANGE = re.compile("[^?-~]")  # codes 63..126
+_REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
+
+
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 word (single size byte form, n <= 62)."""
     # ASCII whitespace only: a bare strip() would also drop U+00A0, U+0085, 0x1C-0x1F.
@@ -118,9 +214,10 @@ def parse_graph6(line: str) -> Graph:
         text = text[len(">>graph6<<"):]
     if not text:
         raise Graph6Error("empty graph6 word")
-    for offset, char in enumerate(text):
-        if not 63 <= ord(char) <= 126:
-            raise Graph6Error(f"character {char!r} (code {ord(char)}) out of range 63..126 at offset {offset}")
+    bad = _OUT_OF_RANGE.search(text)
+    if bad:
+        char = bad.group()
+        raise Graph6Error(f"character {char!r} (code {ord(char)}) out of range 63..126 at offset {bad.start()}")
     data = text.encode("ascii")
     if data[0] == 126:
         raise UnsupportedSizeError("multi-byte graph6 size (n > 62) not supported")
@@ -130,36 +227,27 @@ def parse_graph6(line: str) -> Graph:
         raise Graph6Error(f"word ends at offset {len(data)}, expected {need} data bytes")
     if len(data) - 1 > need:
         raise Graph6Error(f"trailing garbage at offset {1 + need}")
-    values = [byte - 63 for byte in data[1:]]
-    adj = [0] * n
-    position = 0
-    # Upper triangle column by column, six bits per byte, high bit first.
-    for v in range(1, n):
-        for u in range(v):
-            if values[position // 6] >> (5 - position % 6) & 1:
-                adj[u] |= 1 << v
-                adj[v] |= 1 << u
-            position += 1
-    padding = (1 << (6 * need - position)) - 1
-    if values and values[-1] & padding:
+    # Whole base64 quanta of zero groups; the padding test below sees them.
+    quanta = data[1:].translate(_TO_BASE64) + b"A" * (-need % 4)
+    stream = int.from_bytes(binascii.a2b_base64(quanta).translate(_REVERSED_BITS), "little")
+    if stream >> (n * (n - 1) // 2):
         raise Graph6Error(f"nonzero padding bits in the byte at offset {need}")
-    return Graph(n, tuple(adj))
+    lower = []
+    for v in range(n):
+        lower.append(stream & ((1 << v) - 1))
+        stream >>= v
+    return Graph(n, _mirror_lower(lower))
 
 
 def encode_graph6(g: Graph) -> str:
     """Encode to the canonical single-size-byte graph6 word."""
-    out = [g.n + 63]
-    value, filled = 0, 0
-    for v in range(1, g.n):
-        for u in range(v):
-            value = value << 1 | (g.adj[u] >> v & 1)
-            filled += 1
-            if filled == 6:
-                out.append(value + 63)
-                value, filled = 0, 0
-    if filled:
-        out.append((value << (6 - filled)) + 63)
-    return bytes(out).decode("ascii")
+    stream = 0
+    for v in range(g.n - 1, 0, -1):
+        stream = stream << v | (g.adj[v] & ((1 << v) - 1))
+    groups = (g.n * (g.n - 1) // 2 + 5) // 6
+    data = stream.to_bytes(-(-groups // 4) * 3, "little").translate(_REVERSED_BITS)  # whole base64 quanta
+    word = binascii.b2a_base64(data, newline=False)[:groups].translate(_FROM_BASE64)
+    return chr(g.n + 63) + word.decode("ascii")
 
 
 def are_twins(adj: tuple[int, ...], v: int, w: int) -> bool:
@@ -172,8 +260,22 @@ def are_twins(adj: tuple[int, ...], v: int, w: int) -> bool:
 
 
 def earlier_twins(adj: tuple[int, ...]) -> list[int]:
-    """For each vertex w, the bitset of its twins v < w."""
-    return [mask_of(v for v in range(w) if are_twins(adj, v, w)) for w in range(len(adj))]
+    """For each vertex w, the bitset of its twins v < w.
+
+    Non-adjacent twins have equal open neighborhoods, adjacent ones
+    equal closed neighborhoods, so one dict pass groups the vertices by
+    both.  An open neighborhood N(v) never equals a closed one N(w) + w:
+    w in N(v) would put v in N(w), so in N(v), a loop.
+    """
+    seen: dict[int, int] = {}  # neighborhood -> the vertices so far that have it
+    twins = []
+    for w, row in enumerate(adj):
+        bit = 1 << w
+        closed = row | bit
+        twins.append(seen.get(row, 0) | seen.get(closed, 0))
+        seen[row] = seen.get(row, 0) | bit
+        seen[closed] = seen.get(closed, 0) | bit
+    return twins
 
 
 def complement(g: Graph) -> Graph:

@@ -262,12 +262,12 @@ def _twin_closed_sets(candidates: list[int], t: int, twins: list[int]):
     a twin v < w of it (twins[w] has those v).
 
     A set is a bitmask over candidate positions, and increasing masks are
-    colex order; Gosper's step goes from one t-bit mask to the next.  A
-    twin of a candidate is a candidate (twins have equal degree), so the
-    twin test runs on positions, before the set's vertices are listed.
+    colex order; Gosper's step goes from one t-bit mask to the next.  The
+    twin test runs on the vertex mask as the set is listed, in ascending
+    order: a twin v < w of a member w is listed before w if the set holds
+    it, so twins[w] & ~term_mask is exactly the twins of w missing from
+    the set, and the listing stops at the first member that has one.
     """
-    position = {v: p for p, v in enumerate(candidates)}
-    position_twins = [mask_of(position[v] for v in bits(twins[w])) for w in candidates]
     top = 1 << len(candidates)
     mask = (1 << t) - 1
     while mask < top:
@@ -276,11 +276,11 @@ def _twin_closed_sets(candidates: list[int], t: int, twins: list[int]):
         rest = mask
         while rest:
             low = rest & -rest
-            p = low.bit_length() - 1
-            if position_twins[p] & ~mask:
+            w = candidates[low.bit_length() - 1]
+            term_mask |= 1 << w
+            if twins[w] & ~term_mask:
                 break
-            terms.append(candidates[p])
-            term_mask |= 1 << candidates[p]
+            terms.append(w)
             rest ^= low
         else:
             yield tuple(terms), term_mask
@@ -364,9 +364,18 @@ class _SearchIndex:
 
     @cached_property
     def edge_bit(self) -> list[dict[int, int]]:
+        # Bit k for the k-th edge in lex order; row u adds its higher
+        # neighbors after every lower row has added u, so keys ascend.
         edge_bit: list[dict[int, int]] = [{} for _ in range(self.g.n)]
-        for k, (u, v) in enumerate(self.g.edges()):
-            edge_bit[u][v] = edge_bit[v][u] = 1 << k
+        bit = 1
+        for u, row in enumerate(self.g.adj):
+            row >>= u + 1
+            while row:  # bits(row) inlined, offset by u + 1
+                low = row & -row
+                v = u + low.bit_length()
+                edge_bit[u][v] = edge_bit[v][u] = bit
+                bit <<= 1
+                row ^= low
         return edge_bit
 
     @cached_property

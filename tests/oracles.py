@@ -9,11 +9,12 @@ counting facts, so agreement is meaningful evidence.
 from __future__ import annotations
 
 import itertools
+import string
 from functools import lru_cache
 
 import networkx as nx
 
-from immersions import Graph
+from immersions import Graph, Graph6Error, UnsupportedSizeError
 
 
 # ---------------------------------------------------------------- codec
@@ -373,3 +374,97 @@ def f_outranked(g: Graph) -> bool:
     new = g.n - 1
     mine = profile(new)
     return any(degrees[v] == degrees[new] and profile(v) > mine for v in range(new))
+
+
+# ------------------------------------------- reference per-bit graph code
+#
+# These share their design with the package too: they are its graph
+# check, graph6 codec, twin table and edge-bit table as they stood
+# before those worked a word at a time, one bit or one pair per step.
+
+def reference_graph_error(n: int, adj: tuple[int, ...]) -> str | None:
+    """The message Graph(n, adj) raises for rows of the right count, or
+    None when it accepts them: range, loop and then mirror, bit by bit."""
+    full = (1 << n) - 1
+    for v, row in enumerate(adj):
+        if row & ~full:
+            return f"vertex {v} has neighbors outside 0..{n - 1}"
+        if row >> v & 1:
+            return f"loop at vertex {v}"
+    for v, row in enumerate(adj):
+        while row:
+            low = row & -row
+            w = low.bit_length() - 1
+            if not adj[w] >> v & 1:
+                return f"asymmetric edge {v}-{w}"
+            row ^= low
+    return None
+
+
+def reference_transpose(rows) -> tuple[int, ...]:
+    """Row v of the result has bit w iff rows[w] has bit v, for v, w < len(rows)."""
+    n = len(rows)
+    return tuple(sum(1 << w for w in range(n) if rows[w] >> v & 1) for v in range(n))
+
+
+def reference_parse_graph6(line: str) -> Graph:
+    """Decode one graph6 word bit by bit, column by column."""
+    text = line.strip(string.whitespace)
+    if text.startswith(">>graph6<<"):
+        text = text[len(">>graph6<<"):]
+    if not text:
+        raise Graph6Error("empty graph6 word")
+    for offset, char in enumerate(text):
+        if not 63 <= ord(char) <= 126:
+            raise Graph6Error(f"character {char!r} (code {ord(char)}) out of range 63..126 at offset {offset}")
+    data = text.encode("ascii")
+    if data[0] == 126:
+        raise UnsupportedSizeError("multi-byte graph6 size (n > 62) not supported")
+    n = data[0] - 63
+    need = (n * (n - 1) // 2 + 5) // 6
+    if len(data) - 1 < need:
+        raise Graph6Error(f"word ends at offset {len(data)}, expected {need} data bytes")
+    if len(data) - 1 > need:
+        raise Graph6Error(f"trailing garbage at offset {1 + need}")
+    values = [byte - 63 for byte in data[1:]]
+    adj = [0] * n
+    position = 0
+    for v in range(1, n):
+        for u in range(v):
+            if values[position // 6] >> (5 - position % 6) & 1:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+            position += 1
+    padding = (1 << (6 * need - position)) - 1
+    if values and values[-1] & padding:
+        raise Graph6Error(f"nonzero padding bits in the byte at offset {need}")
+    return Graph(n, tuple(adj))
+
+
+def reference_encode_graph6(g: Graph) -> str:
+    """Encode to graph6 one upper-triangle bit at a time."""
+    out = [g.n + 63]
+    value, filled = 0, 0
+    for v in range(1, g.n):
+        for u in range(v):
+            value = value << 1 | (g.adj[u] >> v & 1)
+            filled += 1
+            if filled == 6:
+                out.append(value + 63)
+                value, filled = 0, 0
+    if filled:
+        out.append((value << (6 - filled)) + 63)
+    return bytes(out).decode("ascii")
+
+
+def reference_earlier_twins(adj: tuple[int, ...]) -> list[int]:
+    """For each vertex w, the bitset of its twins v < w, pair by pair."""
+    return [sum(1 << v for v in range(w) if _twins(adj, v, w)) for w in range(len(adj))]
+
+
+def reference_edge_bit(g: Graph) -> list[dict[int, int]]:
+    """edge_bit[v][w]: bit k for the k-th edge of g.edges(), keyed both ways."""
+    edge_bit: list[dict[int, int]] = [{} for _ in range(g.n)]
+    for k, (u, v) in enumerate(g.edges()):
+        edge_bit[u][v] = edge_bit[v][u] = 1 << k
+    return edge_bit

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 
+import networkx as nx
 import pytest
 
 import oracles
@@ -121,6 +122,19 @@ class TestMatching:
         for _ in range(300):
             g = random_graph(rng, rng.randint(0, 12), rng.random())
             assert matching_number(g) == oracles.brute_matching_number(g), sorted(g.edges())
+
+    def test_matches_networkx(self, all_graphs_by_n):
+        """Against networkx's maximum-cardinality matching: every graph with
+        n <= 7, and seeded graphs with n <= 16, where the greedy start
+        leaves the blossom search real work."""
+        graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
+        rng = random.Random(43)
+        graphs += [random_graph(rng, rng.randint(0, 16), rng.random()) for _ in range(300)]
+        for g in graphs:
+            h = nx.Graph()
+            h.add_nodes_from(range(g.n))
+            h.add_edges_from(g.edges())
+            assert matching_number(g) == len(nx.max_weight_matching(h, maxcardinality=True)), sorted(g.edges())
 
     @pytest.mark.parametrize("g,nu", [
         (cycle(5), 2),

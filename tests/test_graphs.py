@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,6 +25,7 @@ from immersions import (
     non_neighborhood,
     parse_graph6,
 )
+from immersions.graphs import _LANES, _mirror_lower, _transpose, earlier_twins
 from common import induced_subgraph, random_graph
 
 
@@ -161,6 +163,105 @@ class TestGraph6:
             g = random_graph(rng, rng.randint(0, 62), rng.random())
             h = parse_graph6(encode_graph6(g))
             assert h.n == g.n and h.adj == g.adj
+
+
+def graph_error(n: int, adj) -> str | None:
+    """The message Graph(n, adj) raises, or None when it accepts."""
+    try:
+        Graph(n, tuple(adj))
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def graph6_outcome(decode, word: str):
+    """decode(word)'s rows, or the type and message of what it raised."""
+    try:
+        return decode(word).adj
+    except (Graph6Error, UnsupportedSizeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+class TestTranspose:
+    LANE_EDGES = (0, 1, 7, 8, 9, 16, 17, 32, 33, 62)
+
+    @pytest.mark.parametrize("n", LANE_EDGES)
+    def test_matches_the_per_bit_transpose(self, n):
+        """Random, full and single-entry matrices at each lane's edges."""
+        rng = random.Random(n)
+        full = (1 << n) - 1
+        matrices = [[rng.getrandbits(n) for _ in range(n)] for _ in range(20)]
+        matrices.append([full] * n)
+        matrices += [[1 << (n - 1 - v) if v == row else 0 for v in range(n)] for row in range(n)]
+        for rows in matrices:
+            assert _transpose(rows) == oracles.reference_transpose(rows), (n, rows)
+
+    @pytest.mark.parametrize("n", LANE_EDGES)
+    def test_mirror_of_a_lower_triangle(self, n):
+        rng = random.Random(100 + n)
+        for _ in range(20):
+            lower = [rng.getrandbits(v) for v in range(n)]
+            mirror = oracles.reference_transpose(lower)
+            assert _mirror_lower(lower) == tuple(a | b for a, b in zip(lower, mirror))
+
+    def test_each_lane_typecode_is_exactly_its_width(self):
+        """Typecodes are picked by itemsize, never by an assumed C size."""
+        for n, (width, code, rounds) in enumerate(_LANES):
+            assert n <= width and array(code).itemsize * 8 == width
+            assert width == 8 or n > width // 2
+            assert len(rounds) == width.bit_length() - 1
+
+
+class TestMatchesPerBitReference:
+    """The word-level graph check, codec and twin table against the
+    per-bit code they replaced (oracles.reference_*)."""
+
+    def test_graph_check(self):
+        """2,000 seeded graphs with n <= 62 are accepted, and each with one
+        flipped bit gets the same verdict and message as the per-bit check."""
+        rng = random.Random(23)
+        rejected = 0
+        for _ in range(2000):
+            n = rng.randint(1, 62)
+            g = random_graph(rng, n, rng.random())
+            assert graph_error(n, g.adj) is None
+            adj = list(g.adj)
+            adj[rng.randrange(n)] ^= 1 << rng.randrange(n)
+            want = oracles.reference_graph_error(n, adj)
+            assert graph_error(n, adj) == want, (n, adj)
+            rejected += want is not None
+        assert rejected > 1900
+
+    def test_codec_round_trip(self):
+        rng = random.Random(24)
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(0, 62), rng.random())
+            word = encode_graph6(g)
+            assert word == oracles.reference_encode_graph6(g)
+            assert parse_graph6(word).adj == oracles.reference_parse_graph6(word).adj == g.adj
+
+    @pytest.mark.parametrize("word", [
+        "", " \t", ">>graph6<<", "B" + chr(62), "B" + chr(127), "Dh\u00e9", "\u00e9", "B\u2603",
+        "Dhc\u00a0", "\x1cDhc", "Bww", "B", "A@", "Bx", chr(126) + "??", "}" + "~" * 315 + "@",
+        "}" + "~" * 315 + "_", "}" + "~" * 314, "}" + "~" * 316, "Dhc ", "?", "@?",
+    ])
+    def test_codec_errors(self, word):
+        """Every rejection path of parse_graph6, with its message, and a
+        few accepted edge cases."""
+        assert graph6_outcome(parse_graph6, word) == graph6_outcome(oracles.reference_parse_graph6, word)
+
+    def test_earlier_twins(self, all_graphs_by_n):
+        """Every graph with n <= 7, and seeded graphs with n <= 20 at
+        edge densities that make twins common."""
+        graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
+        rng = random.Random(25)
+        graphs += [random_graph(rng, rng.randint(0, 20), rng.choice((0.1, 0.5, 0.9))) for _ in range(500)]
+        with_twins = 0
+        for g in graphs:
+            twins = earlier_twins(g.adj)
+            assert twins == oracles.reference_earlier_twins(g.adj), sorted(g.edges())
+            with_twins += any(twins)
+        assert with_twins > 500
 
 
 class TestElementaryOps:

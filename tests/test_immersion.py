@@ -445,6 +445,19 @@ class TestTwinClosedSets:
         assert yielded and skipped
 
 
+class TestEdgeBit:
+    def test_matches_the_reference_table(self, all_graphs_by_n):
+        """Same bits and same key order (route walks .items()) as the
+        table built from g.edges(), on every graph with n <= 7 and on
+        seeded graphs with n <= 20."""
+        graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
+        rng = random.Random(26)
+        graphs += [random_graph(rng, rng.randint(0, 20), rng.random()) for _ in range(300)]
+        for g in graphs:
+            got = [list(d.items()) for d in _SearchIndex(g).edge_bit]
+            assert got == [list(d.items()) for d in oracles.reference_edge_bit(g)], sorted(g.edges())
+
+
 class TestEdgeClassCount:
     def test_killed_sets_fail(self, all_graphs_small):
         """Every terminal set the N-N count kills, on every graph with

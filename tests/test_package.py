@@ -4,6 +4,9 @@ and every public name but a pinned few is used by the package itself."""
 from __future__ import annotations
 
 import ast
+import os
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -55,3 +58,11 @@ def test_every_public_name_but_the_api_only_ones_is_used_by_the_package():
         for statement in ast.parse(path.read_text(encoding="utf-8")).body:
             used |= _used_names(statement) - _defined_names(statement)
     assert set(immersions.__all__) - used == API_ONLY
+
+
+def test_import_leaves_the_pool_machinery_unloaded():
+    """A serial run never starts a pool, so a fresh import of the package
+    must not load multiprocessing: run_batch imports it only for one."""
+    env = dict(os.environ, PYTHONPATH=str(Path(immersions.__file__).parent.parent))
+    code = "import immersions, sys; sys.exit('multiprocessing' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0

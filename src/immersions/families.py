@@ -87,7 +87,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SizeCapError, UnsupportedSizeError
-from .graphs import MAX_VERTICES, Graph, _is_int, _mirror_lower, are_twins, bits, complement, earlier_twins, mask_of
+from .graphs import MAX_VERTICES, Graph, _is_int, _mirror_lower, bits, complement, earlier_twins, mask_of
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
@@ -141,6 +141,7 @@ def _search(adj: tuple[int, ...], neighbors: list[list[int]], colors: list[int])
                     rows[p] |= 1 << colors[w]
         return tuple(rows)
     slot_class = [c for c, vs in enumerate(members) for _ in vs]
+    twins = earlier_twins(adj)
 
     best: list[int] | None = None
     rows: list[int] = []
@@ -156,16 +157,13 @@ def _search(adj: tuple[int, ...], neighbors: list[list[int]], colors: list[int])
             return
         candidates = sorted([(row_of[v], v) for v in members[slot_class[p]] if unplaced >> v & 1])
         bit = 1 << p
-        explored: list[int] = []  # explored vertices with the current row
-        explored_row = -1
+        explored = 0  # tried at this slot; a later twin has the same row, and its subtree is their swap
         for row, v in candidates:
             if best is not None and equal_prefix and row > best[p]:
                 break
-            if row != explored_row:
-                explored, explored_row = [], row
-            elif any(are_twins(adj, v, w) for w in explored):
+            if twins[v] & explored:
                 continue
-            explored.append(v)
+            explored |= 1 << v
             child_equal = equal_prefix and (best is None or row == best[p])
             unplaced ^= 1 << v
             later = adj[v] & unplaced
@@ -295,6 +293,7 @@ def sample_alpha_le2(n: int, count: int, seed: int):
     """
     _require_int(n, "alpha<=2 sampling size n")
     _require_int(count, "alpha<=2 sampling count")
+    _require_int(seed, "alpha<=2 sampling seed")
     if n < 1:
         raise ValueError(f"alpha<=2 sampling needs at least one vertex, got n={n}")
     if n > MAX_VERTICES:

@@ -8,15 +8,16 @@ graph6 form and is far beyond what the exponential searches downstream
 can digest anyway.
 
 A graph is also a square bit matrix, and one packed transpose serves
-three jobs: the symmetry check (adj equals its transpose), graph6
-decoding (lower-triangle rows OR their transpose) and rebuilding a
-graph from its canonical rows.  The rows go side by side into one int,
-each in a lane of 8, 16, 32 or 64 bits, the narrowest that holds n
-bits, and log2(lane) masked swaps of blocks transpose it (Warren,
-Hacker's Delight, section 7-3).  A row never exceeds its lane: the
-lane has at least n bits, and every packed row lies in 0..2^n - 1.
-Graph checks that before it packs the rows, and the graph6 decoder and
-the canonical rows build lower row v below 2^v.
+three jobs: checking a Graph, graph6 decoding (lower-triangle rows OR
+their transpose) and rebuilding a graph from its canonical rows.  The
+rows go side by side into one int, each in a lane of 8, 16, 32 or 64
+bits, the narrowest that holds n bits, and log2(lane) masked swaps of
+blocks transpose it (Warren, Hacker's Delight, section 7-3).  So one
+packed pass decides range, loops and symmetry: packing overflows on a
+row below 0 or wider than its lane, a loop is a bit on the lane's
+diagonal, and a bit at a column n..width-1 fails the compare with the
+transpose, which moves it into a row past n, where no row has bits.
+Only a rejected Graph is walked row by row, to name its first fault.
 
 The exact solvers here (maximum clique, and the independence number as
 the clique number of the complement) are branch-and-bound with a greedy
@@ -58,12 +59,15 @@ class _Lane(NamedTuple):
     width: int  # bits
     code: str  # the unsigned array typecode of that many bits
     rounds: tuple[tuple[int, int], ...]  # _swap_rounds(width)
+    diagonal: int  # the entries of row v, column v, packed
 
 
 # Typecodes are picked by itemsize, since the C type behind each one
 # varies by platform.
 _LANE_CODES = {8 * array(code).itemsize: code for code in "BHILQ"}
-_LANE_OF_WIDTH = {width: _Lane(width, _LANE_CODES[width], _swap_rounds(width)) for width in (8, 16, 32, 64)}
+_LANE_OF_WIDTH = {
+    w: _Lane(w, _LANE_CODES[w], _swap_rounds(w), sum(1 << v * (w + 1) for v in range(w))) for w in (8, 16, 32, 64)
+}
 # The narrowest lane that holds n bits, by n.
 _LANES = [_LANE_OF_WIDTH[max(8, 1 << (n - 1).bit_length())] for n in range(MAX_VERTICES + 1)]
 
@@ -90,13 +94,6 @@ def _transpose_packed(packed: int, lane: _Lane) -> int:
         swap = (packed ^ packed >> shift) & mask
         packed ^= swap | swap << shift
     return packed
-
-
-def _transpose(rows) -> tuple[int, ...]:
-    """The transpose of the bit matrix whose row v is rows[v], each row
-    inside 0..2^n - 1 for n = len(rows)."""
-    lane = _LANES[len(rows)]
-    return _unpack(_transpose_packed(_pack(rows, lane), lane), len(rows), lane)
 
 
 def _mirror_lower(rows) -> tuple[int, ...]:
@@ -136,23 +133,33 @@ class Graph:
 
     def __post_init__(self):
         n, adj = self.n, self.adj
+        if not _is_int(n):
+            raise ValueError(f"vertex count n needs an int, not the {type(n).__name__} {n!r}")
+        if not isinstance(adj, tuple):
+            raise ValueError(f"adjacency needs a tuple of rows, not a {type(adj).__name__}")
         if not 0 <= n <= MAX_VERTICES:
             raise UnsupportedSizeError(f"vertex count {n} outside 0..{MAX_VERTICES}")
         if len(adj) != n:
             raise ValueError(f"adjacency has {len(adj)} rows for n={n}")
+        lane = _LANES[n]
+        try:
+            packed = _pack(adj, lane)
+        except OverflowError:  # a row below 0 or wider than its lane
+            pass
+        else:
+            mirror = _transpose_packed(packed, lane)
+            if packed == mirror and not packed & lane.diagonal:
+                return
         full = (1 << n) - 1
         for v, row in enumerate(adj):
             if row & ~full:
                 raise ValueError(f"vertex {v} has neighbors outside 0..{n - 1}")
             if row >> v & 1:
                 raise ValueError(f"loop at vertex {v}")
-        lane = _LANES[n]
-        packed = _pack(adj, lane)
-        if packed != _transpose_packed(packed, lane):
-            # Name the first edge in row order that has no mirror.
-            mirror = _transpose(adj)
-            v, unmirrored = next((v, row & ~mirror[v]) for v, row in enumerate(adj) if row & ~mirror[v])
-            raise ValueError(f"asymmetric edge {v}-{(unmirrored & -unmirrored).bit_length() - 1}")
+        # Every row packed; the lowest unmirrored bit is the first edge in row order.
+        unmirrored = packed & ~mirror
+        v, w = divmod((unmirrored & -unmirrored).bit_length() - 1, lane.width)
+        raise ValueError(f"asymmetric edge {v}-{w}")
 
     @classmethod
     def empty(cls, n: int) -> Graph:
@@ -250,17 +257,10 @@ def encode_graph6(g: Graph) -> str:
     return chr(g.n + 63) + word.decode("ascii")
 
 
-def are_twins(adj: tuple[int, ...], v: int, w: int) -> bool:
-    """Whether v and w have the same neighbors apart from each other.
-
-    Twins are true (adjacent) or false (not); either way swapping them
-    is an automorphism.
-    """
-    return adj[v] & ~(1 << w) == adj[w] & ~(1 << v)
-
-
 def earlier_twins(adj: tuple[int, ...]) -> list[int]:
-    """For each vertex w, the bitset of its twins v < w.
+    """For each vertex w, the bitset of its twins v < w: the vertices
+    with w's neighbors apart from each other.  Twins are true (adjacent)
+    or false (not); either way swapping them is an automorphism.
 
     Non-adjacent twins have equal open neighborhoods, adjacent ones
     equal closed neighborhoods, so one dict pass groups the vertices by

@@ -25,7 +25,6 @@ from immersions import (
     independence_number,
     sample_alpha_le2,
 )
-from immersions.graphs import are_twins
 from common import cycle, petersen, random_graph
 
 
@@ -88,8 +87,15 @@ def cube() -> Graph:
     return Graph.from_edges(8, [(v, v ^ 1 << i) for v in range(8) for i in range(3) if v < v ^ 1 << i])
 
 
-def complete_bipartite(a: int, b: int) -> Graph:
-    return Graph.from_edges(a + b, [(u, a + v) for u in range(a) for v in range(b)])
+def complete_multipartite(*sizes: int) -> Graph:
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    return Graph.from_edges(len(part), [(u, v) for u, v in combinations(range(len(part)), 2) if part[u] != part[v]])
+
+
+def doubled(g: Graph, adjacent: bool) -> Graph:
+    """Each vertex v of g split into twins 2v and 2v + 1, true twins when adjacent."""
+    edges = [(2 * u + i, 2 * v + j) for u, v in g.edges() for i in (0, 1) for j in (0, 1)]
+    return Graph.from_edges(2 * g.n, edges + [(2 * v, 2 * v + 1) for v in range(g.n) if adjacent])
 
 
 def paley13() -> Graph:
@@ -179,12 +185,17 @@ class TestSearchMatchesReference:
 
     @pytest.mark.parametrize(
         "g",
-        [cycle(n) for n in range(3, 13)] + [petersen(), cube(), complete_bipartite(4, 4), paley13()],
-        ids=[f"C{n}" for n in range(3, 13)] + ["petersen", "Q3", "K44", "paley13"],
+        [cycle(n) for n in range(3, 13)]
+        + [petersen(), cube(), complete_multipartite(4, 4), paley13()]
+        + [doubled(h, adjacent) for h in (complete_multipartite(1, 2, 3), cycle(5)) for adjacent in (False, True)],
+        ids=[f"C{n}" for n in range(3, 13)]
+        + ["petersen", "Q3", "K44", "paley13", "K123-false-twins", "K123-true-twins", "C5-false-twins", "C5-true-twins"],
     )
     def test_symmetric_graphs_relabeled(self, g):
         """Where the descent branches most: vertex-transitive graphs and
-        their complements, each under 20 seeded relabelings."""
+        their complements, and graphs whose every vertex has a twin, in
+        twin classes of unequal size for K_{1,2,3}, each under 20 seeded
+        relabelings."""
         rng = random.Random(g.n)
         for h in (g, complement(g)):
             form = canonical_form(h)
@@ -242,7 +253,7 @@ class TestEnumeration:
             twin_pairs = [
                 (1 << v, 1 << w)
                 for v, w in combinations(range(parent.n), 2)
-                if are_twins(parent.adj, v, w)
+                if oracles._twins(parent.adj, v, w)
             ]
             if (
                 max(row.bit_count() for row in child.adj) == neighborhood.bit_count()
@@ -374,6 +385,13 @@ class TestSampler:
         with pytest.raises(ValueError, match=re.escape(f"alpha<=2 sampling count needs an int, {kind}")):
             list(sample_alpha_le2(5, value, seed=0))
         assert families._level.cache_info() == before
+
+    @pytest.mark.parametrize("seed", [None, 2.5, True, "3"])
+    def test_rejects_a_seed_not_an_int(self, seed):
+        """A seed of None would draw a fresh stream each call."""
+        kind = f"not the {type(seed).__name__} {seed!r}"
+        with pytest.raises(ValueError, match=re.escape(f"alpha<=2 sampling seed needs an int, {kind}")):
+            list(sample_alpha_le2(5, 1, seed=seed))
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_rejects_count_below_one(self, count):

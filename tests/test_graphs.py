@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import re
 from array import array
 
 import pytest
@@ -25,7 +26,7 @@ from immersions import (
     non_neighborhood,
     parse_graph6,
 )
-from immersions.graphs import _LANES, _mirror_lower, _transpose, earlier_twins
+from immersions.graphs import _LANES, _mirror_lower, _pack, _transpose_packed, _unpack, earlier_twins
 from common import induced_subgraph, random_graph
 
 
@@ -64,6 +65,17 @@ class TestGraphType:
             Graph.from_edges(3, [(-1, 0)])
         with pytest.raises(ValueError, match="adjacency has 2 rows for n=3"):
             Graph(3, (0, 0))
+
+    def test_construction_rejects_a_list_of_rows(self):
+        """A list would compare unequal to the tuple, fail to hash and stay mutable."""
+        with pytest.raises(ValueError, match="^adjacency needs a tuple of rows, not a list$"):
+            Graph(3, [2, 5, 2])
+
+    @pytest.mark.parametrize("n", [True, 2.0, "2", None])
+    def test_construction_rejects_a_size_not_an_int(self, n):
+        kind = f"not the {type(n).__name__} {n!r}"
+        with pytest.raises(ValueError, match=re.escape(f"vertex count n needs an int, {kind}")):
+            Graph(n, (0, 0))
 
     def test_from_edges_and_accessors(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])
@@ -193,8 +205,10 @@ class TestTranspose:
         matrices = [[rng.getrandbits(n) for _ in range(n)] for _ in range(20)]
         matrices.append([full] * n)
         matrices += [[1 << (n - 1 - v) if v == row else 0 for v in range(n)] for row in range(n)]
+        lane = _LANES[n]
         for rows in matrices:
-            assert _transpose(rows) == oracles.reference_transpose(rows), (n, rows)
+            transposed = _unpack(_transpose_packed(_pack(rows, lane), lane), n, lane)
+            assert transposed == oracles.reference_transpose(rows), (n, rows)
 
     @pytest.mark.parametrize("n", LANE_EDGES)
     def test_mirror_of_a_lower_triangle(self, n):
@@ -206,10 +220,11 @@ class TestTranspose:
 
     def test_each_lane_typecode_is_exactly_its_width(self):
         """Typecodes are picked by itemsize, never by an assumed C size."""
-        for n, (width, code, rounds) in enumerate(_LANES):
+        for n, (width, code, rounds, diagonal) in enumerate(_LANES):
             assert n <= width and array(code).itemsize * 8 == width
             assert width == 8 or n > width // 2
             assert len(rounds) == width.bit_length() - 1
+            assert diagonal == sum(1 << bit for bit in range(width * width) if bit // width == bit % width)
 
 
 class TestMatchesPerBitReference:
@@ -231,6 +246,21 @@ class TestMatchesPerBitReference:
             assert graph_error(n, adj) == want, (n, adj)
             rejected += want is not None
         assert rejected > 1900
+
+        # At each lane's edges, rows the packing overflows (below 0, at or
+        # past 2^width) and rows with a bit at a column n..width-1 of the lane.
+        for n in TestTranspose.LANE_EDGES[1:]:
+            width = _LANES[n].width
+            bad_rows = [-1, -(1 << n), -(1 << 70), 1 << width, (1 << width) - 1, 3 << width, 1 << 70]
+            bad_rows += [1 << column for column in range(n, width)]
+            for bad in bad_rows:
+                g = random_graph(rng, n, rng.random())
+                v = rng.randrange(n)
+                for row in (bad, g.adj[v] ^ bad):
+                    adj = list(g.adj)
+                    adj[v] = row
+                    want = oracles.reference_graph_error(n, adj)
+                    assert want is not None and graph_error(n, adj) == want, (n, adj)
 
     def test_codec_round_trip(self):
         rng = random.Random(24)

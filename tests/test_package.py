@@ -60,6 +60,30 @@ def test_every_public_name_but_the_api_only_ones_is_used_by_the_package():
     assert set(immersions.__all__) - used == API_ONLY
 
 
+def test_no_module_imports_a_name_it_never_uses():
+    """A deletion takes its imports along: each name a package module
+    imports is read in that module or listed in its __all__."""
+    package = Path(immersions.__file__).parent
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {
+            alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        exported = {
+            node.value
+            for statement in tree.body
+            if "__all__" in _defined_names(statement)
+            for node in ast.walk(statement)
+            if isinstance(node, ast.Constant)
+        }
+        unused += [f"{path.name}: {name}" for name in sorted(imported - _used_names(tree) - exported)]
+    assert not unused
+
+
 def test_import_leaves_the_pool_machinery_unloaded():
     """A serial run never starts a pool, so a fresh import of the package
     must not load multiprocessing: run_batch imports it only for one."""

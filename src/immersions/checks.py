@@ -12,14 +12,14 @@ Both immersion orders come from one ascent, which decides K_{t+1},
 K_{t+2}, ... until one fails: the strong odd order from the clique
 number, which a clique proves, and the plain order from the strong odd
 order, since every strong odd certificate is a plain one.  A climb
-keeps only the terminal set of its last step, and only a quarantined
-row routes its certificates, as max_clique_immersion does, so a row's
-witnesses are the ones max_clique_immersion returns.
+keeps only its order and routes no certificate.  A quarantined row
+asks max_clique_immersion for its witnesses, so they are that
+function's certificates by construction.
 
 For alpha <= 2, a color class is a vertex or an edge of the
 complement H, so chi = n - nu(H), nu being H's matching number; the
-exponential coloring search runs only for alpha >= 3 and for the
-witness coloring of a quarantined row.
+exponential coloring search runs only for the chi of alpha >= 3, and
+a quarantined row asks chromatic_number for its coloring.
 
 The appendix check runs the builder behind build_third_immersion
 directly.  That entry point first proves alpha <= 2 with a maximum
@@ -43,14 +43,14 @@ from pathlib import Path
 
 from .construct import _build
 from .coloring import chromatic_number, matching_number
-from .graphs import Graph, _is_int, complement, encode_graph6, max_clique, parse_graph6
+from .graphs import Graph, _require_int, complement, encode_graph6, max_clique, parse_graph6
 from .immersion import (
     PLAIN,
     STRONG_ODD,
     _ascend,
     _SearchIndex,
-    _witness,
     certificate_to_json,
+    max_clique_immersion,
     verify_certificate,
 )
 
@@ -144,18 +144,17 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     report.alpha = max_clique(h)[0]
     report.runtime_ms["alpha"] = (clock() - start) * 1000
     start = clock()
-    coloring = None  # a witness coloring, searched only where chi needs it
     if report.alpha <= 2:
         report.chi = g.n - matching_number(h)  # a color class is a vertex or an edge of h
     else:
-        report.chi, coloring = chromatic_number(g)
+        report.chi = chromatic_number(g)[0]
     report.runtime_ms["chi"] = (clock() - start) * 1000
     index = _SearchIndex(g)
     start = clock()
-    report.t_max_strong_odd, odd_decided = _ascend(index, max_clique(g)[0], STRONG_ODD)
+    report.t_max_strong_odd = _ascend(index, max_clique(g)[0], STRONG_ODD)[0]
     report.runtime_ms["t_max_strong_odd"] = (clock() - start) * 1000
     start = clock()
-    report.t_max_plain, plain_decided = _ascend(index, report.t_max_strong_odd, PLAIN)
+    report.t_max_plain = _ascend(index, report.t_max_strong_odd, PLAIN)[0]
     report.runtime_ms["t_max_plain"] = (clock() - start) * 1000
 
     for name in checks:
@@ -172,16 +171,12 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
 
     failed = [name for name, outcome in report.bounds.items() if outcome.status == "false"]
     if any(CHECKS[name].quarantine for name in failed):
-        if coloring is None:
-            coloring = chromatic_number(g)[1]
+        coloring = chromatic_number(g)[1]
         if coloring.k != report.chi:
             raise AssertionError(f"the witness coloring has {coloring.k} colors, the row's chi is {report.chi}")
         report.quarantine = {**_leading(report), "coloring": list(coloring.colors), "failed_checks": failed}
-        for kind, flags, t, decided in (
-            ("plain", PLAIN, report.t_max_plain, plain_decided),
-            ("strong_odd", STRONG_ODD, report.t_max_strong_odd, odd_decided),
-        ):
-            cert = _witness(index, t, decided, flags)
+        for kind, flags in (("plain", PLAIN), ("strong_odd", STRONG_ODD)):
+            cert = max_clique_immersion(g, flags)[1]
             report.quarantine[f"certificate_{kind}"] = json.loads(certificate_to_json(cert, flags))
     return report
 
@@ -283,8 +278,7 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
             raise ValueError("at least one check is required")
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
-        if not _is_int(workers):
-            raise ValueError(f"workers must be an int, not the {type(workers).__name__} {workers!r}")
+        _require_int(workers, "workers")
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
         if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):

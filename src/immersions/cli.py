@@ -156,9 +156,6 @@ def _cmd_sweep(args) -> int:
     if args.family != "sample" and (args.count is not None or args.seed is not None):
         print("error: --count and --seed apply only to --family sample", file=sys.stderr)
         return 2
-    if args.workers < 1:
-        print("error: --workers must be at least 1", file=sys.stderr)
-        return 2
     source = args.input if args.family is None else _FAMILIES[args.family](args)
     return run_batch(source, checks, workers=args.workers, out=args.out, fmt=args.format)
 

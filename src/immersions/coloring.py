@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, bits, max_clique
+from .graphs import Graph, _require_int, bits, max_clique
 
 
 @dataclass(frozen=True)
@@ -38,6 +38,7 @@ def _normalize(colors: list[int]) -> ColoringCertificate:
 
 def is_k_colorable(g: Graph, k: int) -> ColoringCertificate | None:
     """A normalized proper coloring with at most k colors, or None."""
+    _require_int(k, "color count k")
     if k < 0:
         raise ValueError("color count must be nonnegative")
     adj = g.adj

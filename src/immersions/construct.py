@@ -36,6 +36,7 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _require_int,
     bits,
     is_clique,
     mask_of,
@@ -70,6 +71,8 @@ def extension_step(
     ascending, whatever the order of base's.  Returns None when the
     common neighbors cannot cover the non-adjacent terminals.
     """
+    _require_int(u, "vertex u")
+    _require_int(v, "vertex v")
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise PreconditionError(f"need two distinct vertices, got {u}, {v}")
     if g.has_edge(u, v):

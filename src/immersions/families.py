@@ -87,7 +87,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SizeCapError, UnsupportedSizeError
-from .graphs import MAX_VERTICES, Graph, _is_int, _mirror_lower, bits, complement, earlier_twins, mask_of
+from .graphs import MAX_VERTICES, Graph, _mirror_lower, _require_int, bits, complement, earlier_twins, mask_of
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
@@ -248,11 +248,6 @@ def _level(n: int, independent_only: bool) -> tuple[Graph, ...]:
         for rows, lists, colors in _children(parent, independent_only)
     }
     return tuple(graph_from_canonical_form(form) for form in sorted(seen))
-
-
-def _require_int(value, what: str) -> None:
-    if not _is_int(value):
-        raise ValueError(f"{what} needs an int, not the {type(value).__name__} {value!r}")
 
 
 def _check_size(family: str, n: int, cap: int, hint: str = "") -> None:

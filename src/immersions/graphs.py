@@ -124,6 +124,11 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _require_int(value, what: str) -> None:
+    if not _is_int(value):
+        raise ValueError(f"{what} needs an int, not the {type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""
@@ -133,8 +138,7 @@ class Graph:
 
     def __post_init__(self):
         n, adj = self.n, self.adj
-        if not _is_int(n):
-            raise ValueError(f"vertex count n needs an int, not the {type(n).__name__} {n!r}")
+        _require_int(n, "vertex count n")
         if not isinstance(adj, tuple):
             raise ValueError(f"adjacency needs a tuple of rows, not a {type(adj).__name__}")
         if not 0 <= n <= MAX_VERTICES:
@@ -163,17 +167,22 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> Graph:
+        _require_int(n, "vertex count n")
         return cls(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> Graph:
+        _require_int(n, "vertex count n")
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
+        _require_int(n, "vertex count n")
         adj = [0] * n
         for u, v in edges:
+            _require_int(u, "an edge end")
+            _require_int(v, "an edge end")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge {u}-{v} outside 0..{n - 1}")
             adj[u] |= 1 << v

@@ -66,7 +66,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 
 from .errors import DegenerateInputError, MalformedCertificateError
-from .graphs import Graph, _is_int, bits, earlier_twins, mask_of, max_clique
+from .graphs import Graph, _is_int, _require_int, bits, earlier_twins, mask_of, max_clique
 
 
 @dataclass(frozen=True)
@@ -385,8 +385,7 @@ class _SearchIndex:
 
 def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionCertificate | None:
     """Exact search for a K_t-immersion certificate under flags."""
-    if not _is_int(t):
-        raise ValueError(f"clique order t needs an int, not the {type(t).__name__} {t!r}")
+    _require_int(t, "clique order t")
     index = _SearchIndex(g)
     decided = _decide(index, t, flags)
     return None if decided is None else _route(index, decided, flags)
@@ -533,7 +532,7 @@ def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, Immersio
         raise DegenerateInputError("maximum immersion order undefined on the empty graph")
     index = _SearchIndex(g)
     t, decided = _ascend(index, max_clique(g)[0], flags)
-    return t, _witness(index, t, decided, flags)
+    return t, _route(index, _decide(index, t, flags) if decided is None else decided, flags)
 
 
 def _ascend(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, _Decided | None]:
@@ -548,10 +547,3 @@ def _ascend(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, _D
         t, decided = t + 1, nxt
     return t, decided
 
-
-def _witness(index: _SearchIndex, t: int, decided: _Decided | None,
-             flags: ImmersionFlags) -> ImmersionCertificate:
-    """find_clique_immersion's K_t certificate for a climb that ended at t
-    with decided; a climb that made no step decided nothing, so K_t is
-    decided here."""
-    return _route(index, _decide(index, t, flags) if decided is None else decided, flags)

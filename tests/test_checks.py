@@ -327,9 +327,9 @@ class TestRunBatch:
         assert "checks must be a sequence of check names, not the str 'main'" in err
         assert "checks must be a sequence of check names, not the NoneType None" in err
         assert "unknown check ['main']" in err
-        assert "workers must be an int, not the str '2'" in err
-        assert "workers must be an int, not the float 2.5" in err
-        assert "workers must be an int, not the bool True" in err
+        assert "workers needs an int, not the str '2'" in err
+        assert "workers needs an int, not the float 2.5" in err
+        assert "workers needs an int, not the bool True" in err
 
     def test_enumeration_size_not_an_int_exits_2(self, capsys):
         assert run_batch(enumerate_alpha_le2(2.5), ("main",)) == 2

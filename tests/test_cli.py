@@ -248,7 +248,7 @@ class TestSweep:
             capsys, "sweep", "--family", "alpha2", "--n", "3", "--workers", "0"
         )
         assert code == 2
-        assert "--workers" in err
+        assert err == "error: workers must be at least 1, got 0\n"
 
     def test_unknown_check_name(self, capsys):
         code, _, err = run(

@@ -12,19 +12,25 @@ from hypothesis import given, settings, strategies as st
 
 import oracles
 from immersions import (
+    PLAIN,
     Graph,
     Graph6Error,
     UnsupportedSizeError,
     bits,
+    clique_certificate,
     complement,
     encode_graph6,
+    extension_step,
+    find_clique_immersion,
     independence_number,
     is_clique,
+    is_k_colorable,
     mask_of,
     max_clique,
     max_independent_set,
     non_neighborhood,
     parse_graph6,
+    run_batch,
 )
 from immersions.graphs import _LANES, _mirror_lower, _pack, _transpose_packed, _unpack, earlier_twins
 from common import induced_subgraph, random_graph
@@ -76,6 +82,33 @@ class TestGraphType:
         kind = f"not the {type(n).__name__} {n!r}"
         with pytest.raises(ValueError, match=re.escape(f"vertex count n needs an int, {kind}")):
             Graph(n, (0, 0))
+
+    # Every int input the package checks with one helper: each entry
+    # maps a value to a call and names the value in its message.
+    INT_INPUTS = {
+        "Graph n": (lambda x: Graph(x, (0, 0)), "vertex count n"),
+        "Graph.empty n": (lambda x: Graph.empty(x), "vertex count n"),
+        "Graph.complete n": (lambda x: Graph.complete(x), "vertex count n"),
+        "Graph.from_edges n": (lambda x: Graph.from_edges(x, []), "vertex count n"),
+        "Graph.from_edges end": (lambda x: Graph.from_edges(3, [(0, x)]), "an edge end"),
+        "find_clique_immersion t": (lambda x: find_clique_immersion(Graph.complete(3), x, PLAIN), "clique order t"),
+        "is_k_colorable k": (lambda x: is_k_colorable(Graph.complete(3), x), "color count k"),
+        "extension_step u": (lambda x: extension_step(Graph.empty(3), x, 1, clique_certificate([2])), "vertex u"),
+        "run_batch workers": (lambda x: run_batch([Graph.complete(3)], ("main",), workers=x), "workers"),
+    }
+
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5])
+    @pytest.mark.parametrize("entry", INT_INPUTS)
+    def test_int_inputs_refuse_a_bool_or_float(self, entry, value, capsys):
+        call, what = self.INT_INPUTS[entry]
+        try:
+            code = call(value)
+        except ValueError as exc:
+            message = str(exc)
+        else:  # run_batch reports an input problem and exits 2
+            assert code == 2
+            message = capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
+        assert message == f"{what} needs an int, not the {type(value).__name__} {value!r}"
 
     def test_from_edges_and_accessors(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])

@@ -60,6 +60,20 @@ def test_every_public_name_but_the_api_only_ones_is_used_by_the_package():
     assert set(immersions.__all__) - used == API_ONLY
 
 
+def test_every_private_name_is_read_by_another_statement():
+    """A private module-level name with no reader is dead code: each is
+    read by some package statement other than the one that defines it."""
+    package = Path(immersions.__file__).parent
+    defined, used = set(), set()
+    for path in sorted(package.glob("*.py")):
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body:
+            names = _defined_names(statement)
+            defined |= {(path.name, name) for name in names if name.startswith("_") and not name.endswith("__")}
+            used |= _used_names(statement) - names
+    assert defined
+    assert sorted(f"{module}: {name}" for module, name in defined if name not in used) == []
+
+
 def test_no_module_imports_a_name_it_never_uses():
     """A deletion takes its imports along: each name a package module
     imports is read in that module or listed in its __all__."""

@@ -28,12 +28,27 @@ degree (the classes refine the degree ranking), and of two sorted
 tuples of one length, the smaller is the one with more of the lowest
 color whose counts differ, so the larger numeral.  Negating the
 numeral reverses its order, so the ranks, and the colors, are those of
-the tuples.  A discrete coloring leaves one ordering, so its rows are
-read off directly.
+the tuples.  When every class is a twin class, as when the coloring is
+discrete, the orderings differ only by twin swaps and give the same
+rows, which are read off the ordering by (color, vertex).
+
+The search also returns automorphisms of the canonical graph C.  Every
+leaf whose rows equal the final best is an isomorphism from C to the
+searched graph, so leaf k against the first such leaf, position p to
+the position of the same vertex, is an automorphism sigma_k.  Every
+isomorphism is consistent with the refined colors, and the twin skip
+leaves out only subtrees that are a twin swap of a subtree explored, so
+Aut(C) = T . {id, sigma_k}, with T the group of swaps within twin
+classes of C.  The skip places a vertex only after its earlier twins,
+so every leaf lists each twin class in ascending order, and sigma_k
+maps each twin class of C onto one in ascending order.  A leaf is
+kept only if its rows equal the best of the whole search: under a
+prefix below an older best no leaf is pruned, and such a leaf can be
+worse than the best found after it.
 
 Families are generated level by level: a child adds vertex n-1 to an
 (n-1)-vertex parent with some neighborhood N, and a child is
-canonicalized only if it passes three rules.  Each keeps at least one
+canonicalized only if it passes four rules.  Each keeps at least one
 member of every class.  The neighborhoods are not filtered out of all
 2^(n-1) subsets but grown one parent vertex w at a time, in ascending
 order: N takes w only if the twin rule allows it and, for the
@@ -73,9 +88,25 @@ row n-1 is N and row v gains bit n-1 exactly when v is in N.
   top-class tests depend only on the child up to an isomorphism that
   fixes the new vertex, which keeps its color, so N' passes whatever N
   passes.
+- Orbits: N is dropped, before it is refined, when some automorphism
+  sigma_k of the parent, kept from the parent's own canonical search,
+  maps it to a smaller set.  The twin rule leaves the twin-least sets,
+  those that meet each twin class in an initial segment, and each
+  T-orbit holds one, twin-least(S).  T is normal in Aut(parent) =
+  T . {id, sigma_k}, since an automorphism maps twins to twins, so the
+  twin-least sets of the orbit of N are N and the
+  twin-least(sigma_k(N)).  A sigma_k maps initial segments of twin
+  classes to initial segments, so twin-least(sigma_k(N)) = sigma_k(N),
+  and of the orbit's twin-least sets only the least passes.  Each
+  automorphism extends to an isomorphism of the children that fixes
+  the new vertex and keeps independence, so the degree and top-class
+  verdicts hold on the whole orbit, and the least member passes
+  wherever N does.
 
 Canonical forms are sorted, so each level's representatives and their
-order do not depend on which children are tried.  Graphs with
+order do not depend on which children are tried.  Each is kept with the
+automorphisms of the first search that found it; any search that finds
+C gives automorphisms for which the equation above holds.  Graphs with
 independence number at most 2 are exactly the complements of
 triangle-free graphs.
 """
@@ -125,35 +156,52 @@ def _refine_colors(neighbors: list[list[int]], watched: int | None = None) -> li
     return colors
 
 
-def _search(adj: tuple[int, ...], neighbors: list[list[int]], colors: list[int]) -> tuple[int, ...]:
-    """The least rows over the vertex orders that list colors in ascending order."""
+def _search(
+    adj: tuple[int, ...], neighbors: list[list[int]], colors: list[int]
+) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """The least rows over the vertex orders that list colors in
+    ascending order, and automorphisms sigma_k of the graph those rows
+    describe, such that its automorphism group is T . {id, sigma_k},
+    with T its twin swaps."""
     n = len(adj)
     members: list[list[int]] = [[] for _ in range(max(colors, default=-1) + 1)]
     for v, c in enumerate(colors):
         members[c].append(v)
-    if len(members) == n:
-        # A discrete coloring leaves one order: vertex v at position colors[v].
+    if all(adj[v] & ~(1 << vs[0]) == adj[vs[0]] & ~(1 << v) for vs in members for v in vs[1:]):
+        # Every class is a twin class (each member a twin of the first),
+        # as when the coloring is discrete: the orders differ by twin
+        # swaps, so give the same rows, read off the order by (color, vertex).
+        position = [0] * n
+        for p, v in enumerate([v for vs in members for v in vs]):
+            position[v] = p
         rows = [0] * n
         for v, ns in enumerate(neighbors):
-            p = colors[v]
+            p = position[v]
             for w in ns:
-                if colors[w] < p:
-                    rows[p] |= 1 << colors[w]
-        return tuple(rows)
+                if position[w] < p:
+                    rows[p] |= 1 << position[w]
+        return tuple(rows), ()
     slot_class = [c for c, vs in enumerate(members) for _ in vs]
     twins = earlier_twins(adj)
 
     best: list[int] | None = None
-    rows: list[int] = []
+    rows = []
+    order: list[int] = []
+    leaves: list[list[int]] = []  # the orders whose rows are best
     # Each unplaced vertex's row over the positions placed so far.
     row_of = [0] * n
     unplaced = (1 << n) - 1
 
     def descend(p: int, equal_prefix: bool):
-        nonlocal best, unplaced
+        nonlocal best, leaves, unplaced
         if p == n:
+            # Compare with best itself: a leaf under a prefix below an
+            # older best is not pruned, and can be worse than the new one.
             if best is None or rows < best:
                 best = rows.copy()
+                leaves = [order.copy()]
+            elif rows == best:
+                leaves.append(order.copy())
             return
         candidates = sorted([(row_of[v], v) for v in members[slot_class[p]] if unplaced >> v & 1])
         bit = 1 << p
@@ -173,7 +221,9 @@ def _search(adj: tuple[int, ...], neighbors: list[list[int]], colors: list[int])
                 row_of[low.bit_length() - 1] |= bit
                 mask ^= low
             rows.append(row)
+            order.append(v)
             descend(p + 1, child_equal)
+            order.pop()
             rows.pop()
             mask = later
             while mask:
@@ -184,23 +234,34 @@ def _search(adj: tuple[int, ...], neighbors: list[list[int]], colors: list[int])
 
     descend(0, True)
     assert best is not None
-    return tuple(best)
+    # Position p of the first best order and position sigma(p) of another
+    # hold the same vertex; both orders give the best rows, so sigma is an
+    # automorphism of the graph they describe.
+    first, *others = leaves
+    automorphisms = []
+    for other in others:
+        position = [0] * n
+        for p, v in enumerate(other):
+            position[v] = p
+        automorphisms.append(tuple([position[v] for v in first]))
+    return tuple(best), tuple(automorphisms)
 
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Canonical lower-triangle rows; equal iff graphs are isomorphic."""
     neighbors = _neighbor_lists(g.adj)
-    return _search(g.adj, neighbors, _refine_colors(neighbors))
+    return _search(g.adj, neighbors, _refine_colors(neighbors))[0]
 
 
 def graph_from_canonical_form(form: tuple[int, ...]) -> Graph:
     return Graph(len(form), _mirror_lower(form))
 
 
-def _children(parent: Graph, independent_only: bool):
+def _children(parent: Graph, independent_only: bool, automorphisms: tuple[tuple[int, ...], ...]):
     """(rows, neighbor lists, colors) for each child of `parent` that
-    passes the degree, twin and top-class rules, by ascending
-    neighborhood.
+    passes the degree, twin, orbit and top-class rules, by ascending
+    neighborhood; `automorphisms` are those the parent's canonical
+    search returned.
 
     The neighborhoods grow one vertex w at a time, as the module says,
     each set that gains w after those that do not, so they stay ascending."""
@@ -220,6 +281,8 @@ def _children(parent: Graph, independent_only: bool):
         size = neighborhood.bit_count()
         if size < top or (size == top and neighborhood & top_mask):
             continue
+        if automorphisms and _orbit_has_less(neighborhood, automorphisms):
+            continue
         lists = neighbors.copy()
         new: list[int] = []
         mask = neighborhood
@@ -235,19 +298,38 @@ def _children(parent: Graph, independent_only: bool):
             yield (*[row | (neighborhood >> v & 1) << n for v, row in enumerate(adj)], neighborhood), lists, colors
 
 
+def _orbit_has_less(neighborhood: int, automorphisms: tuple[tuple[int, ...], ...]) -> bool:
+    """Whether some automorphism maps `neighborhood` to a smaller set."""
+    for sigma in automorphisms:
+        image = 0
+        mask = neighborhood
+        while mask:
+            low = mask & -mask
+            image |= 1 << sigma[low.bit_length() - 1]
+            mask ^= low
+        if image < neighborhood:
+            return True
+    return False
+
+
 @lru_cache(maxsize=None)
-def _level(n: int, independent_only: bool) -> tuple[Graph, ...]:
-    """Sorted class representatives on n vertices: triangle-free graphs
-    when independent_only, else all graphs."""
+def _level(n: int, independent_only: bool) -> tuple[tuple[Graph, ...], tuple[tuple[tuple[int, ...], ...], ...]]:
+    """Sorted class representatives on n vertices, triangle-free graphs
+    when independent_only, else all graphs; and beside them, the
+    automorphisms each one's canonical search returned."""
     if n == 1:
-        return (Graph.empty(1),)
-    parents = _level(n - 1, independent_only)
-    seen = {
-        _search(rows, lists, colors)
-        for parent in parents
-        for rows, lists, colors in _children(parent, independent_only)
-    }
-    return tuple(graph_from_canonical_form(form) for form in sorted(seen))
+        return (Graph.empty(1),), ((),)
+    found: dict[tuple[int, ...], tuple[tuple[int, ...], ...]] = {}
+    # Most classes repeat another's automorphisms (at n = 8, 12,346
+    # classes have 175 distinct ones), so each is stored once.
+    shared: dict[tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]] = {}
+    for parent, automorphisms in zip(*_level(n - 1, independent_only)):
+        for rows, lists, colors in _children(parent, independent_only, automorphisms):
+            form, form_automorphisms = _search(rows, lists, colors)
+            if form not in found:
+                found[form] = shared.setdefault(form_automorphisms, form_automorphisms)
+    forms = sorted(found)
+    return tuple(graph_from_canonical_form(form) for form in forms), tuple(found[form] for form in forms)
 
 
 def _check_size(family: str, n: int, cap: int, hint: str = "") -> None:
@@ -262,20 +344,20 @@ def _check_size(family: str, n: int, cap: int, hint: str = "") -> None:
 def enumerate_triangle_free(n: int):
     """One representative per isomorphism class of triangle-free graphs."""
     _check_size("triangle-free", n, ENUM_ALPHA2_CAP, _SAMPLE_HINT)
-    yield from _level(n, True)
+    yield from _level(n, True)[0]
 
 
 def enumerate_alpha_le2(n: int):
     """One representative per isomorphism class with alpha <= 2."""
     _check_size("alpha<=2", n, ENUM_ALPHA2_CAP, _SAMPLE_HINT)
-    for g in _level(n, True):
+    for g in _level(n, True)[0]:
         yield complement(g)
 
 
 def enumerate_graphs(n: int):
     """One representative per isomorphism class of all graphs, n <= 8."""
     _check_size("exhaustive", n, ENUM_ALL_CAP)
-    yield from _level(n, False)
+    yield from _level(n, False)[0]
 
 
 def sample_alpha_le2(n: int, count: int, seed: int):

@@ -294,6 +294,7 @@ def complement(g: Graph) -> Graph:
 
 def non_neighborhood(g: Graph, x: int) -> int:
     """Bitset of vertices distinct from and nonadjacent to x."""
+    _require_int(x, "vertex x")
     if not 0 <= x < g.n:
         raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
     return g.vertex_mask & ~g.adj[x] & ~(1 << x)

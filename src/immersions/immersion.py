@@ -105,7 +105,10 @@ class ImmersionCertificate:
 
 def clique_certificate(vertices) -> ImmersionCertificate:
     """Single-edge certificate on a clique (callers guarantee cliqueness)."""
-    terminals = tuple(sorted(vertices))
+    terminals = tuple(vertices)
+    for v in terminals:
+        _require_int(v, "a terminal")
+    terminals = tuple(sorted(terminals))
     paths = {
         (i, j): (terminals[i], terminals[j])
         for i, j in combinations(range(len(terminals)), 2)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import hashlib
 import random
 import re
-from itertools import combinations
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -72,14 +72,79 @@ def unfiltered_children(enumerate_level, largest_n: int, independent_only: bool)
                 yield parent, neighborhood, child_of(parent, neighborhood)
 
 
+def stored_automorphisms(parent: Graph, independent_only: bool) -> tuple[tuple[int, ...], ...]:
+    """The automorphisms the level keeps beside `parent`."""
+    return dict(zip(*families._level(parent.n, independent_only)))[parent]
+
+
 def kept_children(parent: Graph, independent_only: bool):
     """(child, lists, colors) for each child `_children` keeps, its rows
     checked by Graph and equal to those child_of builds for its
     neighborhood."""
-    for rows, lists, colors in families._children(parent, independent_only):
+    automorphisms = stored_automorphisms(parent, independent_only)
+    for rows, lists, colors in families._children(parent, independent_only, automorphisms):
         child = Graph(len(rows), rows)
         assert child == child_of(parent, rows[-1]), (parent, rows)
         yield child, lists, colors
+
+
+def twin_classes(g: Graph) -> list[list[int]]:
+    """The classes of mutual twins, each ascending, by least member."""
+    classes: list[list[int]] = []
+    for w in range(g.n):
+        for members in classes:
+            if oracles._twins(g.adj, members[0], w):
+                members.append(w)
+                break
+        else:
+            classes.append([w])
+    return classes
+
+
+def twin_least(g: Graph, s: int) -> int:
+    """The set meeting each twin class of g in an initial segment as
+    large as s meets it."""
+    least = 0
+    for members in twin_classes(g):
+        least |= sum(1 << v for v in members[: sum(s >> v & 1 for v in members)])
+    return least
+
+
+def image(sigma: tuple[int, ...], s: int) -> int:
+    return sum(1 << sigma[v] for v in bits(s))
+
+
+def is_automorphism(g: Graph, sigma: tuple[int, ...]) -> bool:
+    return all(image(sigma, g.adj[v]) == g.adj[sigma[v]] for v in range(g.n))
+
+
+def keeps_twin_order(g: Graph, sigma: tuple[int, ...]) -> bool:
+    """Whether sigma maps each twin class of g onto one in ascending
+    order, so maps twin-least sets to twin-least sets."""
+    classes = twin_classes(g)
+    return all(sorted(sigma[v] for v in members) in classes for members in classes) and all(
+        sigma[v] < sigma[w] for members in classes for v, w in zip(members, members[1:])
+    )
+
+
+def generated_group(g: Graph, automorphisms) -> set[tuple[int, ...]]:
+    """{tau o sigma : sigma in automorphisms or the identity, tau a
+    permutation within g's twin classes}."""
+    classes = twin_classes(g)
+    swaps = []
+    for arrangement in product(*[permutations(members) for members in classes]):
+        tau = [0] * g.n
+        for members, images in zip(classes, arrangement):
+            for v, w in zip(members, images):
+                tau[v] = w
+        swaps.append(tau)
+    return {tuple(tau[p] for p in sigma) for sigma in [tuple(range(g.n)), *automorphisms] for tau in swaps}
+
+
+def searched(g: Graph):
+    """(form, automorphisms) of the canonical search on g."""
+    lists = families._neighbor_lists(g.adj)
+    return families._search(g.adj, lists, families._refine_colors(lists))
 
 
 def cube() -> Graph:
@@ -171,7 +236,7 @@ class TestSearchMatchesReference:
                 for child, lists, colors in kept_children(parent, independent_only):
                     assert lists == families._neighbor_lists(child.adj)
                     assert tuple(colors) == oracles.reference_refine_colors(child.n, child.adj)
-                    assert families._search(child.adj, lists, colors) == oracles.reference_canonical_form(child)
+                    assert families._search(child.adj, lists, colors)[0] == oracles.reference_canonical_form(child)
 
     def test_sampled_alpha2_graphs(self):
         for n in range(11, 21):
@@ -203,6 +268,47 @@ class TestSearchMatchesReference:
                 perm = list(range(h.n))
                 rng.shuffle(perm)
                 assert checked_form(permuted(h, perm)) == form
+
+
+class TestSearchAutomorphisms:
+    """Composed after the automorphisms a search returns, or the
+    identity, the twin swaps give the whole automorphism group of its
+    canonical graph."""
+
+    def test_every_graph_to_six_vertices(self, all_graphs_small):
+        rng = random.Random(6)
+        for n in range(1, 7):
+            for g in all_graphs_small[n]:
+                perm = list(range(n))
+                rng.shuffle(perm)
+                for h in (g, permuted(g, perm)):
+                    form, automorphisms = searched(h)
+                    canonical = graph_from_canonical_form(form)
+                    brute = {sigma for sigma in permutations(range(n)) if is_automorphism(canonical, sigma)}
+                    assert generated_group(canonical, automorphisms) == brute, h
+                    assert all(keeps_twin_order(canonical, sigma) for sigma in automorphisms), h
+
+    @pytest.mark.parametrize(
+        "g,order",
+        [(petersen(), 120), (cube(), 48), (cycle(12), 24), (complete_multipartite(4, 4), 1152), (paley13(), 78)],
+        ids=["petersen", "Q3", "C12", "K44", "paley13"],
+    )
+    def test_group_order_of_symmetric_graphs(self, g, order):
+        rng = random.Random(g.n)
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        form, automorphisms = searched(permuted(g, perm))
+        canonical = graph_from_canonical_form(form)
+        group = generated_group(canonical, automorphisms)
+        assert len(group) == order
+        assert all(is_automorphism(canonical, sigma) for sigma in group)
+        assert all(keeps_twin_order(canonical, sigma) for sigma in automorphisms)
+
+    def test_a_twin_class_coloring_returns_no_automorphism(self):
+        """Every color class of K_{1,2,3} is a twin class."""
+        form, automorphisms = searched(complete_multipartite(1, 2, 3))
+        assert automorphisms == ()
+        assert form == oracles.reference_canonical_form(complete_multipartite(1, 2, 3))
 
 
 class TestEnumeration:
@@ -264,6 +370,31 @@ class TestEnumeration:
                 assert canonical_form(child) in kept[parent], (parent, neighborhood)
         assert skipped > 0
 
+    @pytest.mark.parametrize("enumerate_level,largest_n,independent_only", UNFILTERED)
+    def test_orbit_rule_skips_only_isomorphic_children(self, enumerate_level, largest_n, independent_only):
+        """A child that passes the degree, twin and top-class rules is
+        kept exactly when no stored automorphism of its parent maps its
+        neighborhood to one whose twin-least form is smaller, and one
+        skipped so is isomorphic to a child the same parent keeps."""
+        kept: dict[Graph, dict[int, tuple]] = {}
+        skipped = 0
+        for parent, neighborhood, child in unfiltered_children(enumerate_level, largest_n, independent_only):
+            if parent not in kept:
+                kept[parent] = {c.adj[-1]: canonical_form(c) for c, _, _ in kept_children(parent, independent_only)}
+            if not (
+                max(row.bit_count() for row in child.adj) == neighborhood.bit_count()
+                and new_vertex_stays_on_top(child)
+                and twin_least(parent, neighborhood) == neighborhood
+            ):
+                continue
+            automorphisms = stored_automorphisms(parent, independent_only)
+            orbit_skipped = any(twin_least(parent, image(sigma, neighborhood)) < neighborhood for sigma in automorphisms)
+            assert (neighborhood in kept[parent]) != orbit_skipped, (parent, neighborhood)
+            if orbit_skipped:
+                skipped += 1
+                assert canonical_form(child) in kept[parent].values(), (parent, neighborhood)
+        assert skipped > 0
+
     # The f-rule (oracles.f_outranked), which kept a child unless an old
     # vertex of the new vertex's degree had larger sorted neighbor
     # degrees, skips only children the top-class rule skips; the rounds
@@ -297,9 +428,11 @@ class TestEnumeration:
 
     # enumerate_graphs(7) took 3131 calls with the degree rule alone;
     # canonicalizing every child takes 11,290.  With the f-rule in place
-    # of the top-class rule, canonical_form ran on 1672 and 3356 children.
+    # of the top-class rule, canonical_form ran on 1672 and 3356 children,
+    # and before the orbit rule on 1612 and 3195.  One search per class
+    # would be 1252 and 2479.
     @pytest.mark.parametrize(
-        "enumerate_level,n,expected", [(enumerate_graphs, 7, 1612), (enumerate_triangle_free, 9, 3195)]
+        "enumerate_level,n,expected", [(enumerate_graphs, 7, 1253), (enumerate_triangle_free, 9, 2480)]
     )
     def test_canonical_searches_from_cold(self, monkeypatch, enumerate_level, n, expected):
         calls = 0

@@ -95,6 +95,8 @@ class TestGraphType:
         "is_k_colorable k": (lambda x: is_k_colorable(Graph.complete(3), x), "color count k"),
         "extension_step u": (lambda x: extension_step(Graph.empty(3), x, 1, clique_certificate([2])), "vertex u"),
         "run_batch workers": (lambda x: run_batch([Graph.complete(3)], ("main",), workers=x), "workers"),
+        "non_neighborhood x": (lambda x: non_neighborhood(Graph.complete(4), x), "vertex x"),
+        "clique_certificate terminal": (lambda x: clique_certificate([0, x]), "a terminal"),
     }
 
     @pytest.mark.parametrize("value", [True, 2.0, 2.5])

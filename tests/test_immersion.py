@@ -6,6 +6,7 @@ import functools
 import itertools
 import json
 import random
+import re
 
 import pytest
 
@@ -174,6 +175,15 @@ class TestJson:
         cert = clique_certificate([3, 1, 5])
         payload = json.loads(certificate_to_json(cert, PLAIN))
         assert set(payload["paths"]) == {"0,1", "0,2", "1,2"}
+
+    @pytest.mark.parametrize("vertices,bad", [([0.0, 1], 0.0), ([0, "1"], "1")])
+    def test_clique_certificate_refuses_a_terminal_not_an_int(self, vertices, bad):
+        """Checked before the terminals are sorted, whatever their place
+        (test_graphs.py's int inputs try a bool or float second); a
+        certificate would otherwise be written out with 0.0 or "1"."""
+        message = f"a terminal needs an int, not the {type(bad).__name__} {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            clique_certificate(vertices)
 
     @pytest.mark.parametrize(
         "text",

@@ -87,7 +87,7 @@ class _Check:
 
 
 def _builder_reaches(g: Graph, row: CheckReport, bound: int) -> bool:
-    cert = _build(g, g.vertex_mask, [])  # the check applies only where row.alpha <= 2
+    cert = _build(g, g.vertex_mask, None)  # the check applies only where row.alpha <= 2
     return verify_certificate(g, cert, STRONG_ODD).accepted and cert.t >= bound
 
 

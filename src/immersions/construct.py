@@ -41,7 +41,6 @@ from .graphs import (
     is_clique,
     mask_of,
     max_independent_set,
-    non_neighborhood,
 )
 from .immersion import (
     STRONG_ODD,
@@ -113,7 +112,11 @@ def extension_step(
 
 
 def build_third_immersion(g: Graph, trace: list[str] | None = None) -> ImmersionCertificate:
-    """Strong odd certificate with at least ceil(n/3) terminals, alpha <= 2."""
+    """Strong odd certificate with at least ceil(n/3) terminals, alpha <= 2.
+
+    Given a list as trace, the builder appends one line per branch it
+    takes (build-third -v prints them); with None it formats none.
+    """
     if g.n == 0:
         raise DegenerateInputError("no terminals exist in the empty graph")
     witness = max_independent_set(g)
@@ -123,35 +126,40 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
             f"independence number exceeds 2: vertices {triple} are pairwise nonadjacent",
             triple,
         )
-    return _build(g, g.vertex_mask, [] if trace is None else trace)
+    return _build(g, g.vertex_mask, trace)
 
 
-def _build(g: Graph, live: int, trace: list[str]) -> ImmersionCertificate:
+def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate:
     """The builder on the subgraph induced by live, in the input's
-    labels; g has no edge that leaves live."""
+    labels; g has no edge that leaves live.  Each branch taken is
+    written to trace as a line, unless trace is None."""
     n = live.bit_count()
     target = -(-n // 3)
     degree_cap = 2 * n // 3 - 1
+    adj = g.adj
     for x in bits(live):
-        if g.degree(x) <= degree_cap:
-            clique = non_neighborhood(g, x) & live
+        if (adj[x] & live).bit_count() <= degree_cap:
+            clique = live & ~adj[x] & ~(1 << x)
             assert is_clique(g, clique) and clique.bit_count() >= target
-            trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
+            if trace is not None:
+                trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
             return clique_certificate(bits(clique))
     for u in bits(live):
-        rest = (non_neighborhood(g, u) & live) >> (u + 1) << (u + 1)
+        rest = (live & ~adj[u]) >> (u + 1) << (u + 1)
         if rest:
             v = next(bits(rest))
             break
     else:
-        trace.append(f"n={n} branch=complete t={target}")
+        if trace is not None:
+            trace.append(f"n={n} branch=complete t={target}")
         return clique_certificate(list(bits(live))[:target])
 
     sub_mask = live & ~(1 << u) & ~(1 << v)
-    sub = Graph(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(g.adj)))
+    sub = Graph(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(adj)))
     base = _trim_certificate(_build(sub, sub_mask, trace), -(-(n - 2) // 3))
 
     extended = extension_step(g, u, v, base)
     assert extended is not None, "every degree >= floor(2n/3) leaves enough common neighbors"
-    trace.append(f"n={n} branch=extend pair=({u},{v}) t={extended.t}")
+    if trace is not None:
+        trace.append(f"n={n} branch=extend pair=({u},{v}) t={extended.t}")
     return extended

@@ -12,9 +12,16 @@ a certificate iff one exists.  Terminal sets are enumerated in colex
 order over degree-feasible vertices, pairs are solved in lex order, and
 each pair's paths are enumerated by iterative deepening on length
 (odd lengths only under the odd flag), in one recursion that extends a
-path edge by edge and, at the pair's far end, routes the next pair.
-Pruning is limited to sound necessary conditions, so the first
-certificate found never depends on it:
+path edge by edge and, at the pair's far end, routes the next pair.  A
+step from the path's end v goes only to the open neighbors adj[v] &
+~closed, in ascending order, over edges not yet used.  With two edges
+left, the path closes at once through each common neighbor w in
+adj[v] & adj[b] & ~closed whose edges vw and wb are both unused, again
+in ascending order; a neighbor of v that misses the far end b is never
+entered.  This visits the same paths in the same order as trying every
+neighbor of v and testing the last edge in the callee.  Pruning is
+limited to sound necessary conditions, so the first certificate found
+never depends on it:
 
 - terminal degree >= t-1, since a terminal ends t-1 disjoint paths;
   t such terminals have t(t-1) <= degree sum <= 2|E|, so C(t,2) <= |E|;
@@ -74,6 +81,14 @@ class ImmersionFlags:
     strong: bool = False
     odd: bool = False
 
+    def __post_init__(self):
+        # certificate_to_json writes the fields as they are, and
+        # certificate_from_json reads back only true or false.
+        for name in ("strong", "odd"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                raise ValueError(f"flag {name} needs a bool, not the {type(value).__name__} {value!r}")
+
     def label(self) -> str:
         parts = [name for name in ("strong", "odd") if getattr(self, name)]
         return "+".join(parts) if parts else "plain"
@@ -123,16 +138,26 @@ class VerifyReport:
 
 
 def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFlags) -> VerifyReport:
-    """Check every immersion clause; malformed certificates raise instead."""
-    t = cert.t
+    """Check every immersion clause; malformed certificates raise instead.
+
+    Each path is checked for repeats and interior terminals on its
+    vertex mask, and each edge uv is keyed by its mask 1 << u | 1 << v.
+    """
+    n = g.n
+    terminals = cert.terminals
+    t = len(terminals)
     if t < 1:
         raise MalformedCertificateError("certificate needs at least one terminal")
-    for term in cert.terminals:
-        if not 0 <= term < g.n:
-            raise MalformedCertificateError(f"terminal {term} outside 0..{g.n - 1}")
+    terminal_mask = 0
+    for term in terminals:
+        if type(term) is not int and not _is_int(term):
+            raise MalformedCertificateError(f"terminal {term!r} is not an integer")
+        if not 0 <= term < n:
+            raise MalformedCertificateError(f"terminal {term} outside 0..{n - 1}")
+        terminal_mask |= 1 << term
     expected = set(combinations(range(t), 2))
-    got = set(cert.paths)
-    if got != expected:
+    if cert.paths.keys() != expected:
+        got = set(cert.paths)
         missing = sorted(expected - got)
         extra = sorted(got - expected)
         detail = []
@@ -141,47 +166,60 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
         if extra:
             detail.append(f"unexpected pair keys {extra}")
         raise MalformedCertificateError("; ".join(detail))
+    path_masks = {}
     for pair, path in cert.paths.items():
         if len(path) < 2:
             raise MalformedCertificateError(f"path for pair {pair} has fewer than 2 vertices")
+        path_mask = 0
         for v in path:
-            if not 0 <= v < g.n:
-                raise MalformedCertificateError(f"path vertex {v} outside 0..{g.n - 1}")
+            if type(v) is not int and not _is_int(v):
+                raise MalformedCertificateError(f"path vertex {v!r} is not an integer")
+            if not 0 <= v < n:
+                raise MalformedCertificateError(f"path vertex {v} outside 0..{n - 1}")
+            path_mask |= 1 << v
+        path_masks[pair] = path_mask
 
     violations: list[str] = []
-    if len(set(cert.terminals)) != t:
+    if terminal_mask.bit_count() != t:
         violations.append("terminals are not pairwise distinct")
-    terminal_mask = mask_of(cert.terminals)
-    seen_edges: dict[tuple[int, int], tuple[int, int]] = {}
+    adj = g.adj
+    seen_edges: dict[int, tuple[int, int]] = {}
     for (i, j), path in sorted(cert.paths.items()):
-        want = (cert.terminals[i], cert.terminals[j])
-        if (path[0], path[-1]) != want:
-            violations.append(f"path for pair ({i},{j}) does not run from {want[0]} to {want[1]}")
+        a, b = path[0], path[-1]
+        if a != terminals[i] or b != terminals[j]:
+            violations.append(f"path for pair ({i},{j}) does not run from {terminals[i]} to {terminals[j]}")
             continue
-        if len(set(path)) != len(path):
+        path_mask = path_masks[i, j]
+        if path_mask.bit_count() != len(path):
             violations.append(f"path for pair ({i},{j}) repeats a vertex")
             continue
-        non_edges = [f"{a}-{b}" for a, b in zip(path, path[1:]) if not g.has_edge(a, b)]
-        if non_edges:
-            violations.append(f"path for pair ({i},{j}) uses the non-edge {non_edges[0]}")
+        edges = []
+        u = a
+        for v in path[1:]:
+            if not adj[u] >> v & 1:
+                violations.append(f"path for pair ({i},{j}) uses the non-edge {u}-{v}")
+                break
+            edges.append(1 << u | 1 << v)
+            u = v
+        if len(edges) < len(path) - 1:  # stopped at a non-edge
             continue
-        for a, b in zip(path, path[1:]):
-            edge = (a, b) if a < b else (b, a)
+        for edge in edges:
             if edge in seen_edges:
                 first = seen_edges[edge]
+                low = (edge & -edge).bit_length() - 1
                 violations.append(
-                    f"edge {edge[0]}-{edge[1]} reused by pairs "
+                    f"edge {low}-{edge.bit_length() - 1} reused by pairs "
                     f"({first[0]},{first[1]}) and ({i},{j})"
                 )
             else:
                 seen_edges[edge] = (i, j)
-        if flags.odd and (len(path) - 1) % 2 == 0:
+        if flags.odd and len(path) & 1:  # an odd vertex count, an even length
             violations.append(f"path for pair ({i},{j}) has even length {len(path) - 1}")
         if flags.strong:
-            interior = mask_of(path[1:-1])
-            blocked = interior & terminal_mask
+            # No vertex repeats, so the interior is the path less its two ends.
+            blocked = path_mask & ~(1 << a | 1 << b) & terminal_mask
             if blocked:
-                culprit = next(bits(blocked))
+                culprit = (blocked & -blocked).bit_length() - 1
                 violations.append(f"terminal {culprit} is interior to the path for pair ({i},{j})")
     return VerifyReport(not violations, tuple(violations))
 
@@ -471,6 +509,7 @@ def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFl
     being the floor of pairs[k]: one path per pair, in that order, or None.
     """
     g = index.g
+    adj = g.adj
     edge_bit = index.edge_bit
     m = g.edge_count
     max_len = g.n - 1
@@ -489,7 +528,7 @@ def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFl
         vertices and used edges, then route pairs k+1..; True once all are.
         """
         v = path[-1]
-        if remaining == 1:
+        if remaining == 1:  # only a pair's first call: the edge ab itself
             bit = edge_bit[v].get(b)
             if bit and not used & bit:
                 solution.append(path + (b,))
@@ -497,12 +536,36 @@ def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFl
                     return True
                 solution.pop()
             return False
-        for w, bit in edge_bit[v].items():
-            if closed >> w & 1 or used & bit:
+        to_v = edge_bit[v]
+        if remaining == 2:  # close through a common neighbor w of v and b
+            to_b = edge_bit[b]
+            common = adj[v] & adj[b] & ~closed
+            while common:
+                low = common & -common
+                w = low.bit_length() - 1
+                common ^= low
+                bit = to_v[w] | to_b[w]
+                if used & bit:
+                    continue
+                spare[w] -= 1
+                now_spent = spent | low if term_mask & low and not spare[w] else spent
+                solution.append(path + (w, b))
+                if solve(k + 1, used | bit, now_spent):
+                    return True
+                solution.pop()
+                spare[w] += 1
+            return False
+        free = adj[v] & ~closed
+        while free:  # bits(free) inlined: ascending, as edge_bit[v]'s keys
+            low = free & -free
+            w = low.bit_length() - 1
+            free ^= low
+            bit = to_v[w]
+            if used & bit:
                 continue
             spare[w] -= 1
-            now_spent = spent | 1 << w if term_mask >> w & 1 and not spare[w] else spent
-            if route(k, path + (w,), b, remaining - 1, closed | 1 << w, used | bit, now_spent):
+            now_spent = spent | low if term_mask & low and not spare[w] else spent
+            if route(k, path + (w,), b, remaining - 1, closed | low, used | bit, now_spent):
                 return True
             spare[w] += 1
         return False

@@ -31,18 +31,17 @@ def all_graphs_by_n() -> dict[int, list[Graph]]:
 @pytest.fixture
 def count_solve_calls():
     """count(run) calls run() and returns how many times the nested solve
-    of find_clique_immersion was entered meanwhile: the search's work,
-    independent of the host's speed."""
+    and route of find_clique_immersion were entered meanwhile, by name:
+    the search's work, independent of the host's speed."""
 
-    def count(run) -> int:
-        calls = 0
+    def count(run) -> dict[str, int]:
+        calls = {"solve": 0, "route": 0}
         code_file = immersion_module.__file__
 
         def profile(frame, event, arg):
-            nonlocal calls
             code = frame.f_code
-            if event == "call" and code.co_name == "solve" and code.co_filename == code_file:
-                calls += 1
+            if event == "call" and code.co_name in calls and code.co_filename == code_file:
+                calls[code.co_name] += 1
 
         sys.setprofile(profile)
         try:

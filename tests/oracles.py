@@ -14,7 +14,15 @@ from functools import lru_cache
 
 import networkx as nx
 
-from immersions import Graph, Graph6Error, UnsupportedSizeError
+from immersions import (
+    Graph,
+    Graph6Error,
+    MalformedCertificateError,
+    UnsupportedSizeError,
+    VerifyReport,
+    bits,
+    mask_of,
+)
 
 
 # ---------------------------------------------------------------- codec
@@ -468,3 +476,125 @@ def reference_edge_bit(g: Graph) -> list[dict[int, int]]:
     for k, (u, v) in enumerate(g.edges()):
         edge_bit[u][v] = edge_bit[v][u] = 1 << k
     return edge_bit
+
+
+# ------------------------------------------------- path-layer references
+#
+# The path router and the verifier as they stood before both came to read
+# adjacency bitmasks: the router tried every neighbor of a path's end and
+# tested the last edge in the callee, the verifier read edges one by one
+# through Graph.has_edge and keyed used edges by tuple.  The new code must
+# give the same certificates and the same verifier outcomes.
+
+def reference_solve_pairs(index, terms, flags, budget, spent, pairs, floors):
+    """immersion._solve_pairs, routing each step over edge_bit[v]."""
+    g = index.g
+    edge_bit = index.edge_bit
+    m = g.edge_count
+    max_len = g.n - 1
+    step = 2 if flags.odd else 1
+    term_mask = mask_of(terms)
+    spare = budget[:]
+    suffix = list(itertools.accumulate(reversed(floors), initial=0))[::-1]
+    solution: list[tuple[int, ...]] = []
+    failed: list[set[int]] = [set() for _ in pairs]
+
+    def route(k, path, b, remaining, closed, used, spent):
+        v = path[-1]
+        if remaining == 1:
+            bit = edge_bit[v].get(b)
+            if bit and not used & bit:
+                solution.append(path + (b,))
+                if solve(k + 1, used | bit, spent):
+                    return True
+                solution.pop()
+            return False
+        for w, bit in edge_bit[v].items():
+            if closed >> w & 1 or used & bit:
+                continue
+            spare[w] -= 1
+            now_spent = spent | 1 << w if term_mask >> w & 1 and not spare[w] else spent
+            if route(k, path + (w,), b, remaining - 1, closed | 1 << w, used | bit, now_spent):
+                return True
+            spare[w] += 1
+        return False
+
+    def solve(k, used, spent):
+        if k == len(pairs):
+            return True
+        if used in failed[k]:
+            return False
+        i, j = pairs[k]
+        a, b = terms[i], terms[j]
+        cap = min(m - used.bit_count() - suffix[k + 1], max_len)
+        for length in range(floors[k], cap + 1, step):
+            if route(k, (a,), b, length, spent | 1 << a | 1 << b, used, spent):
+                return True
+        failed[k].add(used)
+        return False
+
+    return solution if solve(0, 0, spent) else None
+
+
+def reference_verify_certificate(g: Graph, cert, flags):
+    """immersion.verify_certificate, reading one edge at a time."""
+    t = cert.t
+    if t < 1:
+        raise MalformedCertificateError("certificate needs at least one terminal")
+    for term in cert.terminals:
+        if not 0 <= term < g.n:
+            raise MalformedCertificateError(f"terminal {term} outside 0..{g.n - 1}")
+    expected = set(itertools.combinations(range(t), 2))
+    got = set(cert.paths)
+    if got != expected:
+        missing = sorted(expected - got)
+        extra = sorted(got - expected)
+        detail = []
+        if missing:
+            detail.append(f"missing pair keys {missing}")
+        if extra:
+            detail.append(f"unexpected pair keys {extra}")
+        raise MalformedCertificateError("; ".join(detail))
+    for pair, path in cert.paths.items():
+        if len(path) < 2:
+            raise MalformedCertificateError(f"path for pair {pair} has fewer than 2 vertices")
+        for v in path:
+            if not 0 <= v < g.n:
+                raise MalformedCertificateError(f"path vertex {v} outside 0..{g.n - 1}")
+
+    violations: list[str] = []
+    if len(set(cert.terminals)) != t:
+        violations.append("terminals are not pairwise distinct")
+    terminal_mask = mask_of(cert.terminals)
+    seen_edges: dict[tuple[int, int], tuple[int, int]] = {}
+    for (i, j), path in sorted(cert.paths.items()):
+        want = (cert.terminals[i], cert.terminals[j])
+        if (path[0], path[-1]) != want:
+            violations.append(f"path for pair ({i},{j}) does not run from {want[0]} to {want[1]}")
+            continue
+        if len(set(path)) != len(path):
+            violations.append(f"path for pair ({i},{j}) repeats a vertex")
+            continue
+        non_edges = [f"{a}-{b}" for a, b in zip(path, path[1:]) if not g.has_edge(a, b)]
+        if non_edges:
+            violations.append(f"path for pair ({i},{j}) uses the non-edge {non_edges[0]}")
+            continue
+        for a, b in zip(path, path[1:]):
+            edge = (a, b) if a < b else (b, a)
+            if edge in seen_edges:
+                first = seen_edges[edge]
+                violations.append(
+                    f"edge {edge[0]}-{edge[1]} reused by pairs "
+                    f"({first[0]},{first[1]}) and ({i},{j})"
+                )
+            else:
+                seen_edges[edge] = (i, j)
+        if flags.odd and (len(path) - 1) % 2 == 0:
+            violations.append(f"path for pair ({i},{j}) has even length {len(path) - 1}")
+        if flags.strong:
+            interior = mask_of(path[1:-1])
+            blocked = interior & terminal_mask
+            if blocked:
+                culprit = next(bits(blocked))
+                violations.append(f"terminal {culprit} is interior to the path for pair ({i},{j})")
+    return VerifyReport(not violations, tuple(violations))

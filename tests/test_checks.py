@@ -162,8 +162,8 @@ class TestEvaluateGraph:
         assert calls == 1119
 
     def test_solve_calls(self, alpha2_by_n, count_solve_calls):
-        """The work inside those searches: calls of the nested solve in
-        find_clique_immersion over the same 410 rows."""
+        """The work inside those searches: calls of the nested solve and
+        route in find_clique_immersion over the same 410 rows."""
 
         def sweep():
             for g in alpha2_by_n[8]:
@@ -174,7 +174,10 @@ class TestEvaluateGraph:
         # own and the floors' walks could pass back through a pair's ends;
         # 17896 before the edge-class count and the decision pass; 8920
         # while every climb step also solved its set in lex order.
-        assert calls == 4793
+        assert calls["solve"] == 4793
+        # 12270 while route recursed into every free neighbor of a path's
+        # end and tested the last edge to b in the callee.
+        assert calls["route"] == 10063
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that

@@ -57,6 +57,15 @@ class TestFlags:
         assert ODD.label() == "odd"
         assert STRONG_ODD.label() == "strong+odd"
 
+    @pytest.mark.parametrize("fields", [
+        {"strong": 1, "odd": 1}, {"strong": True, "odd": 0}, {"odd": "yes"},
+    ], ids=["ints", "odd-int", "odd-str"])
+    def test_fields_not_bool_raise(self, fields):
+        """certificate_to_json writes the fields as they are, and
+        certificate_from_json would refuse a 1 as a flag value."""
+        with pytest.raises(ValueError, match="needs a bool"):
+            ImmersionFlags(**fields)
+
 
 class TestVerifier:
     def c5(self) -> Graph:
@@ -155,6 +164,17 @@ class TestVerifier:
     def test_t1_certificate_accepted(self):
         cert = ImmersionCertificate((2,), {})
         assert verify_certificate(Graph.empty(3), cert, STRONG_ODD).accepted
+
+    @pytest.mark.parametrize("cert,bad", [
+        (ImmersionCertificate((0, True), {(0, 1): (0, True)}), "terminal True"),
+        (ImmersionCertificate((0, 1.0), {(0, 1): (0, 1.0)}), "terminal 1.0"),
+        (ImmersionCertificate((0, 1), {(0, 1): (0, 2.0, 1)}), "path vertex 2.0"),
+    ], ids=["bool-terminal", "float-terminal", "float-path-vertex"])
+    def test_a_vertex_not_an_int_raises(self, cert, bad):
+        """As certificate_from_json refuses it, not accepted (True is 1)
+        nor a bare TypeError from a bit shift."""
+        with pytest.raises(MalformedCertificateError, match=re.escape(f"{bad} is not an integer")):
+            verify_certificate(Graph.complete(3), cert, STRONG_ODD)
 
 
 class TestJson:
@@ -623,4 +643,4 @@ class TestMax:
             for g in graphs:
                 max_clique_immersion(g, flags)
 
-        assert count_solve_calls(climb) == expected
+        assert count_solve_calls(climb)["solve"] == expected

@@ -17,7 +17,11 @@ import immersions
 # takes alpha from the complement it also matches in, so no module calls
 # independence_number.  Enumeration refines each child once and passes
 # the colors to the search, so no module calls canonical_form either.
-API_ONLY = {"STRONG", "ODD", "canonical_form", "enumerate_triangle_free", "independence_number"}
+# The builder reads a live vertex's non-neighborhood off its adjacency
+# row, so no module calls non_neighborhood.
+API_ONLY = {
+    "STRONG", "ODD", "canonical_form", "enumerate_triangle_free", "independence_number", "non_neighborhood",
+}
 
 
 def test_all_matches_public_attributes():

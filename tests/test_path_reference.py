@@ -1,0 +1,176 @@
+"""The path router and the verifier against their references in oracles.
+
+Both came to read adjacency bitmasks: the router extends a path only
+over the open neighbors of its end and closes its last two edges through
+the common neighbors of that end and the far terminal, and the verifier
+tests a path on one vertex mask.  Their references are the per-edge
+versions they replaced, so every certificate and every verifier outcome
+must stay the same.
+
+The alpha <= 2 classes at n = 9 (1,897) take longer than Tier-1 should
+spend on this; compare their certificates under the plain, strong and
+strong odd flags with:
+
+    PYTHONPATH=src python3 tests/test_path_reference.py --n9
+
+Odd-only search is left out there: it costs far more than the other
+settings at n = 9.
+"""
+
+from __future__ import annotations
+
+import argparse
+import itertools
+import random
+import sys
+
+import oracles
+from immersions import (
+    ODD,
+    PLAIN,
+    STRONG,
+    STRONG_ODD,
+    ImmersionCertificate,
+    MalformedCertificateError,
+    encode_graph6,
+    enumerate_alpha_le2,
+    find_clique_immersion,
+    max_clique_immersion,
+    verify_certificate,
+)
+from immersions import immersion as immersion_module
+from common import random_graph
+
+ALL_FLAGS = (PLAIN, STRONG, ODD, STRONG_ODD)
+ROUTER = immersion_module._solve_pairs
+
+
+def climbs(graphs, flags, solve_pairs) -> list:
+    """max_clique_immersion on each graph, its pairs routed by solve_pairs."""
+    immersion_module._solve_pairs = solve_pairs
+    try:
+        return [max_clique_immersion(g, flags) for g in graphs]
+    finally:
+        immersion_module._solve_pairs = ROUTER
+
+
+def first_mismatch(graphs, flags) -> str | None:
+    """The graph6 word of the first graph whose certificate differs from
+    the reference router's, or None."""
+    got = climbs(graphs, flags, ROUTER)
+    want = climbs(graphs, flags, oracles.reference_solve_pairs)
+    return next((encode_graph6(g) for g, a, b in zip(graphs, got, want) if a != b), None)
+
+
+def test_certificates_match_the_reference_router(all_graphs_small, alpha2_by_n):
+    """Every graph with n <= 6 and every alpha <= 2 class with n <= 7,
+    under every flag setting."""
+    graphs = [g for n in range(1, 7) for g in all_graphs_small[n]]
+    graphs += alpha2_by_n[7]
+    for flags in ALL_FLAGS:
+        assert first_mismatch(graphs, flags) is None, flags
+
+
+def outcome(verify, g, cert, flags):
+    """The report, or the type and message of the malformation raised."""
+    try:
+        return verify(g, cert, flags)
+    except MalformedCertificateError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def random_walk(rng: random.Random, g, a: int, b: int) -> tuple[int, ...]:
+    """a, up to five random steps (one in eight off any edge), then b."""
+    path = [a]
+    for _ in range(rng.randrange(6)):
+        row = g.adj[path[-1]]
+        if row and rng.random() < 7 / 8:
+            path.append(rng.choice([w for w in range(g.n) if row >> w & 1]))
+        else:
+            path.append(rng.randrange(g.n))
+    return (*path, b)
+
+
+def broken_certificates(rng: random.Random, g):
+    """Certificates of g to verify: the search's own, each with one path
+    broken, random path systems, and some with bad pair keys."""
+    for t in range(2, g.n + 1):
+        cert = find_clique_immersion(g, t, rng.choice(ALL_FLAGS))
+        if cert is None:
+            break
+        yield cert
+        pair = rng.choice(sorted(cert.paths))
+        path = cert.paths[pair]
+        spot = rng.randrange(1, len(path))
+        for broken in (
+            path[::-1],  # wrong ends
+            path[:spot] + (rng.choice(path),) + path[spot:],  # a repeated vertex, maybe
+            path[:spot] + (rng.randrange(g.n),) + path[spot:],  # maybe a non-edge
+            cert.paths[rng.choice(sorted(cert.paths))],  # another pair's path
+        ):
+            yield ImmersionCertificate(cert.terminals, {**cert.paths, pair: broken})
+    t = rng.randint(1, min(g.n, 5))
+    terminals = rng.sample(range(g.n), t)
+    if rng.random() < 0.1:
+        terminals[-1] = terminals[0]
+    paths = {
+        (i, j): random_walk(rng, g, terminals[i], terminals[j])
+        for i, j in itertools.combinations(range(t), 2)
+    }
+    yield ImmersionCertificate(tuple(terminals), paths)
+    if paths:
+        del paths[rng.choice(sorted(paths))]
+    paths[(t - 1, t)] = (terminals[-1], terminals[0])
+    yield ImmersionCertificate(tuple(terminals), paths)
+
+
+def test_verifier_matches_the_reference():
+    """Valid and broken certificates on seeded random graphs: every
+    outcome under every flag setting equals the reference verifier's, and
+    each kind of breakage shows up."""
+    rng = random.Random(27)
+    seen: set[str] = set()
+    kinds = {
+        "accepted": None, "ends": "does not run from", "repeat": "repeats a vertex",
+        "non-edge": "uses the non-edge", "reuse": "reused by pairs", "even": "has even length",
+        "interior": "is interior to", "distinct": "not pairwise distinct", "keys": "pair keys",
+    }
+    for _ in range(400):
+        g = random_graph(rng, rng.randint(2, 7), rng.choice((0.4, 0.6, 0.8)))
+        for cert in broken_certificates(rng, g):
+            for flags in ALL_FLAGS:
+                got = outcome(verify_certificate, g, cert, flags)
+                assert got == outcome(oracles.reference_verify_certificate, g, cert, flags), (
+                    sorted(g.edges()), cert, flags,
+                )
+                text = repr(got)
+                seen |= {kind for kind, marker in kinds.items() if marker and marker in text}
+                if getattr(got, "accepted", False):
+                    seen.add("accepted")
+    assert seen == set(kinds)
+
+
+def check_n9() -> int:
+    """Compare the certificates of the alpha <= 2 classes at n = 9."""
+    graphs = list(enumerate_alpha_le2(9))
+    status = 0
+    for flags in (PLAIN, STRONG, STRONG_ODD):
+        word = first_mismatch(graphs, flags)
+        if word is not None:
+            print(f"n = 9, {flags.label()}: {word} differs from the reference router", file=sys.stderr)
+            status = 1
+        else:
+            print(f"n = 9, {flags.label()}: all {len(graphs)} certificates match the reference router")
+    return status
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--n9", action="store_true", help="compare the alpha <= 2 classes at n = 9")
+    if not parser.parse_args(argv).n9:
+        parser.error("nothing to do without --n9; run the rest with pytest")
+    return check_n9()
+
+
+if __name__ == "__main__":
+    sys.exit(main())

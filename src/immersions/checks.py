@@ -10,8 +10,10 @@ byte-identical across runs and worker counts.
 
 Both immersion orders come from one ascent, which decides K_{t+1},
 K_{t+2}, ... until one fails: the strong odd order from the clique
-number, which a clique proves, and the plain order from the strong odd
-order, since every strong odd certificate is a plain one.  A climb
+number, which a clique proves, or from one more when the builder's
+extension lemma proves it on a maximum clique (_clique_order), and the
+plain order from the strong odd order, since every strong odd
+certificate is a plain one.  A climb
 keeps only its order and routes no certificate.  A quarantined row
 asks max_clique_immersion for its witnesses, so they are that
 function's certificates by construction.
@@ -48,6 +50,7 @@ from .immersion import (
     PLAIN,
     STRONG_ODD,
     _ascend,
+    _clique_order,
     _SearchIndex,
     certificate_to_json,
     max_clique_immersion,
@@ -151,7 +154,7 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     report.runtime_ms["chi"] = (clock() - start) * 1000
     index = _SearchIndex(g)
     start = clock()
-    report.t_max_strong_odd = _ascend(index, max_clique(g)[0], STRONG_ODD)[0]
+    report.t_max_strong_odd = _ascend(index, _clique_order(g), STRONG_ODD)[0]
     report.runtime_ms["t_max_strong_odd"] = (clock() - start) * 1000
     start = clock()
     report.t_max_plain = _ascend(index, report.t_max_strong_odd, PLAIN)[0]

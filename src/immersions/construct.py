@@ -25,6 +25,12 @@ and adding the bounds |A|+|C|, |B|+|C| >= floor(2n/3) gives
 terminal t that v misses lies in A, and u is adjacent to it since
 {u, v, t} is not independent.  With M the missed terminals, at most
 k - |M| terminals lie in C, so |C - terminals| >= |C| - k + |M| > |M|.
+
+Step 3 itself, given that u is adjacent to every terminal v misses and
+that enough common neighbors lie off the terminals, holds in any graph:
+alpha <= 2 only guarantees those two conditions.  Its test,
+immersion._extends, also serves the immersion climbs, which start one
+past the clique number when it holds for a maximum clique as the base.
 """
 
 from __future__ import annotations
@@ -46,6 +52,7 @@ from .immersion import (
     STRONG_ODD,
     ImmersionCertificate,
     Path,
+    _extends,
     clique_certificate,
     verify_certificate,
 )
@@ -77,8 +84,7 @@ def extension_step(
     if g.has_edge(u, v):
         raise PreconditionError(f"vertices {u} and {v} are adjacent, not an independent pair")
     forbidden = 1 << u | 1 << v
-    term_mask = mask_of(base.terminals)
-    if term_mask & forbidden:
+    if mask_of(base.terminals) & forbidden:
         raise PreconditionError("base terminals must avoid u and v")
     for path in base.paths.values():
         if mask_of(path) & forbidden:
@@ -88,15 +94,17 @@ def extension_step(
         raise PreconditionError(
             f"base certificate rejected under strong+odd: {report.violations[0]}"
         )
+    return _extend(g, u, v, base)
 
-    missing = sorted(t for t in base.terminals if not g.has_edge(v, t))
-    if any(not g.has_edge(u, t) for t in missing):
-        return None
-    outside = g.vertex_mask & ~forbidden & ~term_mask
-    common = list(bits(g.adj[u] & g.adj[v] & outside))
-    if len(common) < len(missing):
-        return None
 
+def _extend(g: Graph, u: int, v: int, base: ImmersionCertificate) -> ImmersionCertificate | None:
+    """extension_step on inputs known to meet its preconditions."""
+    adj = g.adj
+    term_mask = mask_of(base.terminals)
+    if not _extends(adj, term_mask, u, v):
+        return None
+    missing = bits(term_mask & ~adj[v])
+    common = bits(adj[u] & adj[v] & ~term_mask)
     terminals = tuple(sorted(base.terminals + (v,)))
     position = {t: i for i, t in enumerate(terminals)}
     assigned = dict(zip(missing, common))
@@ -158,7 +166,8 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
     sub = Graph(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(adj)))
     base = _trim_certificate(_build(sub, sub_mask, trace), -(-(n - 2) // 3))
 
-    extended = extension_step(g, u, v, base)
+    # base is the recursion's own, trimmed: a clique's certificate or one _extend verified.
+    extended = _extend(g, u, v, base)
     assert extended is not None, "every degree >= floor(2n/3) leaves enough common neighbors"
     if trace is not None:
         trace.append(f"n={n} branch=extend pair=({u},{v}) t={extended.t}")

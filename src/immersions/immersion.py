@@ -63,6 +63,14 @@ never depends on it:
   certificate as without the pass.  A climb stops at the decision
   pass: it keeps the set of each order it reaches and routes only the
   last one, and only when a caller asks for the certificate.
+
+A climb starts from an order proved without search: the clique number,
+or one more when the extension lemma behind the builder's step 3
+(construct.py) holds for a maximum clique or a one-vertex swap of it;
+`_extends` is the lemma's one test, and max_clique_immersion gives the
+argument.  Starting higher skips only orders that are known to immerse,
+and the witness at the top order is searched as before, so every
+certificate is the same.
 """
 
 from __future__ import annotations
@@ -155,6 +163,9 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
         if not 0 <= term < n:
             raise MalformedCertificateError(f"terminal {term} outside 0..{n - 1}")
         terminal_mask |= 1 << term
+    for key in cert.paths:
+        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+            raise MalformedCertificateError(f"pair key {key!r} is not a pair of integers")
     expected = set(combinations(range(t), 2))
     if cert.paths.keys() != expected:
         got = set(cert.paths)
@@ -591,14 +602,56 @@ def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFl
 def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, ImmersionCertificate]:
     """Largest t admitting a certificate under flags, with a witness.
 
-    A clique proves K_omega, so the climb starts there unsearched; the
-    K_omega witness is searched only when the climb makes no step.
+    The climb starts unsearched from _clique_order: a clique Q proves
+    K_omega, and the extension lemma often proves K_{omega+1} on Q plus
+    one vertex v.  With u a non-neighbor of v off Q, M the vertices of Q
+    that v misses, every one a neighbor of u, and w_q distinct common
+    neighbors of u and v off Q, one for each q in M: the pairs of Q take
+    their own edges, v reaches a neighbor q in Q by the edge vq, and a q
+    in M by the path (v, w_q, u, q).  The edges vw_q and w_qu are told
+    apart by w_q, the edges uq by q, and none lies inside Q or joins v
+    to Q, so the paths are edge-disjoint; each has length 1 or 3 and
+    crosses no terminal.  Such a strong odd certificate is one under
+    every flag setting.  The witness is always searched, by _decide at
+    the top order when the climb makes no step, so it does not depend on
+    where the climb started.
     """
     if g.n == 0:
         raise DegenerateInputError("maximum immersion order undefined on the empty graph")
     index = _SearchIndex(g)
-    t, decided = _ascend(index, max_clique(g)[0], flags)
+    t, decided = _ascend(index, _clique_order(g), flags)
     return t, _route(index, _decide(index, t, flags) if decided is None else decided, flags)
+
+
+def _extends(adj: tuple[int, ...], terms: int, u: int, v: int) -> bool:
+    """The extension lemma's test (see max_clique_immersion): whether a
+    strong odd certificate on the terminals terms, avoiding the two
+    non-adjacent vertices u and v, grows by v through the hub u.  Every
+    terminal v misses must be a neighbor of u, and u and v need as many
+    common neighbors off terms as v misses terminals."""
+    missed = terms & ~adj[v]
+    return not missed & ~adj[u] and (adj[u] & adj[v] & ~terms).bit_count() >= missed.bit_count()
+
+
+def _clique_order(g: Graph) -> int:
+    """An order that immerses strongly and oddly, found with no search:
+    omega + 1 when the extension lemma holds for the clique max_clique
+    returns or for a swap Q - q + x, where x misses exactly the vertex q
+    of Q, for some hub u and new terminal v; omega otherwise."""
+    omega, clique = max_clique(g)
+    adj = g.adj
+    cliques = [clique]
+    for x in bits(g.vertex_mask & ~clique):
+        missed = clique & ~adj[x]  # not empty: Q is a maximum clique
+        if not missed & (missed - 1):
+            cliques.append(clique ^ missed | 1 << x)
+    for terms in cliques:
+        rest = g.vertex_mask & ~terms
+        for v in bits(rest):
+            for u in bits(rest & ~adj[v] & ~(1 << v)):
+                if _extends(adj, terms, u, v):
+                    return omega + 1
+    return omega
 
 
 def _ascend(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, _Decided | None]:

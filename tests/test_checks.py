@@ -158,8 +158,29 @@ class TestEvaluateGraph:
         # strong odd order; 1529 when strong odd search also searched
         # K_omega, which a clique proves, before climbing.  Counted at
         # find_clique_immersion while each climb step also routed its
-        # certificate.
-        assert calls == 1119
+        # certificate.  1119 while strong odd search also decided the
+        # K_{omega+1} that the extension lemma proves on 144 rows.
+        assert calls == 975
+
+    def test_verify_calls(self, monkeypatch, alpha2_by_n):
+        """The builder's certificates are verified once each over the same
+        410 rows: each extension step's enlarged one, in an assert, and
+        the appendix check's final one."""
+        calls = 0
+        verify = immersion_module.verify_certificate
+
+        def counted(g, cert, flags):
+            nonlocal calls
+            calls += 1
+            return verify(g, cert, flags)
+
+        monkeypatch.setattr(construct_module, "verify_certificate", counted)
+        monkeypatch.setattr(checks_module, "verify_certificate", counted)
+        for g in alpha2_by_n[8]:
+            evaluate_graph(g, ("main", "appendix", "vergara"))
+        # 492 while each extension step also verified its base, which the
+        # step before had just built and verified.
+        assert calls == 451
 
     def test_solve_calls(self, alpha2_by_n, count_solve_calls):
         """The work inside those searches: calls of the nested solve and
@@ -173,11 +194,14 @@ class TestEvaluateGraph:
         # 20887 when strong flags closed every terminal by a branch of their
         # own and the floors' walks could pass back through a pair's ends;
         # 17896 before the edge-class count and the decision pass; 8920
-        # while every climb step also solved its set in lex order.
-        assert calls["solve"] == 4793
+        # while every climb step also solved its set in lex order; 4793
+        # while strong odd search decided the K_{omega+1} that the
+        # extension lemma proves.
+        assert calls["solve"] == 3015
         # 12270 while route recursed into every free neighbor of a path's
-        # end and tested the last edge to b in the callee.
-        assert calls["route"] == 10063
+        # end and tested the last edge to b in the callee; 10063 while
+        # strong odd search decided the lemma's K_{omega+1}.
+        assert calls["route"] == 7883
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import re
 
 import pytest
@@ -14,6 +15,7 @@ from immersions import (
     IndependencePreconditionError,
     PreconditionError,
     STRONG_ODD,
+    bits,
     build_third_immersion,
     certificate_to_json,
     clique_certificate,
@@ -22,11 +24,15 @@ from immersions import (
     extension_step,
     find_clique_immersion,
     is_clique,
+    mask_of,
+    max_clique,
+    max_clique_immersion,
     non_neighborhood,
     parse_graph6,
     sample_alpha_le2,
     verify_certificate,
 )
+from immersions.immersion import _clique_order, _extends
 from common import cycle, petersen_complement, third_target
 
 
@@ -241,3 +247,53 @@ class TestExtensionStep:
             extension_step(g, 1, 1, ImmersionCertificate((0,), {}))
         with pytest.raises(PreconditionError):
             extension_step(g, 1, 9, ImmersionCertificate((0,), {}))
+
+
+def lemma_holds(g: Graph, clique: set[int], u: int, v: int) -> bool:
+    """The extension lemma's condition, read off neighbor sets."""
+    nu, nv = set(bits(g.adj[u])), set(bits(g.adj[v]))
+    missed = clique - nv
+    return missed <= nu and len((nu & nv) - clique) >= len(missed)
+
+
+class TestExtensionLemma:
+    def test_lemma_proves_the_order_it_claims(self, all_graphs_by_n, alpha2_by_n):
+        """Every graph with n <= 7 and every alpha <= 2 class with n = 8
+        or 9 (those with n <= 7 are among the former): wherever the
+        lemma's test fires for the maximum clique Q or a swap Q - q + x,
+        extension_step builds the K_{|Q|+1} certificate, a search finds
+        one, and the climbs' start never passes the strong odd order."""
+        graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
+        graphs += alpha2_by_n[8] + list(enumerate_alpha_le2(9))
+        assert len(graphs) == 3559
+        fired_graphs = hits = 0
+        for g in graphs:
+            omega, clique_mask = max_clique(g)
+            clique = set(bits(clique_mask))
+            swaps = [
+                clique - missed | {x}
+                for x in range(g.n)
+                if x not in clique and len(missed := clique - set(bits(g.adj[x]))) == 1
+            ]
+            fired = False
+            for terms in [clique, *swaps]:
+                rest = [w for w in range(g.n) if w not in terms]
+                for u, v in itertools.permutations(rest, 2):
+                    if g.has_edge(u, v):
+                        continue
+                    holds = lemma_holds(g, terms, u, v)
+                    assert _extends(g.adj, mask_of(terms), u, v) == holds
+                    if not holds:
+                        continue
+                    cert = extension_step(g, u, v, clique_certificate(terms))
+                    assert cert is not None and cert.t == omega + 1
+                    assert verify_certificate(g, cert, STRONG_ODD).accepted
+                    fired = True
+                    hits += 1
+            start = _clique_order(g)
+            assert start == omega + fired
+            if fired:
+                fired_graphs += 1
+                assert find_clique_immersion(g, omega + 1, STRONG_ODD) is not None
+            assert start <= max_clique_immersion(g, STRONG_ODD)[0]
+        assert (fired_graphs, hits) == (1271, 5797)

@@ -18,9 +18,12 @@ import immersions
 # independence_number.  Enumeration refines each child once and passes
 # the colors to the search, so no module calls canonical_form either.
 # The builder reads a live vertex's non-neighborhood off its adjacency
-# row, so no module calls non_neighborhood.
+# row, so no module calls non_neighborhood.  It extends its own
+# certificates past extension_step's input checks, so no module calls
+# extension_step.
 API_ONLY = {
-    "STRONG", "ODD", "canonical_form", "enumerate_triangle_free", "independence_number", "non_neighborhood",
+    "STRONG", "ODD", "canonical_form", "enumerate_triangle_free", "extension_step", "independence_number",
+    "non_neighborhood",
 }
 
 

@@ -198,7 +198,14 @@ def _resolve_source(source: str | os.PathLike | Iterable[Graph]) -> Iterable[Gra
     counted); anything else is an iterable of graphs, each item checked.
     """
     if not isinstance(source, (str, os.PathLike)):
-        graphs = list(source)
+        try:
+            items = iter(source)
+        except TypeError:
+            raise ValueError(
+                f"source needs a graph6 file path or an iterable of graphs, "
+                f"not the {type(source).__name__} {source!r}"
+            ) from None
+        graphs = list(items)
         for index, g in enumerate(graphs):
             if not isinstance(g, Graph):
                 raise ValueError(
@@ -267,10 +274,11 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     `source` is a graph6 file path, str or path-like, or an iterable of
     graphs, such as `enumerate_alpha_le2(7)`.  Exit 0 when every
     applicable check holds, 1 when any fails, and 2 before any row on an
-    input problem, such as a generator's size cap, an item that is not a
-    `Graph`, `checks` that is not a sequence of names, `workers` that is
-    not an int or is < 1, or an `out` that is a directory or in a
-    missing one.  A pool never has more processes than rows, and a dying
+    input problem, such as a generator's size cap, a source that is
+    neither a path nor an iterable, an item that is not a `Graph`,
+    `checks` that is not a sequence of names, `workers` that is not an
+    int or is < 1, or an `out` that is not a path, is a directory or is
+    in a missing one.  A pool never has more processes than rows, and a dying
     worker process exits 2 with no report.  Output is byte-identical for
     a fixed input regardless of worker count: rows keep input order and
     hold no timing data.
@@ -284,8 +292,11 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
         _require_int(workers, "workers")
         if workers < 1:
             raise ValueError(f"workers must be at least 1, got {workers}")
-        if out is not None and (Path(out).is_dir() or not Path(out).parent.is_dir()):
-            raise ValueError(f"cannot write the report to {out}: not a file in an existing directory")
+        if out is not None:
+            if not isinstance(out, (str, os.PathLike)):
+                raise ValueError(f"out needs a file path, not the {type(out).__name__} {out!r}")
+            if Path(out).is_dir() or not Path(out).parent.is_dir():
+                raise ValueError(f"cannot write the report to {out}: not a file in an existing directory")
         tasks = [(g, checks) for g in _resolve_source(source)]
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,14 +14,12 @@ each pair's paths are enumerated by iterative deepening on length
 (odd lengths only under the odd flag), in one recursion that extends a
 path edge by edge and, at the pair's far end, routes the next pair.  A
 step from the path's end v goes only to the open neighbors adj[v] &
-~closed, in ascending order, over edges not yet used.  With two edges
-left, the path closes at once through each common neighbor w in
-adj[v] & adj[b] & ~closed whose edges vw and wb are both unused, again
-in ascending order; a neighbor of v that misses the far end b is never
-entered.  This visits the same paths in the same order as trying every
-neighbor of v and testing the last edge in the callee.  Pruning is
-limited to sound necessary conditions, so the first certificate found
-never depends on it:
+~closed, in ascending order, over edges not yet used; with two edges
+left, only to those that are also neighbors of the far end b, so a
+neighbor of v that misses b is never entered and the last step tests
+the one edge wb.  This visits the same paths in the same order as
+trying every neighbor of v.  Pruning is limited to sound necessary
+conditions, so the first certificate found never depends on it:
 
 - terminal degree >= t-1, since a terminal ends t-1 disjoint paths;
   t such terminals have t(t-1) <= degree sum <= 2|E|, so C(t,2) <= |E|;
@@ -102,6 +100,11 @@ class ImmersionFlags:
         return "+".join(parts) if parts else "plain"
 
 
+def _require_flags(flags) -> None:
+    if not isinstance(flags, ImmersionFlags):
+        raise ValueError(f"flags needs an ImmersionFlags, not the {type(flags).__name__} {flags!r}")
+
+
 PLAIN = ImmersionFlags()
 STRONG = ImmersionFlags(strong=True)
 ODD = ImmersionFlags(odd=True)
@@ -151,6 +154,7 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
     Each path is checked for repeats and interior terminals on its
     vertex mask, and each edge uv is keyed by its mask 1 << u | 1 << v.
     """
+    _require_flags(flags)
     n = g.n
     terminals = cert.terminals
     t = len(terminals)
@@ -236,6 +240,7 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
 
 
 def certificate_to_json(cert: ImmersionCertificate, flags: ImmersionFlags) -> str:
+    _require_flags(flags)
     payload = {
         "t": cert.t,
         "terminals": list(cert.terminals),
@@ -404,8 +409,9 @@ class _SearchIndex:
 
     degrees[v] is the degree of v, the one source of the candidate
     filter, the pass-through budgets and the decision order;
-    edge_bit[v][w] is the used-edge bit of the edge vw, its keys
-    ascending as in adj[v]; twins[w] is the bitset of the twins v < w
+    edge_bit[v][w] is the used-edge bit of the edge vw, looked up by w
+    (its keys ascend as in adj[v], the order the reference router in
+    tests/oracles.py walks); twins[w] is the bitset of the twins v < w
     of w.  Each caller builds one for the orders it decides (a sweep row
     one for both its climbs), and nothing keeps it past that call.
     """
@@ -438,6 +444,7 @@ class _SearchIndex:
 def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionCertificate | None:
     """Exact search for a K_t-immersion certificate under flags."""
     _require_int(t, "clique order t")
+    _require_flags(flags)
     index = _SearchIndex(g)
     decided = _decide(index, t, flags)
     return None if decided is None else _route(index, decided, flags)
@@ -537,9 +544,11 @@ def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFl
     def route(k: int, path: Path, b: int, remaining: int, closed: int, used: int, spent: int) -> bool:
         """Extend pair k's path by exactly remaining edges to b, off closed
         vertices and used edges, then route pairs k+1..; True once all are.
+        With two edges left a step goes only to a neighbor of b, and the
+        call for the last edge tests that neighbor's edge to b.
         """
         v = path[-1]
-        if remaining == 1:  # only a pair's first call: the edge ab itself
+        if remaining == 1:  # the last edge, vb
             bit = edge_bit[v].get(b)
             if bit and not used & bit:
                 solution.append(path + (b,))
@@ -548,26 +557,10 @@ def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFl
                 solution.pop()
             return False
         to_v = edge_bit[v]
-        if remaining == 2:  # close through a common neighbor w of v and b
-            to_b = edge_bit[b]
-            common = adj[v] & adj[b] & ~closed
-            while common:
-                low = common & -common
-                w = low.bit_length() - 1
-                common ^= low
-                bit = to_v[w] | to_b[w]
-                if used & bit:
-                    continue
-                spare[w] -= 1
-                now_spent = spent | low if term_mask & low and not spare[w] else spent
-                solution.append(path + (w, b))
-                if solve(k + 1, used | bit, now_spent):
-                    return True
-                solution.pop()
-                spare[w] += 1
-            return False
         free = adj[v] & ~closed
-        while free:  # bits(free) inlined: ascending, as edge_bit[v]'s keys
+        if remaining == 2:  # the next vertex must be a neighbor of b
+            free &= adj[b]
+        while free:  # bits(free) inlined: ascending
             low = free & -free
             w = low.bit_length() - 1
             free ^= low
@@ -616,6 +609,7 @@ def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, Immersio
     the top order when the climb makes no step, so it does not depend on
     where the climb started.
     """
+    _require_flags(flags)
     if g.n == 0:
         raise DegenerateInputError("maximum immersion order undefined on the empty graph")
     index = _SearchIndex(g)

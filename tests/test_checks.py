@@ -200,8 +200,10 @@ class TestEvaluateGraph:
         assert calls["solve"] == 3015
         # 12270 while route recursed into every free neighbor of a path's
         # end and tested the last edge to b in the callee; 10063 while
-        # strong odd search decided the lemma's K_{omega+1}.
-        assert calls["route"] == 7883
+        # strong odd search decided the lemma's K_{omega+1}; 7883 while
+        # route closed a path's last two edges in a branch of its own,
+        # without a call for the last edge.
+        assert calls["route"] == 8912
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that
@@ -379,7 +381,7 @@ class TestRunBatch:
         assert run_batch(path, ("main", "vergara")) == 0
         assert capsys.readouterr().out == as_str
 
-    @pytest.mark.parametrize("where", ["missing/r.csv", "."])
+    @pytest.mark.parametrize("where", ["missing/r.csv", ".", 5])
     def test_unwritable_out_exits_before_any_row(self, tmp_path, capsys, monkeypatch, where):
         calls = 0
 
@@ -389,8 +391,8 @@ class TestRunBatch:
             return evaluate_graph(g, checks)
 
         monkeypatch.setattr(checks_module, "evaluate_graph", counted)
-        out = tmp_path / where
-        assert run_batch([Graph.complete(3)], ("main",), out=str(out)) == 2
+        out = str(tmp_path / where) if isinstance(where, str) else where
+        assert run_batch([Graph.complete(3)], ("main",), out=out) == 2
         assert calls == 0
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error:") and str(out) in captured.err
@@ -402,6 +404,8 @@ class TestRunBatch:
         ([Graph.complete(3), None], 1, "source item 1 (from 0) is a NoneType, not a Graph; " + _PASS_GRAPHS),
         ([Graph.complete(3)], 0, "workers must be at least 1, got 0"),
         ([Graph.complete(3)], -3, "workers must be at least 1, got -3"),
+        (5, 1, "source needs a graph6 file path or an iterable of graphs, not the int 5"),
+        (None, 1, "source needs a graph6 file path or an iterable of graphs, not the NoneType None"),
     ])
     def test_bad_batch_input_exits_before_any_row(self, capsys, monkeypatch, source, workers, message):
         calls = 0

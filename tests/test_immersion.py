@@ -338,6 +338,29 @@ class TestFind:
         with pytest.raises(ValueError, match="clique order t needs an int"):
             find_clique_immersion(Graph.complete(4), t, PLAIN)
 
+    @pytest.mark.parametrize("flags", ["x", None, 1, (True, True)], ids=repr)
+    def test_flags_not_immersion_flags_rejected_before_any_work(self, flags, monkeypatch):
+        """A flags of "x" once gave a K_1 certificate, and elsewhere a bad
+        flags raised a bare AttributeError partway through."""
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(immersion_module, "_decide", no_search)
+        monkeypatch.setattr(immersion_module, "_clique_order", no_search)
+        message = f"flags needs an ImmersionFlags, not the {type(flags).__name__}"
+        cert = clique_certificate(range(3))
+        for call in (
+            lambda: find_clique_immersion(Graph.complete(4), 1, flags),
+            lambda: max_clique_immersion(Graph.empty(1), flags),
+            lambda: max_clique_immersion(Graph.empty(0), flags),
+            lambda: verify_certificate(Graph.complete(3), cert, flags),
+            lambda: verify_certificate(Graph.complete(3), ImmersionCertificate((), {}), flags),
+            lambda: certificate_to_json(cert, flags),
+        ):
+            with pytest.raises(ValueError, match=re.escape(message)) as caught:
+                call()
+            assert type(caught.value) is ValueError
+
     def test_t_above_n_absent(self):
         assert find_clique_immersion(cycle(4), 5, PLAIN) is None
         for flags in ALL_FLAGS:
@@ -493,9 +516,9 @@ class TestTwinClosedSets:
 
 class TestEdgeBit:
     def test_matches_the_reference_table(self, all_graphs_by_n):
-        """Same bits and same key order (route walks .items()) as the
-        table built from g.edges(), on every graph with n <= 7 and on
-        seeded graphs with n <= 20."""
+        """Same bits and same key order (oracles.reference_solve_pairs
+        walks .items()) as the table built from g.edges(), on every graph
+        with n <= 7 and on seeded graphs with n <= 20."""
         graphs = [g for n in range(1, 8) for g in all_graphs_by_n[n]]
         rng = random.Random(26)
         graphs += [random_graph(rng, rng.randint(0, 20), rng.random()) for _ in range(300)]

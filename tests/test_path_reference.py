@@ -1,20 +1,21 @@
 """The path router and the verifier against their references in oracles.
 
 Both came to read adjacency bitmasks: the router extends a path only
-over the open neighbors of its end and closes its last two edges through
-the common neighbors of that end and the far terminal, and the verifier
+over the open neighbors of its end, and with two edges left only over
+those that are also neighbors of the far terminal, and the verifier
 tests a path on one vertex mask.  Their references are the per-edge
 versions they replaced, so every certificate and every verifier outcome
 must stay the same.
 
 The alpha <= 2 classes at n = 9 (1,897) take longer than Tier-1 should
 spend on this; compare their certificates under the plain, strong and
-strong odd flags with:
+strong odd flags, and the odd-only certificates of the 410 classes at
+n = 8, with:
 
     PYTHONPATH=src python3 tests/test_path_reference.py --n9
 
-Odd-only search is left out there: it costs far more than the other
-settings at n = 9.
+Odd-only search at n = 9 is left out: it costs far more than the other
+settings there.
 """
 
 from __future__ import annotations
@@ -151,22 +152,24 @@ def test_verifier_matches_the_reference():
 
 
 def check_n9() -> int:
-    """Compare the certificates of the alpha <= 2 classes at n = 9."""
-    graphs = list(enumerate_alpha_le2(9))
+    """Compare the certificates of the alpha <= 2 classes at n = 9, and
+    the odd-only ones at n = 8."""
     status = 0
-    for flags in (PLAIN, STRONG, STRONG_ODD):
-        word = first_mismatch(graphs, flags)
-        if word is not None:
-            print(f"n = 9, {flags.label()}: {word} differs from the reference router", file=sys.stderr)
-            status = 1
-        else:
-            print(f"n = 9, {flags.label()}: all {len(graphs)} certificates match the reference router")
+    for n, settings in ((9, (PLAIN, STRONG, STRONG_ODD)), (8, (ODD,))):
+        graphs = list(enumerate_alpha_le2(n))
+        for flags in settings:
+            word = first_mismatch(graphs, flags)
+            if word is not None:
+                print(f"n = {n}, {flags.label()}: {word} differs from the reference router", file=sys.stderr)
+                status = 1
+            else:
+                print(f"n = {n}, {flags.label()}: all {len(graphs)} certificates match the reference router")
     return status
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--n9", action="store_true", help="compare the alpha <= 2 classes at n = 9")
+    parser.add_argument("--n9", action="store_true", help="compare the alpha <= 2 classes at n = 9, and odd-only at n = 8")
     if not parser.parse_args(argv).n9:
         parser.error("nothing to do without --n9; run the rest with pytest")
     return check_n9()

@@ -15,8 +15,8 @@ extension lemma proves it on a maximum clique (_clique_order), and the
 plain order from the strong odd order, since every strong odd
 certificate is a plain one.  A climb
 keeps only its order and routes no certificate.  A quarantined row
-asks max_clique_immersion for its witnesses, so they are that
-function's certificates by construction.
+routes its witnesses with find_clique_immersion at its climbs' orders,
+so they are max_clique_immersion's certificates by construction.
 
 For alpha <= 2, a color class is a vertex or an edge of the
 complement H, so chi = n - nu(H), nu being H's matching number; the
@@ -45,7 +45,7 @@ from pathlib import Path
 
 from .construct import _build
 from .coloring import chromatic_number, matching_number
-from .graphs import Graph, _require_int, complement, encode_graph6, max_clique, parse_graph6
+from .graphs import Graph, _require_int, _require_type, complement, encode_graph6, max_clique, parse_graph6
 from .immersion import (
     PLAIN,
     STRONG_ODD,
@@ -53,7 +53,7 @@ from .immersion import (
     _clique_order,
     _SearchIndex,
     certificate_to_json,
-    max_clique_immersion,
+    find_clique_immersion,
     verify_certificate,
 )
 
@@ -139,6 +139,7 @@ def _require_known(checks) -> tuple[str, ...]:
 
 def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     """Full row: every leading column, the requested outcomes, and any quarantine."""
+    _require_type(g, Graph, "g")
     checks = _require_known(checks)
     report = CheckReport(encode_graph6(g), g.n)
     clock = time.perf_counter
@@ -178,8 +179,9 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
         if coloring.k != report.chi:
             raise AssertionError(f"the witness coloring has {coloring.k} colors, the row's chi is {report.chi}")
         report.quarantine = {**_leading(report), "coloring": list(coloring.colors), "failed_checks": failed}
-        for kind, flags in (("plain", PLAIN), ("strong_odd", STRONG_ODD)):
-            cert = max_clique_immersion(g, flags)[1]
+        orders = (("plain", report.t_max_plain, PLAIN), ("strong_odd", report.t_max_strong_odd, STRONG_ODD))
+        for kind, t, flags in orders:
+            cert = find_clique_immersion(g, t, flags)
             report.quarantine[f"certificate_{kind}"] = json.loads(certificate_to_json(cert, flags))
     return report
 

@@ -129,6 +129,14 @@ def _require_int(value, what: str) -> None:
         raise ValueError(f"{what} needs an int, not the {type(value).__name__} {value!r}")
 
 
+def _require_type(value, kind: type, what: str) -> None:
+    """A public entry point's check of an argument it reads attributes of,
+    so a wrong type fails before any work rather than partway through."""
+    if not isinstance(value, kind):
+        article = "an" if kind.__name__[0] in "AEIOU" else "a"
+        raise ValueError(f"{what} needs {article} {kind.__name__}, not the {type(value).__name__} {value!r}")
+
+
 @dataclass(frozen=True)
 class Graph:
     """Immutable simple undirected graph on vertices 0..n-1."""

@@ -79,7 +79,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 
 from .errors import DegenerateInputError, MalformedCertificateError
-from .graphs import Graph, _is_int, _require_int, bits, earlier_twins, mask_of, max_clique
+from .graphs import Graph, _is_int, _require_int, _require_type, bits, earlier_twins, mask_of, max_clique
 
 
 @dataclass(frozen=True)
@@ -98,11 +98,6 @@ class ImmersionFlags:
     def label(self) -> str:
         parts = [name for name in ("strong", "odd") if getattr(self, name)]
         return "+".join(parts) if parts else "plain"
-
-
-def _require_flags(flags) -> None:
-    if not isinstance(flags, ImmersionFlags):
-        raise ValueError(f"flags needs an ImmersionFlags, not the {type(flags).__name__} {flags!r}")
 
 
 PLAIN = ImmersionFlags()
@@ -154,7 +149,9 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
     Each path is checked for repeats and interior terminals on its
     vertex mask, and each edge uv is keyed by its mask 1 << u | 1 << v.
     """
-    _require_flags(flags)
+    _require_type(g, Graph, "g")
+    _require_type(cert, ImmersionCertificate, "cert")
+    _require_type(flags, ImmersionFlags, "flags")
     n = g.n
     terminals = cert.terminals
     t = len(terminals)
@@ -240,7 +237,8 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
 
 
 def certificate_to_json(cert: ImmersionCertificate, flags: ImmersionFlags) -> str:
-    _require_flags(flags)
+    _require_type(cert, ImmersionCertificate, "cert")
+    _require_type(flags, ImmersionFlags, "flags")
     payload = {
         "t": cert.t,
         "terminals": list(cert.terminals),
@@ -443,27 +441,22 @@ class _SearchIndex:
 
 def find_clique_immersion(g: Graph, t: int, flags: ImmersionFlags) -> ImmersionCertificate | None:
     """Exact search for a K_t-immersion certificate under flags."""
+    _require_type(g, Graph, "g")
     _require_int(t, "clique order t")
-    _require_flags(flags)
+    _require_type(flags, ImmersionFlags, "flags")
     index = _SearchIndex(g)
-    decided = _decide(index, t, flags)
-    return None if decided is None else _route(index, decided, flags)
+    terms = _decide(index, t, flags)
+    return None if terms is None else _route(index, terms, flags)
 
 
-# The terminals of a certificate, with its paths in lex pair order when
-# the search that found the terminals already routed them so.
-_Decided = tuple[tuple[int, ...], list[Path] | None]
-
-
-def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> _Decided | None:
+def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ...] | None:
     """The first terminal set in colex order that passes the decision
-    pass, or None: the terminals of find_clique_immersion's certificate.
-    The pass's paths come along when its order is the lex order."""
+    pass, or None: the terminals of find_clique_immersion's certificate."""
     if t < 1:
         raise ValueError("clique order must be at least 1")
     g = index.g
     if t == 1:
-        return ((0,), []) if g.n else None
+        return (0,) if g.n else None
     degrees = index.degrees
     candidates = [v for v, degree in enumerate(degrees) if degree >= t - 1]
     if len(candidates) < t:
@@ -481,22 +474,18 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> _Decided | No
             continue
         order = _decision_order(degrees, terms, lex, floors)
         pairs = [lex[k] for k in order]
-        paths = _solve_pairs(index, terms, flags, budget, spent, pairs, [floors[k] for k in order])
-        if paths is not None:
-            return terms, (paths if pairs == lex else None)
+        if _solve_pairs(index, terms, flags, budget, spent, pairs, [floors[k] for k in order]) is not None:
+            return terms
     return None
 
 
-def _route(index: _SearchIndex, decided: _Decided, flags: ImmersionFlags) -> ImmersionCertificate:
+def _route(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags) -> ImmersionCertificate:
     """find_clique_immersion's certificate on the set _decide returned:
-    its pairs solved in lex order, unless the decision pass did that."""
-    terms, paths = decided
+    its pairs solved in lex order."""
+    budget = _pass_through_budget(index.degrees, len(terms), flags)
+    spent = mask_of(v for v in terms if not budget[v])
     lex = list(combinations(range(len(terms)), 2))
-    if paths is None:
-        g = index.g
-        budget = _pass_through_budget(index.degrees, len(terms), flags)
-        spent = mask_of(v for v in terms if not budget[v])
-        paths = _solve_pairs(index, terms, flags, budget, spent, lex, _lex_floors(g, terms, spent, flags.odd))
+    paths = _solve_pairs(index, terms, flags, budget, spent, lex, _lex_floors(index.g, terms, spent, flags.odd))
     return ImmersionCertificate(terms, dict(zip(lex, paths)))
 
 
@@ -609,12 +598,13 @@ def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, Immersio
     the top order when the climb makes no step, so it does not depend on
     where the climb started.
     """
-    _require_flags(flags)
+    _require_type(g, Graph, "g")
+    _require_type(flags, ImmersionFlags, "flags")
     if g.n == 0:
         raise DegenerateInputError("maximum immersion order undefined on the empty graph")
     index = _SearchIndex(g)
-    t, decided = _ascend(index, _clique_order(g), flags)
-    return t, _route(index, _decide(index, t, flags) if decided is None else decided, flags)
+    t, terms = _ascend(index, _clique_order(g), flags)
+    return t, _route(index, _decide(index, t, flags) if terms is None else terms, flags)
 
 
 def _extends(adj: tuple[int, ...], terms: int, u: int, v: int) -> bool:
@@ -648,15 +638,15 @@ def _clique_order(g: Graph) -> int:
     return omega
 
 
-def _ascend(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, _Decided | None]:
+def _ascend(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, tuple[int, ...] | None]:
     """From a K_t known to immerse, decide K_{t+1}, K_{t+2}, ... until one
-    fails.  Returns the largest order and what _decide found for it, None
-    when no step succeeds; no certificate is routed.  Stopping at the
-    first failure is exact, since a K_{t+1} certificate less one terminal
-    is a K_t certificate.
+    fails.  Returns the largest order and the terminals _decide found for
+    it, None when no step succeeds; no certificate is routed.  Stopping at
+    the first failure is exact, since a K_{t+1} certificate less one
+    terminal is a K_t certificate.
     """
-    decided = None
+    terms = None
     while t < index.g.n and (nxt := _decide(index, t + 1, flags)) is not None:
-        t, decided = t + 1, nxt
-    return t, decided
+        t, terms = t + 1, nxt
+    return t, terms
 

@@ -44,6 +44,22 @@ def force_holds(monkeypatch, name: str, holds) -> None:
     monkeypatch.setitem(checks_module.CHECKS, name, check)
 
 
+def _decide_calls(monkeypatch, graphs) -> int:
+    """_decide calls while evaluate_graph runs every check on graphs."""
+    calls = 0
+    decide = immersion_module._decide
+
+    def counted(index, t, flags):
+        nonlocal calls
+        calls += 1
+        return decide(index, t, flags)
+
+    monkeypatch.setattr(immersion_module, "_decide", counted)
+    for g in graphs:
+        evaluate_graph(g, ("main", "appendix", "vergara"))
+    return calls
+
+
 class TestSingleCheckers:
     def test_main_on_k5(self):
         report = evaluate_graph(Graph.complete(5), ("main",))
@@ -143,17 +159,7 @@ class TestEvaluateGraph:
         """Orders searched over the 410 alpha <= 2 rows at n = 8, counted
         at _decide, which a climb calls for each order and
         find_clique_immersion for its one."""
-        calls = 0
-        decide = immersion_module._decide
-
-        def counted(index, t, flags):
-            nonlocal calls
-            calls += 1
-            return decide(index, t, flags)
-
-        monkeypatch.setattr(immersion_module, "_decide", counted)
-        for g in alpha2_by_n[8]:
-            evaluate_graph(g, ("main", "appendix", "vergara"))
+        calls = _decide_calls(monkeypatch, alpha2_by_n[8])
         # 2152 when plain search climbed from omega instead of from the
         # strong odd order; 1529 when strong odd search also searched
         # K_omega, which a clique proves, before climbing.  Counted at
@@ -161,6 +167,18 @@ class TestEvaluateGraph:
         # certificate.  1119 while strong odd search also decided the
         # K_{omega+1} that the extension lemma proves on 144 rows.
         assert calls == 975
+
+    def test_quarantine_decide_calls(self, monkeypatch, alpha2_by_n):
+        """With main and vergara forced false, every one of the 582 alpha <= 2
+        classes with n <= 8 is quarantined.  Its witnesses cost one _decide
+        each, at the order its climb found, on top of the climbs."""
+        force_holds(monkeypatch, "main", lambda g, row, bound: False)
+        force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
+        graphs = [g for n in range(1, 9) for g in alpha2_by_n[n]]
+        assert len(graphs) == 582
+        # 3675 while a quarantined row climbed both orders again through
+        # max_clique_immersion for its witnesses.
+        assert _decide_calls(monkeypatch, graphs) == 2509
 
     def test_verify_calls(self, monkeypatch, alpha2_by_n):
         """The builder's certificates are verified once each over the same

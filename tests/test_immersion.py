@@ -26,6 +26,7 @@ from immersions import (
     clique_certificate,
     bits,
     complement,
+    evaluate_graph,
     find_clique_immersion,
     mask_of,
     max_clique_immersion,
@@ -361,6 +362,30 @@ class TestFind:
                 call()
             assert type(caught.value) is ValueError
 
+    @pytest.mark.parametrize("bad", ["x", None, (0, 1)], ids=repr)
+    def test_graph_or_certificate_of_another_type_rejected_before_any_work(self, bad, monkeypatch):
+        """A graph or certificate of another type once raised a bare
+        AttributeError partway through ("'str' object has no attribute")."""
+        def no_search(*args):
+            raise AssertionError("searched")
+
+        monkeypatch.setattr(immersion_module, "_decide", no_search)
+        monkeypatch.setattr(immersion_module, "_clique_order", no_search)
+        graph = f"g needs a Graph, not the {type(bad).__name__} {bad!r}"
+        certificate = f"cert needs an ImmersionCertificate, not the {type(bad).__name__} {bad!r}"
+        g, cert = Graph.complete(3), clique_certificate(range(3))
+        for call, message in (
+            (lambda: find_clique_immersion(bad, 2, PLAIN), graph),
+            (lambda: max_clique_immersion(bad, PLAIN), graph),
+            (lambda: verify_certificate(bad, cert, PLAIN), graph),
+            (lambda: verify_certificate(g, bad, PLAIN), certificate),
+            (lambda: certificate_to_json(bad, PLAIN), certificate),
+            (lambda: evaluate_graph(bad, ("main",)), graph),
+        ):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+                call()
+            assert type(caught.value) is ValueError
+
     def test_t_above_n_absent(self):
         assert find_clique_immersion(cycle(4), 5, PLAIN) is None
         for flags in ALL_FLAGS:
@@ -607,7 +632,7 @@ class TestDecideRoute:
         _decide returns None exactly when find_clique_immersion does, and
         otherwise the colex-first terminal set that immerses by the brute
         oracle.  Routing that set gives find_clique_immersion's
-        certificate, also when the paths _decide kept are dropped."""
+        certificate."""
         decided_sets = 0
         for n, graphs in all_graphs_small.items():
             for g in graphs:
@@ -615,11 +640,11 @@ class TestDecideRoute:
                 for flags in ALL_FLAGS:
                     for t in range(1, n + 1):
                         index = _SearchIndex(g)
-                        decided = _decide(index, t, flags)
+                        terms = _decide(index, t, flags)
                         cert = find_clique_immersion(g, t, flags)
                         case = (sorted(g.edges()), t, flags)
-                        assert (decided is None) == (cert is None), case
-                        if decided is None:
+                        assert (terms is None) == (cert is None), case
+                        if terms is None:
                             continue
                         decided_sets += 1
                         colex = sorted(itertools.combinations(range(n), t), key=lambda s: s[::-1])
@@ -627,9 +652,8 @@ class TestDecideRoute:
                             s for s in colex
                             if oracles.brute_terminals_immerse(g, s, flags.strong, flags.odd, path_cache)
                         )
-                        assert decided[0] == first, case
-                        assert _route(index, decided, flags) == cert, case
-                        assert _route(index, (decided[0], None), flags) == cert, case
+                        assert terms == first, case
+                        assert _route(index, terms, flags) == cert, case
         assert decided_sets > 0
 
 
@@ -673,9 +697,12 @@ class TestMax:
     # extension lemma proves K_{omega+1} on 32 of the classes, and on 3 of
     # them the plain and strong climbs go further, so their K_{omega+1}
     # is no longer decided.  Odd and strong odd climbs stop at omega + 1
-    # on all 32, where the witness is decided either way.
+    # on all 32, where the witness is decided either way.  2702, 2625,
+    # 3480 and 2320 while a winning set whose decision order was already
+    # lex kept its paths from that pass; the witness is now always solved
+    # again in lex order.
     @pytest.mark.parametrize("flags,expected", [
-        (PLAIN, 2702), (STRONG, 2625), (ODD, 3480), (STRONG_ODD, 2320),
+        (PLAIN, 3224), (STRONG, 3147), (ODD, 4010), (STRONG_ODD, 2850),
     ], ids=["plain", "strong", "odd", "strong+odd"])
     def test_solve_calls(self, alpha2_by_n, count_solve_calls, flags, expected):
         """The search's work under each flag setting: solve calls of

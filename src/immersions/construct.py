@@ -163,7 +163,7 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
         return clique_certificate(list(bits(live))[:target])
 
     sub_mask = live & ~(1 << u) & ~(1 << v)
-    sub = Graph(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(adj)))
+    sub = Graph._unchecked(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(adj)))
     base = _trim_certificate(_build(sub, sub_mask, trace), -(-(n - 2) // 3))
 
     # base is the recursion's own, trimmed: a clique's certificate or one _extend verified.

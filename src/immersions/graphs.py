@@ -174,6 +174,15 @@ class Graph:
         raise ValueError(f"asymmetric edge {v}-{w}")
 
     @classmethod
+    def _unchecked(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        """A Graph from rows valid by construction (symmetric, loop-free
+        and inside 0..n-1), made without the check __post_init__ runs."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)  # as the frozen dataclass's own __init__ does
+        object.__setattr__(g, "adj", adj)
+        return g
+
+    @classmethod
     def empty(cls, n: int) -> Graph:
         _require_int(n, "vertex count n")
         return cls(n, (0,) * n)
@@ -260,7 +269,7 @@ def parse_graph6(line: str) -> Graph:
     for v in range(n):
         lower.append(stream & ((1 << v) - 1))
         stream >>= v
-    return Graph(n, _mirror_lower(lower))
+    return Graph._unchecked(n, _mirror_lower(lower))
 
 
 def encode_graph6(g: Graph) -> str:
@@ -297,7 +306,7 @@ def earlier_twins(adj: tuple[int, ...]) -> list[int]:
 
 def complement(g: Graph) -> Graph:
     full = g.vertex_mask
-    return Graph(g.n, tuple(full ^ g.adj[v] ^ (1 << v) for v in range(g.n)))
+    return Graph._unchecked(g.n, tuple(full ^ g.adj[v] ^ (1 << v) for v in range(g.n)))
 
 
 def non_neighborhood(g: Graph, x: int) -> int:

@@ -42,9 +42,9 @@ conditions, so the first certificate found never depends on it:
   walk over candidate sets.  Twins have equal degree, so v is a
   candidate whenever w is, and swapping them is an automorphism.  It
   maps the set to the one with v in place of w, which comes earlier in
-  colex order and so has already failed (tried, or skipped by this rule
-  or the edge-class count, which skip only sets that fail); an
-  automorphic image has the same outcome;
+  colex order and so has already failed (tried, or skipped by this rule,
+  the edge-class count or the tight-terminal bound, which skip only sets
+  that fail); an automorphic image has the same outcome;
 - an edge-class count, under strong odd flags only: with T the
   terminal set, N the other vertices and M the number of non-adjacent
   terminal pairs, T is skipped when e(N,N) < M.  A strong odd path of a
@@ -52,6 +52,16 @@ conditions, so the first certificate found never depends on it:
   takes an N-N edge; paths share no edge.  The matching count of T-N
   edges, e(T,N) >= 2M, holds for every candidate set: its degree sum
   is at least t(t-1), and e(T,N) is that sum less 2e(T);
+- a tight-terminal bound, under every flag setting: a terminal of
+  degree t-1 is tight.  It ends t-1 paths, one by each of its edges, so
+  it is interior to none.  A non-terminal w with k tight neighbors E
+  carries the k paths that end by an edge wE, and each leaves w by
+  another edge.  One that leaves into E ends there too, so it is the
+  path a-w-b of two tight terminals: not adjacent, since a tight pair's
+  edge is the path of that pair, and of even length.  So w needs
+  k - 2*mu edges off E, mu being 0 under the odd flag or when E is a
+  clique and floor(k/2) otherwise, and T is skipped when deg(w) - k is
+  fewer;
 - a decision pass: each set is first solved with its pairs in
   tightest-first order (smaller endpoint degree, then longer floor),
   with its own memo, and a set that fails there is dropped.  Whether a
@@ -79,7 +89,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 
 from .errors import DegenerateInputError, MalformedCertificateError
-from .graphs import Graph, _is_int, _require_int, _require_type, bits, earlier_twins, mask_of, max_clique
+from .graphs import Graph, _is_int, _require_int, _require_type, bits, earlier_twins, is_clique, mask_of, max_clique
 
 
 @dataclass(frozen=True)
@@ -154,6 +164,10 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
     _require_type(flags, ImmersionFlags, "flags")
     n = g.n
     terminals = cert.terminals
+    if not isinstance(terminals, (tuple, list)):
+        raise MalformedCertificateError(f"terminals need a tuple, not the {type(terminals).__name__} {terminals!r}")
+    if not isinstance(cert.paths, dict):
+        raise MalformedCertificateError(f"paths need a dict, not the {type(cert.paths).__name__} {cert.paths!r}")
     t = len(terminals)
     if t < 1:
         raise MalformedCertificateError("certificate needs at least one terminal")
@@ -180,6 +194,8 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
         raise MalformedCertificateError("; ".join(detail))
     path_masks = {}
     for pair, path in cert.paths.items():
+        if not isinstance(path, (tuple, list)):
+            raise MalformedCertificateError(f"path for pair {pair} needs a tuple, not the {type(path).__name__} {path!r}")
         if len(path) < 2:
             raise MalformedCertificateError(f"path for pair {pair} has fewer than 2 vertices")
         path_mask = 0
@@ -390,15 +406,38 @@ def _edge_classes_short(index: _SearchIndex, terms: tuple[int, ...], term_mask: 
     return index.g.edge_count - degree_sum + inside < t * (t - 1) // 2
 
 
+def _tight_crowded(index: _SearchIndex, term_mask: int, tight: int, odd: bool) -> bool:
+    """Whether some non-terminal w has too few other edges to pass on the
+    paths that end at its tight terminal neighbors E (tight: the
+    terminals of degree t-1).
+
+    With k = |E|, w needs k - 2*mu edges off E, mu being 0 under the odd
+    flag or when E is a clique and floor(k/2) otherwise; the module
+    docstring gives the argument.
+    """
+    adj, degrees = index.g.adj, index.degrees
+    near = 0
+    for v in bits(tight):
+        near |= adj[v]
+    for w in bits(near & ~term_mask):
+        ends = adj[w] & tight
+        k = ends.bit_count()
+        spare = degrees[w] - k  # w's edges off E
+        # k - 2*mu is k, or k % 2 when mu = floor(k/2).
+        if spare < k and (odd or spare < k % 2 or is_clique(index.g, ends)):
+            return True
+    return False
+
+
 def _decision_order(degrees: list[int], terms: tuple[int, ...], pairs: list[tuple[int, int]],
                     floors: list[int]) -> list[int]:
     """Pair positions in the decision pass's order: smaller endpoint
     degree first, then the longer floor, then position."""
-    def key(k: int) -> tuple[int, int, int]:
-        i, j = pairs[k]
-        return min(degrees[terms[i]], degrees[terms[j]]), -floors[k], k
-
-    return sorted(range(len(pairs)), key=key)
+    keys = sorted(
+        (min(degrees[terms[i]], degrees[terms[j]]), -floor, k)
+        for k, ((i, j), floor) in enumerate(zip(pairs, floors))
+    )
+    return [k for _, _, k in keys]
 
 
 class _SearchIndex:
@@ -463,10 +502,14 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
         return None
     budget = _pass_through_budget(degrees, t, flags)
     no_spare = mask_of(v for v in candidates if not budget[v])
+    tight_candidates = mask_of(v for v in candidates if degrees[v] == t - 1)
     lex = list(combinations(range(t), 2))
     strong_odd = flags.strong and flags.odd
     for terms, term_mask in _twin_closed_sets(candidates, t, index.twins):
         if strong_odd and _edge_classes_short(index, terms, term_mask):
+            continue
+        tight = term_mask & tight_candidates
+        if tight and _tight_crowded(index, term_mask, tight, flags.odd):
             continue
         spent = term_mask & no_spare
         floors = _lex_floors(g, terms, spent, flags.odd)
@@ -499,13 +542,21 @@ def _lex_floors(g: Graph, terms: tuple[int, ...], spent: int, odd: bool) -> list
     """The floor of each terminal pair, in lex order, over the vertices a
     route may cross; None when some pair has no path at all.  spent, the
     terminals with no pass-through budget, only grows during a search, so
-    routes stay in the floors' scope."""
+    routes stay in the floors' scope.  An edge ab is floor 1 and, without
+    the odd flag, a common neighbor in scope floor 2, as _pair_floor's
+    first two steps would find."""
+    adj = g.adj
     floors = []
     for a, b in combinations(terms, 2):
         allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)  # solve's first closed set
-        floor = _pair_floor(g, a, b, allowed, odd)
-        if floor is None:
-            return None
+        if adj[a] >> b & 1:
+            floor = 1
+        elif not odd and adj[a] & adj[b] & allowed:
+            floor = 2
+        else:
+            floor = _pair_floor(g, a, b, allowed, odd)
+            if floor is None:
+                return None
         floors.append(floor)
     return floors
 

@@ -214,14 +214,15 @@ class TestEvaluateGraph:
         # 17896 before the edge-class count and the decision pass; 8920
         # while every climb step also solved its set in lex order; 4793
         # while strong odd search decided the K_{omega+1} that the
-        # extension lemma proves.
-        assert calls["solve"] == 3015
+        # extension lemma proves; 3015 before the tight-terminal bound.
+        assert calls["solve"] == 2467
         # 12270 while route recursed into every free neighbor of a path's
         # end and tested the last edge to b in the callee; 10063 while
         # strong odd search decided the lemma's K_{omega+1}; 7883 while
         # route closed a path's last two edges in a branch of its own,
-        # without a call for the last edge.
-        assert calls["route"] == 8912
+        # without a call for the last edge; 8912 before the tight-terminal
+        # bound.
+        assert calls["route"] == 4597
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that

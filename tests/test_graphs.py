@@ -305,6 +305,23 @@ class TestMatchesPerBitReference:
             assert word == oracles.reference_encode_graph6(g)
             assert parse_graph6(word).adj == oracles.reference_parse_graph6(word).adj == g.adj
 
+    def test_parsed_graphs_and_complements_equal_checked_ones(self, all_graphs_by_n):
+        """parse_graph6 and complement build their graphs without the
+        check: every graph6 word with n <= 8 and 300 seeded words with
+        n <= 62, each parsed and complemented, equals the checked Graph of
+        its own rows and the per-bit decoder's graph or its complement."""
+        graphs = [Graph.empty(0)] + [g for n in range(1, 9) for g in all_graphs_by_n[n]]
+        rng = random.Random(37)
+        graphs += [random_graph(rng, rng.randint(0, 62), rng.random()) for _ in range(300)]
+        for word in map(encode_graph6, graphs):
+            want = oracles.reference_parse_graph6(word)
+            missing = [(u, v) for u, v in itertools.combinations(range(want.n), 2) if not want.has_edge(u, v)]
+            for got, expected in ((parse_graph6(word), want),
+                                  (complement(parse_graph6(word)), Graph.from_edges(want.n, missing))):
+                checked = Graph(got.n, got.adj)
+                assert got == checked == expected, word
+                assert hash(got) == hash(checked) and got.edge_count == expected.edge_count, word
+
     @pytest.mark.parametrize("word", [
         "", " \t", ">>graph6<<", "B" + chr(62), "B" + chr(127), "Dh\u00e9", "\u00e9", "B\u2603",
         "Dhc\u00a0", "\x1cDhc", "Bww", "B", "A@", "Bx", chr(126) + "??", "}" + "~" * 315 + "@",

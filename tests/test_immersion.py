@@ -38,8 +38,11 @@ from immersions.immersion import (
     _SearchIndex,
     _decide,
     _edge_classes_short,
+    _lex_floors,
     _pair_floor,
+    _pass_through_budget,
     _route,
+    _tight_crowded,
     _twin_closed_sets,
 )
 from common import cycle, random_graph
@@ -161,6 +164,19 @@ class TestVerifier:
             verify_certificate(g, ImmersionCertificate((0, 1), {(0, 1): (0,)}), PLAIN)
         with pytest.raises(MalformedCertificateError):
             verify_certificate(g, ImmersionCertificate((0, 1), {(0, 1): (0, 9)}), PLAIN)
+
+    @pytest.mark.parametrize("cert,field", [
+        (ImmersionCertificate(5, {}), "terminals need a tuple"),
+        (ImmersionCertificate((0, 1), None), "paths need a dict"),
+        (ImmersionCertificate((0, 1), []), "paths need a dict"),
+        (ImmersionCertificate((0, 1), {(0, 1): 5}), "path for pair (0, 1) needs a tuple"),
+        (ImmersionCertificate((0, 1), {(0, 1): iter((0, 1))}), "path for pair (0, 1) needs a tuple"),
+    ], ids=["int-terminals", "none-paths", "list-paths", "int-path", "iterator-path"])
+    def test_a_field_of_another_type_raises(self, cert, field):
+        """A certificate built directly, not read from JSON, with a field
+        of the wrong type: not a bare TypeError or AttributeError."""
+        with pytest.raises(MalformedCertificateError, match=re.escape(field)):
+            verify_certificate(Graph.complete(2), cert, PLAIN)
 
     def test_t1_certificate_accepted(self):
         cert = ImmersionCertificate((2,), {})
@@ -481,6 +497,32 @@ class TestPairFloor:
                                         sorted(g.edges()), a, b, inside, odd
                                     )
 
+    def test_lex_floors_match_the_floor_of_each_pair(self, all_graphs_small):
+        """_lex_floors sets an edge's floor to 1 and, without the odd
+        flag, a common neighbor's to 2 with no walk: on every graph with
+        n <= 6, every flag setting and every candidate set, it returns
+        what _pair_floor gives each pair, with _decide's scope."""
+        shortcuts = 0
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                degrees = [g.degree(v) for v in range(n)]
+                for flags in ALL_FLAGS:
+                    for t in range(2, n + 1):
+                        budget = _pass_through_budget(degrees, t, flags)
+                        candidates = [v for v in range(n) if degrees[v] >= t - 1]
+                        for terms in itertools.combinations(candidates, t):
+                            spent = mask_of(v for v in terms if not budget[v])
+                            want = []
+                            for a, b in itertools.combinations(terms, 2):
+                                allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)
+                                want.append(_pair_floor(g, a, b, allowed, flags.odd))
+                            if None in want:
+                                want = None
+                            else:
+                                shortcuts += sum(floor <= 2 for floor in want)
+                            assert _lex_floors(g, terms, spent, flags.odd) == want, (sorted(g.edges()), terms, flags)
+        assert shortcuts
+
     def test_walks_never_pass_through_the_ends(self):
         """The path 0-1-2 with the triangle 2-3-4 hung on 2 has no odd 0-2
         path; the odd walk 0-1-2-3-4-2 returns through 2 and must not count."""
@@ -585,6 +627,31 @@ class TestEdgeClassCount:
                         inside = sum(g.has_edge(a, b) for a, b in itertools.combinations(terms, 2))
                         toward_n = sum(g.has_edge(v, w) for v in terms for w in range(n) if w not in terms)
                         assert toward_n >= 2 * (t * (t - 1) // 2 - inside), (sorted(g.edges()), terms)
+
+
+class TestTightCrowding:
+    def test_killed_sets_fail(self, all_graphs_by_n):
+        """Every candidate set the tight-terminal bound kills, on every
+        graph with n <= 7, has no certificate by the brute oracle under
+        the flag setting it was killed for, and each setting kills some."""
+        killed = dict.fromkeys(ALL_FLAGS, 0)
+        for n in range(2, 8):
+            for g in all_graphs_by_n[n]:
+                index = _SearchIndex(g)
+                path_cache: dict = {}
+                for t in range(2, n + 1):
+                    candidates = [v for v in range(n) if g.degree(v) >= t - 1]
+                    tight_candidates = mask_of(v for v in candidates if g.degree(v) == t - 1)
+                    for terms in itertools.combinations(candidates, t):
+                        term_mask = mask_of(terms)
+                        tight = term_mask & tight_candidates
+                        for flags in ALL_FLAGS:
+                            if tight and _tight_crowded(index, term_mask, tight, flags.odd):
+                                killed[flags] += 1
+                                assert not oracles.brute_terminals_immerse(
+                                    g, terms, flags.strong, flags.odd, path_cache
+                                ), (sorted(g.edges()), terms, flags)
+        assert all(killed.values()), killed
 
 
 class TestDecisionOrder:
@@ -700,9 +767,10 @@ class TestMax:
     # on all 32, where the witness is decided either way.  2702, 2625,
     # 3480 and 2320 while a winning set whose decision order was already
     # lex kept its paths from that pass; the witness is now always solved
-    # again in lex order.
+    # again in lex order.  3224, 3147, 4010 and 2850 before the
+    # tight-terminal bound.
     @pytest.mark.parametrize("flags,expected", [
-        (PLAIN, 3224), (STRONG, 3147), (ODD, 4010), (STRONG_ODD, 2850),
+        (PLAIN, 3151), (STRONG, 3119), (ODD, 3972), (STRONG_ODD, 2844),
     ], ids=["plain", "strong", "odd", "strong+odd"])
     def test_solve_calls(self, alpha2_by_n, count_solve_calls, flags, expected):
         """The search's work under each flag setting: solve calls of

@@ -18,8 +18,11 @@ keeps only its order and routes no certificate.  A quarantined row
 routes its witnesses with find_clique_immersion at its climbs' orders,
 so they are max_clique_immersion's certificates by construction.
 
-For alpha <= 2, a color class is a vertex or an edge of the
-complement H, so chi = n - nu(H), nu being H's matching number; the
+A row's alpha is the clique number of the complement H, and H has no
+triangle exactly when alpha <= 2, so the clique search runs only on an
+H with a triangle; otherwise alpha is 2 when H has an edge, else 1 (0
+on no vertex).  For alpha <= 2, a color class is a vertex or an edge of
+H, so chi = n - nu(H), nu being H's matching number; the
 exponential coloring search runs only for the chi of alpha >= 3, and
 a quarantined row asks chromatic_number for its coloring.
 
@@ -145,7 +148,7 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     clock = time.perf_counter
     start = clock()
     h = complement(g)
-    report.alpha = max_clique(h)[0]
+    report.alpha = _clique_number(h)
     report.runtime_ms["alpha"] = (clock() - start) * 1000
     start = clock()
     if report.alpha <= 2:
@@ -184,6 +187,20 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
             cert = find_clique_immersion(g, t, flags)
             report.quarantine[f"certificate_{kind}"] = json.loads(certificate_to_json(cert, flags))
     return report
+
+
+def _clique_number(h: Graph) -> int:
+    """max_clique(h)'s size, searched for only when h has a triangle;
+    otherwise 2 when h has an edge, else 1, or 0 on no vertex."""
+    adj = h.adj
+    for u, row in enumerate(adj):
+        rest = row >> u  # the edges uv with v > u, each tested once
+        while rest:
+            low = rest & -rest
+            if row & adj[u + low.bit_length() - 1]:  # u and v share a neighbor
+                return max_clique(h)[0]
+            rest ^= low
+    return 2 if any(adj) else min(h.n, 1)
 
 
 def _worker(task: tuple[Graph, tuple[str, ...]]) -> CheckReport:

@@ -74,9 +74,9 @@ def is_k_colorable(g: Graph, k: int) -> ColoringCertificate | None:
             colors[pick] = -1
         return False
 
-    if not search(0, 0):
-        return None
-    return _normalize(colors)
+    found = search(0, 0)
+    search = None  # it calls itself: free the cycle now, not at a collection
+    return _normalize(colors) if found else None
 
 
 def chromatic_number(g: Graph) -> tuple[int, ColoringCertificate]:

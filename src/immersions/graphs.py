@@ -363,6 +363,7 @@ def max_clique(g: Graph) -> tuple[int, int]:
             cand &= ~(1 << v)
 
     expand(0, 0, g.vertex_mask)
+    expand = None  # it calls itself: free the cycle now, not at a collection
     return best_size, best_mask
 
 

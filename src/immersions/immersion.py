@@ -62,6 +62,20 @@ conditions, so the first certificate found never depends on it:
   k - 2*mu edges off E, mu being 0 under the odd flag or when E is a
   clique and floor(k/2) otherwise, and T is skipped when deg(w) - k is
   fewer;
+- a direct-edge rule, in the decision pass under every flag setting
+  but the odd flag alone: each adjacent terminal pair ab takes its own
+  edge, and only the other pairs are routed, off the edges inside T;
+  their floors and the edge count cover those pairs alone.  The rule is
+  exact.  Under the strong flag a path through the edge ab has a and b
+  on it, so it is the path of the pair ab, and the edge can replace it.
+  Under plain flags, when pair ab routes by a path P and another pair's
+  path Q takes the edge ab, the walk Q - ab + P holds a path between
+  Q's ends that replaces Q, and ab takes its own edge.  Each such swap
+  adds an adjacent pair routed by its own edge, so the swaps end in a
+  certificate the rule allows, and the other cuts, all necessary
+  conditions, hold for it.  Under the odd flag alone that path can be
+  even: on EFzw the set (0, 1, 3, 5) immerses, but the one 0-1 path off
+  the edges inside it is 0-4-1, of even length;
 - a decision pass: each set is first solved with its pairs in
   tightest-first order (smaller endpoint degree, then longer floor),
   with its own memo, and a set that fails there is dropped.  Whether a
@@ -505,6 +519,7 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
     tight_candidates = mask_of(v for v in candidates if degrees[v] == t - 1)
     lex = list(combinations(range(t), 2))
     strong_odd = flags.strong and flags.odd
+    direct = flags.strong or not flags.odd  # the direct-edge rule's flag settings
     for terms, term_mask in _twin_closed_sets(candidates, t, index.twins):
         if strong_odd and _edge_classes_short(index, terms, term_mask):
             continue
@@ -512,14 +527,31 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
         if tight and _tight_crowded(index, term_mask, tight, flags.odd):
             continue
         spent = term_mask & no_spare
-        floors = _lex_floors(g, terms, spent, flags.odd)
-        if floors is None or sum(floors) > g.edge_count:
+        used, pairs = _direct_edges(index, terms, lex) if direct else (0, lex)
+        floors = _lex_floors(g, terms, pairs, spent, flags.odd)
+        if floors is None or sum(floors) > g.edge_count - used.bit_count():
             continue
-        order = _decision_order(degrees, terms, lex, floors)
-        pairs = [lex[k] for k in order]
-        if _solve_pairs(index, terms, flags, budget, spent, pairs, [floors[k] for k in order]) is not None:
+        order = _decision_order(degrees, terms, pairs, floors)
+        if _solve_pairs(index, terms, flags, budget, spent, used,
+                        [pairs[k] for k in order], [floors[k] for k in order]) is not None:
             return terms
     return None
+
+
+def _direct_edges(index: _SearchIndex, terms: tuple[int, ...],
+                  lex: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
+    """The used-edge mask of the edges inside terms, and the pairs of lex
+    that are not adjacent: the direct-edge rule routes only those."""
+    edge_bit = index.edge_bit
+    used = 0
+    pairs = []
+    for i, j in lex:
+        bit = edge_bit[terms[i]].get(terms[j])
+        if bit:
+            used |= bit
+        else:
+            pairs.append((i, j))
+    return used, pairs
 
 
 def _route(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags) -> ImmersionCertificate:
@@ -528,7 +560,8 @@ def _route(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags) -
     budget = _pass_through_budget(index.degrees, len(terms), flags)
     spent = mask_of(v for v in terms if not budget[v])
     lex = list(combinations(range(len(terms)), 2))
-    paths = _solve_pairs(index, terms, flags, budget, spent, lex, _lex_floors(index.g, terms, spent, flags.odd))
+    floors = _lex_floors(index.g, terms, lex, spent, flags.odd)
+    paths = _solve_pairs(index, terms, flags, budget, spent, 0, lex, floors)
     return ImmersionCertificate(terms, dict(zip(lex, paths)))
 
 
@@ -538,16 +571,18 @@ def _pass_through_budget(degrees: list[int], t: int, flags: ImmersionFlags) -> l
     return [0 if flags.strong else (degree - (t - 1)) // 2 for degree in degrees]
 
 
-def _lex_floors(g: Graph, terms: tuple[int, ...], spent: int, odd: bool) -> list[int] | None:
-    """The floor of each terminal pair, in lex order, over the vertices a
-    route may cross; None when some pair has no path at all.  spent, the
-    terminals with no pass-through budget, only grows during a search, so
-    routes stay in the floors' scope.  An edge ab is floor 1 and, without
-    the odd flag, a common neighbor in scope floor 2, as _pair_floor's
-    first two steps would find."""
+def _lex_floors(g: Graph, terms: tuple[int, ...], pairs: list[tuple[int, int]], spent: int,
+                odd: bool) -> list[int] | None:
+    """The floor of each terminal-index pair of pairs (in lex order), over
+    the vertices a route may cross; None when some pair has no path at
+    all.  spent, the terminals with no pass-through budget, only grows
+    during a search, so routes stay in the floors' scope.  An edge ab is
+    floor 1 and, without the odd flag, a common neighbor in scope floor
+    2, as _pair_floor's first two steps would find."""
     adj = g.adj
     floors = []
-    for a, b in combinations(terms, 2):
+    for i, j in pairs:
+        a, b = terms[i], terms[j]
         allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)  # solve's first closed set
         if adj[a] >> b & 1:
             floor = 1
@@ -562,9 +597,10 @@ def _lex_floors(g: Graph, terms: tuple[int, ...], spent: int, odd: bool) -> list
 
 
 def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags, budget: list[int],
-                 spent: int, pairs: list[tuple[int, int]], floors: list[int]) -> list[Path] | None:
+                 spent: int, used: int, pairs: list[tuple[int, int]], floors: list[int]) -> list[Path] | None:
     """Route the terminal pairs of terms in the order given, floors[k]
-    being the floor of pairs[k]: one path per pair, in that order, or None.
+    being the floor of pairs[k], off the edges of used: one path per
+    pair, in that order, or None.
     """
     g = index.g
     adj = g.adj
@@ -629,7 +665,9 @@ def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFl
         failed[k].add(used)
         return False
 
-    return solution if solve(0, 0, spent) else None
+    found = solve(0, used, spent)
+    route = solve = None  # they call themselves and each other: free the cycle now, not at a collection
+    return solution if found else None
 
 
 def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, ImmersionCertificate]:

@@ -486,7 +486,7 @@ def reference_edge_bit(g: Graph) -> list[dict[int, int]]:
 # through Graph.has_edge and keyed used edges by tuple.  The new code must
 # give the same certificates and the same verifier outcomes.
 
-def reference_solve_pairs(index, terms, flags, budget, spent, pairs, floors):
+def reference_solve_pairs(index, terms, flags, budget, spent, used, pairs, floors):
     """immersion._solve_pairs, routing each step over edge_bit[v]."""
     g = index.g
     edge_bit = index.edge_bit
@@ -533,7 +533,7 @@ def reference_solve_pairs(index, terms, flags, budget, spent, pairs, floors):
         failed[k].add(used)
         return False
 
-    return solution if solve(0, 0, spent) else None
+    return solution if solve(0, used, spent) else None
 
 
 def reference_verify_certificate(g: Graph, cert, flags):

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import immersions
+import oracles
 from immersions import (
     CHECK_NAMES,
     PLAIN,
@@ -22,6 +23,7 @@ from immersions import (
     Graph,
     certificate_to_json,
     chromatic_number,
+    complement,
     encode_graph6,
     enumerate_alpha_le2,
     evaluate_graph,
@@ -214,15 +216,17 @@ class TestEvaluateGraph:
         # 17896 before the edge-class count and the decision pass; 8920
         # while every climb step also solved its set in lex order; 4793
         # while strong odd search decided the K_{omega+1} that the
-        # extension lemma proves; 3015 before the tight-terminal bound.
-        assert calls["solve"] == 2467
+        # extension lemma proves; 3015 before the tight-terminal bound;
+        # 2467 while the decision pass also routed the adjacent pairs.
+        assert calls["solve"] == 541
         # 12270 while route recursed into every free neighbor of a path's
         # end and tested the last edge to b in the callee; 10063 while
         # strong odd search decided the lemma's K_{omega+1}; 7883 while
         # route closed a path's last two edges in a branch of its own,
         # without a call for the last edge; 8912 before the tight-terminal
-        # bound.
-        assert calls["route"] == 4597
+        # bound; 4597 while the decision pass also routed the adjacent
+        # pairs.
+        assert calls["route"] == 1810
 
     def test_quarantined_plain_witness_is_max_clique_immersion(self, monkeypatch, alpha2_by_n):
         """A quarantined row carries the orders and the witnesses that
@@ -263,10 +267,24 @@ class TestEvaluateGraph:
         with pytest.raises(AssertionError, match="3 colors, the row's chi is 5"):
             evaluate_graph(cycle(5), ("vergara",))
 
+    def test_alpha_from_the_triangle_test(self, all_graphs_by_n):
+        """A row's alpha, the clique number of the complement searched for
+        only when the complement has a triangle, is the brute alpha of
+        the empty graph and of every graph with n <= 7; every value 0-2
+        comes from the shortcut and a larger one from the search."""
+        graphs = [Graph.empty(0)] + [g for n in range(1, 8) for g in all_graphs_by_n[n]]
+        alphas = set()
+        for g in graphs:
+            alpha = checks_module._clique_number(complement(g))
+            assert alpha == oracles.brute_independence(g), encode_graph6(g)
+            alphas.add(alpha)
+        assert alphas == set(range(8))
+
     def test_alpha_is_computed_once(self, monkeypatch, alpha2_by_n):
-        """An alpha <= 2 row runs max_clique twice, on the complement for
-        alpha and on the graph for omega, and the appendix check proves
-        no alpha <= 2 again with max_independent_set."""
+        """An alpha <= 2 row runs max_clique once, on the graph for omega:
+        its complement has no triangle, so alpha needs no clique search,
+        and the appendix check proves no alpha <= 2 again with
+        max_independent_set."""
         counts = {"max_clique": 0, "max_independent_set": 0}
         for name in counts:
             original = getattr(graphs_module, name)
@@ -281,7 +299,8 @@ class TestEvaluateGraph:
         rows = [g for n in range(1, 9) for g in alpha2_by_n[n]]
         for g in rows:
             evaluate_graph(g, ("main", "appendix", "vergara"))
-        assert counts == {"max_clique": 2 * len(rows), "max_independent_set": 0}
+        # 2 * len(rows) while alpha came from a clique search on the complement.
+        assert counts == {"max_clique": len(rows), "max_independent_set": 0}
 
     def test_appendix_builds_the_builder_certificate(self, monkeypatch, alpha2_by_n):
         """On every alpha <= 2 class with n <= 8, the appendix check

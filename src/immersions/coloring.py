@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, _require_int, bits, max_clique
+from .graphs import Graph, _require_int, _require_type, bits, max_clique
 
 
 @dataclass(frozen=True)
@@ -38,12 +38,13 @@ def _normalize(colors: list[int]) -> ColoringCertificate:
 
 def is_k_colorable(g: Graph, k: int) -> ColoringCertificate | None:
     """A normalized proper coloring with at most k colors, or None."""
+    _require_type(g, Graph, "g")
     _require_int(k, "color count k")
     if k < 0:
         raise ValueError("color count must be nonnegative")
     adj = g.adj
     colors = [-1] * g.n
-    degrees = [g.degree(v) for v in range(g.n)]
+    degrees = [row.bit_count() for row in adj]
 
     def neighbor_colors(v: int) -> int:
         used = 0
@@ -81,6 +82,7 @@ def is_k_colorable(g: Graph, k: int) -> ColoringCertificate | None:
 
 def chromatic_number(g: Graph) -> tuple[int, ColoringCertificate]:
     """Exact chromatic number with a witness coloring."""
+    _require_type(g, Graph, "g")
     lower, _ = max_clique(g)
     for k in range(lower, g.n + 1):
         cert = is_k_colorable(g, k)

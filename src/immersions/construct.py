@@ -43,6 +43,7 @@ from .errors import (
 from .graphs import (
     Graph,
     _require_int,
+    _require_type,
     bits,
     is_clique,
     mask_of,
@@ -77,8 +78,10 @@ def extension_step(
     ascending, whatever the order of base's.  Returns None when the
     common neighbors cannot cover the non-adjacent terminals.
     """
+    _require_type(g, Graph, "g")
     _require_int(u, "vertex u")
     _require_int(v, "vertex v")
+    _require_type(base, ImmersionCertificate, "base")
     if u == v or not (0 <= u < g.n and 0 <= v < g.n):
         raise PreconditionError(f"need two distinct vertices, got {u}, {v}")
     if g.has_edge(u, v):
@@ -125,6 +128,7 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
     Given a list as trace, the builder appends one line per branch it
     takes (build-third -v prints them); with None it formats none.
     """
+    _require_type(g, Graph, "g")
     if g.n == 0:
         raise DegenerateInputError("no terminals exist in the empty graph")
     witness = max_independent_set(g)

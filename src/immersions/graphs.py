@@ -129,6 +129,12 @@ def _require_int(value, what: str) -> None:
         raise ValueError(f"{what} needs an int, not the {type(value).__name__} {value!r}")
 
 
+def _require_vertex(value, n: int, what: str) -> None:
+    _require_int(value, what)
+    if not 0 <= value < n:
+        raise ValueError(f"vertex {value} outside 0..{n - 1}")
+
+
 def _require_type(value, kind: type, what: str) -> None:
     """A public entry point's check of an argument it reads attributes of,
     so a wrong type fails before any work rather than partway through."""
@@ -215,9 +221,12 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def has_edge(self, u: int, v: int) -> bool:
+        _require_vertex(u, self.n, "vertex u")
+        _require_vertex(v, self.n, "vertex v")
         return bool(self.adj[u] >> v & 1)
 
     def degree(self, v: int) -> int:
+        _require_vertex(v, self.n, "vertex v")
         return self.adj[v].bit_count()
 
     def edges(self):
@@ -241,6 +250,7 @@ _REVERSED_BITS = bytes(int(f"{byte:08b}"[::-1], 2) for byte in range(256))
 
 def parse_graph6(line: str) -> Graph:
     """Decode one graph6 word (single size byte form, n <= 62)."""
+    _require_type(line, str, "line")
     # ASCII whitespace only: a bare strip() would also drop U+00A0, U+0085, 0x1C-0x1F.
     text = line.strip(string.whitespace)
     if text.startswith(">>graph6<<"):
@@ -311,9 +321,7 @@ def complement(g: Graph) -> Graph:
 
 def non_neighborhood(g: Graph, x: int) -> int:
     """Bitset of vertices distinct from and nonadjacent to x."""
-    _require_int(x, "vertex x")
-    if not 0 <= x < g.n:
-        raise ValueError(f"vertex {x} outside 0..{g.n - 1}")
+    _require_vertex(x, g.n, "vertex x")
     return g.vertex_mask & ~g.adj[x] & ~(1 << x)
 
 

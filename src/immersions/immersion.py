@@ -64,10 +64,12 @@ conditions, so the first certificate found never depends on it:
   fewer;
 - a direct-edge rule, in the decision pass under every flag setting
   but the odd flag alone: each adjacent terminal pair ab takes its own
-  edge, and only the other pairs are routed, off the edges inside T;
-  their floors and the edge count cover those pairs alone.  The rule is
-  exact.  Under the strong flag a path through the edge ab has a and b
-  on it, so it is the path of the pair ab, and the edge can replace it.
+  edge, and only the other pairs are routed, off the edges inside T.
+  The floors cover the routed pairs alone, and the edge count is the
+  running free-edge budget solve keeps, which starts with the edges
+  inside T taken.  The rule is exact.  Under the strong flag a path
+  through the edge ab has a and b on it, so it is the path of the pair
+  ab, and the edge can replace it.
   Under plain flags, when pair ab routes by a path P and another pair's
   path Q takes the edge ab, the walk Q - ab + P holds a path between
   Q's ends that replaces Q, and ab takes its own edge.  Each such swap
@@ -283,6 +285,8 @@ def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFla
         payload = json.loads(text, object_pairs_hook=_object_without_repeats)
     except json.JSONDecodeError as exc:
         raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
+    except RecursionError as exc:  # json's decoder recurses once per nested array or object
+        raise MalformedCertificateError("certificate JSON nests too deeply") from exc
     if not isinstance(payload, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
     _reject_unknown_keys(payload, ("t", "terminals", "paths", "flags"), "certificate")
@@ -517,7 +521,6 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
     budget = _pass_through_budget(degrees, t, flags)
     no_spare = mask_of(v for v in candidates if not budget[v])
     tight_candidates = mask_of(v for v in candidates if degrees[v] == t - 1)
-    lex = list(combinations(range(t), 2))
     strong_odd = flags.strong and flags.odd
     direct = flags.strong or not flags.odd  # the direct-edge rule's flag settings
     for terms, term_mask in _twin_closed_sets(candidates, t, index.twins):
@@ -527,10 +530,10 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
         if tight and _tight_crowded(index, term_mask, tight, flags.odd):
             continue
         spent = term_mask & no_spare
-        used, pairs = _direct_edges(index, terms, lex) if direct else (0, lex)
-        floors = _lex_floors(g, terms, pairs, spent, flags.odd)
-        if floors is None or sum(floors) > g.edge_count - used.bit_count():
+        plan = _pair_plan(index, terms, spent, flags.odd, direct)
+        if plan is None:
             continue
+        used, pairs, floors = plan
         order = _decision_order(degrees, terms, pairs, floors)
         if _solve_pairs(index, terms, flags, budget, spent, used,
                         [pairs[k] for k in order], [floors[k] for k in order]) is not None:
@@ -538,31 +541,14 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
     return None
 
 
-def _direct_edges(index: _SearchIndex, terms: tuple[int, ...],
-                  lex: list[tuple[int, int]]) -> tuple[int, list[tuple[int, int]]]:
-    """The used-edge mask of the edges inside terms, and the pairs of lex
-    that are not adjacent: the direct-edge rule routes only those."""
-    edge_bit = index.edge_bit
-    used = 0
-    pairs = []
-    for i, j in lex:
-        bit = edge_bit[terms[i]].get(terms[j])
-        if bit:
-            used |= bit
-        else:
-            pairs.append((i, j))
-    return used, pairs
-
-
 def _route(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags) -> ImmersionCertificate:
     """find_clique_immersion's certificate on the set _decide returned:
     its pairs solved in lex order."""
     budget = _pass_through_budget(index.degrees, len(terms), flags)
     spent = mask_of(v for v in terms if not budget[v])
-    lex = list(combinations(range(len(terms)), 2))
-    floors = _lex_floors(index.g, terms, lex, spent, flags.odd)
-    paths = _solve_pairs(index, terms, flags, budget, spent, 0, lex, floors)
-    return ImmersionCertificate(terms, dict(zip(lex, paths)))
+    used, pairs, floors = _pair_plan(index, terms, spent, flags.odd, False)
+    paths = _solve_pairs(index, terms, flags, budget, spent, used, pairs, floors)
+    return ImmersionCertificate(terms, dict(zip(pairs, paths)))
 
 
 def _pass_through_budget(degrees: list[int], t: int, flags: ImmersionFlags) -> list[int]:
@@ -571,29 +557,32 @@ def _pass_through_budget(degrees: list[int], t: int, flags: ImmersionFlags) -> l
     return [0 if flags.strong else (degree - (t - 1)) // 2 for degree in degrees]
 
 
-def _lex_floors(g: Graph, terms: tuple[int, ...], pairs: list[tuple[int, int]], spent: int,
-                odd: bool) -> list[int] | None:
-    """The floor of each terminal-index pair of pairs (in lex order), over
-    the vertices a route may cross; None when some pair has no path at
-    all.  spent, the terminals with no pass-through budget, only grows
-    during a search, so routes stay in the floors' scope.  An edge ab is
-    floor 1 and, without the odd flag, a common neighbor in scope floor
-    2, as _pair_floor's first two steps would find."""
-    adj = g.adj
+def _pair_plan(index: _SearchIndex, terms: tuple[int, ...], spent: int, odd: bool,
+               direct: bool) -> tuple[int, list[tuple[int, int]], list[int]] | None:
+    """One pass over the terminal-index pairs of terms in lex order: the
+    used-edge mask a search starts from, the pairs it routes and the
+    floor of each, over the vertices a route may cross; None at the first
+    pair with no path at all.  With direct, an adjacent pair takes its
+    own edge, set in the mask, and is not routed.  spent, the terminals
+    with no pass-through budget, only grows during a search, so routes
+    stay in the floors' scope."""
+    g = index.g
+    edge_bit = index.edge_bit
+    used = 0
+    pairs = []
     floors = []
-    for i, j in pairs:
+    for i, j in combinations(range(len(terms)), 2):
         a, b = terms[i], terms[j]
+        if direct and (bit := edge_bit[a].get(b)):
+            used |= bit
+            continue
         allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)  # solve's first closed set
-        if adj[a] >> b & 1:
-            floor = 1
-        elif not odd and adj[a] & adj[b] & allowed:
-            floor = 2
-        else:
-            floor = _pair_floor(g, a, b, allowed, odd)
-            if floor is None:
-                return None
+        floor = _pair_floor(g, a, b, allowed, odd)
+        if floor is None:
+            return None
+        pairs.append((i, j))
         floors.append(floor)
-    return floors
+    return used, pairs, floors
 
 
 def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags, budget: list[int],

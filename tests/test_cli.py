@@ -144,6 +144,13 @@ class TestVerify:
         assert code == 2
         assert "error:" in err
 
+    def test_deeply_nested_cert_json(self, capsys, tmp_path):
+        """An input error (exit 2), not a rejected certificate (exit 1)."""
+        cert_path = self.write_cert(tmp_path, "[" * 100_000 + "]" * 100_000)
+        code, out, err = run(capsys, "verify", "--cert", cert_path, "Dhc")
+        assert code == 2 and out == ""
+        assert err == "error: certificate JSON nests too deeply\n"
+
 
 class TestSweep:
     def test_family_to_stdout(self, capsys):

@@ -17,6 +17,8 @@ from immersions import (
     Graph6Error,
     UnsupportedSizeError,
     bits,
+    build_third_immersion,
+    chromatic_number,
     clique_certificate,
     complement,
     encode_graph6,
@@ -111,6 +113,48 @@ class TestGraphType:
             assert code == 2
             message = capsys.readouterr().err.removeprefix("error: ").removesuffix("\n")
         assert message == f"{what} needs an int, not the {type(value).__name__} {value!r}"
+
+    # Every argument that a public entry point outside immersion and
+    # checks reads attributes of: each entry passes one of the wrong type.
+    TYPE_INPUTS = {
+        "parse_graph6 None": (lambda: parse_graph6(None), "line needs a str, not the NoneType None"),
+        "parse_graph6 bytes": (lambda: parse_graph6(b"Dhc"), "line needs a str, not the bytes b'Dhc'"),
+        "chromatic_number g": (lambda: chromatic_number("Dhc"), "g needs a Graph, not the str 'Dhc'"),
+        "is_k_colorable g": (lambda: is_k_colorable("Dhc", 3), "g needs a Graph, not the str 'Dhc'"),
+        "build_third_immersion g": (lambda: build_third_immersion("Dhc"), "g needs a Graph, not the str 'Dhc'"),
+        "extension_step g": (
+            lambda: extension_step("Dhc", 0, 2, clique_certificate([1])), "g needs a Graph, not the str 'Dhc'"
+        ),
+        "extension_step base": (
+            lambda: extension_step(Graph.empty(3), 0, 2, None),
+            "base needs an ImmersionCertificate, not the NoneType None",
+        ),
+    }
+
+    @pytest.mark.parametrize("entry", TYPE_INPUTS)
+    def test_entry_points_refuse_an_argument_of_another_type(self, entry):
+        """Each once failed with a bare AttributeError or TypeError."""
+        call, message = self.TYPE_INPUTS[entry]
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            call()
+        assert type(caught.value) is ValueError
+
+    @pytest.mark.parametrize("call,message", [
+        (lambda g: g.degree(-1), "vertex -1 outside 0..2"),
+        (lambda g: g.degree(3), "vertex 3 outside 0..2"),
+        (lambda g: g.degree(True), "vertex v needs an int, not the bool True"),
+        (lambda g: g.has_edge(-1, 1), "vertex -1 outside 0..2"),
+        (lambda g: g.has_edge(0, 99), "vertex 99 outside 0..2"),
+        (lambda g: g.has_edge(True, 1), "vertex u needs an int, not the bool True"),
+        (lambda g: non_neighborhood(g, 3), "vertex 3 outside 0..2"),
+    ], ids=["degree -1", "degree 3", "degree True", "has_edge -1", "has_edge 99", "has_edge True", "non_neighborhood 3"])
+    def test_vertex_accessors_refuse_a_vertex_outside_the_graph(self, call, message):
+        """On the path 0-1-2, degree(-1) once gave vertex 2's degree,
+        degree(True) vertex 1's and degree(3) a bare IndexError;
+        has_edge(-1, 1) read the edge 2-1, and has_edge(0, 99) said False."""
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
+            call(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        assert type(caught.value) is ValueError
 
     def test_from_edges_and_accessors(self):
         g = Graph.from_edges(4, [(0, 1), (1, 2)])

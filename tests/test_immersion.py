@@ -41,10 +41,10 @@ from immersions.graphs import earlier_twins
 from immersions.immersion import (
     _SearchIndex,
     _decide,
-    _direct_edges,
+    _decision_order,
     _edge_classes_short,
-    _lex_floors,
     _pair_floor,
+    _pair_plan,
     _pass_through_budget,
     _route,
     _solve_pairs,
@@ -323,6 +323,12 @@ class TestJson:
         with pytest.raises(MalformedCertificateError, match="unknown"):
             certificate_from_json(text)
 
+    def test_deep_nesting_raises(self):
+        """json.loads raises RecursionError on deep nesting; read bare, a
+        malformed file would look like a rejected certificate."""
+        with pytest.raises(MalformedCertificateError, match="nests too deeply"):
+            certificate_from_json("[" * 100_000 + "]" * 100_000)
+
     def test_missing_flag_reads_false(self):
         text = '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, "flags": {"strong": true}}'
         assert certificate_from_json(text)[1] == ImmersionFlags(strong=True, odd=False)
@@ -503,32 +509,74 @@ class TestPairFloor:
                                         sorted(g.edges()), a, b, inside, odd
                                     )
 
-    def test_lex_floors_match_the_floor_of_each_pair(self, all_graphs_small):
-        """_lex_floors sets an edge's floor to 1 and, without the odd
-        flag, a common neighbor's to 2 with no walk: on every graph with
-        n <= 6, every flag setting and every candidate set, it returns
-        what _pair_floor gives each pair, with _decide's scope."""
-        shortcuts = 0
+    def test_pair_plan_lists_each_routed_pair_with_its_floor(self, all_graphs_small):
+        """On every graph with n <= 6, every flag setting and every
+        candidate set, with _decide's scope: without direct, _pair_plan
+        lists every lex pair with what _pair_floor gives it and uses no
+        edge; with direct, it lists only the non-adjacent pairs and uses
+        the edges inside the set.  Either way it returns None when a
+        listed pair has no floor."""
+        outcomes = {"none": 0, "direct": 0}
         for n, graphs in all_graphs_small.items():
             for g in graphs:
-                degrees = [g.degree(v) for v in range(n)]
+                index = _SearchIndex(g)
+                edge_bit = oracles.reference_edge_bit(g)
                 for flags in ALL_FLAGS:
                     for t in range(2, n + 1):
-                        budget = _pass_through_budget(degrees, t, flags)
-                        candidates = [v for v in range(n) if degrees[v] >= t - 1]
+                        budget = _pass_through_budget(index.degrees, t, flags)
+                        candidates = [v for v in range(n) if index.degrees[v] >= t - 1]
                         for terms in itertools.combinations(candidates, t):
                             spent = mask_of(v for v in terms if not budget[v])
-                            want = []
-                            for a, b in itertools.combinations(terms, 2):
-                                allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)
-                                want.append(_pair_floor(g, a, b, allowed, flags.odd))
-                            if None in want:
-                                want = None
-                            else:
-                                shortcuts += sum(floor <= 2 for floor in want)
-                            lex = list(itertools.combinations(range(t), 2))
-                            assert _lex_floors(g, terms, lex, spent, flags.odd) == want, (sorted(g.edges()), terms, flags)
-        assert shortcuts
+                            for direct in (False, True):
+                                used, pairs, floors = 0, [], []
+                                for (i, a), (j, b) in itertools.combinations(enumerate(terms), 2):
+                                    if direct and g.has_edge(a, b):
+                                        used |= edge_bit[a][b]
+                                        continue
+                                    allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)
+                                    pairs.append((i, j))
+                                    floors.append(_pair_floor(g, a, b, allowed, flags.odd))
+                                want = None if None in floors else (used, pairs, floors)
+                                assert _pair_plan(index, terms, spent, flags.odd, direct) == want, (
+                                    sorted(g.edges()), terms, flags, direct
+                                )
+                                outcomes["none"] += want is None
+                                outcomes["direct"] += want is not None and used != 0
+        assert all(outcomes.values()), outcomes
+
+    def test_a_set_with_too_few_free_edges_fails_at_its_first_solve(self, all_graphs_small, count_solve_calls):
+        """_decide needs no edge-count test of its own: when the floors of
+        a set's routed pairs sum past its free edges, sum(floors) >
+        m - |used|, solve(0)'s cap, m - |used| less the floors of the later
+        pairs, falls below floors[0].  So _solve_pairs returns None after
+        one solve call, on every graph with n <= 6, every flag setting and
+        every candidate set, planned and ordered as _decide does."""
+        short = 0
+        for n, graphs in all_graphs_small.items():
+            for g in graphs:
+                index = _SearchIndex(g)
+                for flags in ALL_FLAGS:
+                    direct = flags.strong or not flags.odd
+                    for t in range(2, n + 1):
+                        budget = _pass_through_budget(index.degrees, t, flags)
+                        candidates = [v for v in range(n) if index.degrees[v] >= t - 1]
+                        for terms in itertools.combinations(candidates, t):
+                            spent = mask_of(v for v in terms if not budget[v])
+                            plan = _pair_plan(index, terms, spent, flags.odd, direct)
+                            if plan is None:
+                                continue
+                            used, pairs, floors = plan
+                            if sum(floors) <= g.edge_count - used.bit_count():
+                                continue
+                            short += 1
+                            order = _decision_order(index.degrees, terms, pairs, floors)
+                            found = []
+                            calls = count_solve_calls(lambda: found.append(_solve_pairs(
+                                index, terms, flags, budget, spent, used,
+                                [pairs[k] for k in order], [floors[k] for k in order],
+                            )))
+                            assert found == [None] and calls["solve"] == 1, (sorted(g.edges()), terms, flags)
+        assert short
 
     def test_walks_never_pass_through_the_ends(self):
         """The path 0-1-2 with the triangle 2-3-4 hung on 2 has no odd 0-2
@@ -667,9 +715,8 @@ def routes_with_direct_edges(index: _SearchIndex, terms: tuple[int, ...], flags:
     t = len(terms)
     budget = _pass_through_budget(index.degrees, t, flags)
     spent = mask_of(v for v in terms if not budget[v])
-    used, pairs = _direct_edges(index, terms, list(itertools.combinations(range(t), 2)))
-    floors = _lex_floors(index.g, terms, pairs, spent, flags.odd)
-    return floors is not None and _solve_pairs(index, terms, flags, budget, spent, used, pairs, floors) is not None
+    plan = _pair_plan(index, terms, spent, flags.odd, True)
+    return plan is not None and _solve_pairs(index, terms, flags, budget, spent, *plan) is not None
 
 
 class TestDirectEdges:

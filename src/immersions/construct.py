@@ -129,6 +129,8 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
     takes (build-third -v prints them); with None it formats none.
     """
     _require_type(g, Graph, "g")
+    if trace is not None:
+        _require_type(trace, list, "trace")
     if g.n == 0:
         raise DegenerateInputError("no terminals exist in the empty graph")
     witness = max_independent_set(g)

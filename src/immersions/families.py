@@ -118,7 +118,7 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SizeCapError, UnsupportedSizeError
-from .graphs import MAX_VERTICES, Graph, _mirror_lower, _require_int, bits, complement, earlier_twins, mask_of
+from .graphs import MAX_VERTICES, Graph, _mirror_lower, _require_int, _require_type, bits, complement, earlier_twins, mask_of
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
@@ -249,6 +249,7 @@ def _search(
 
 def canonical_form(g: Graph) -> tuple[int, ...]:
     """Canonical lower-triangle rows; equal iff graphs are isomorphic."""
+    _require_type(g, Graph, "g")
     neighbors = _neighbor_lists(g.adj)
     return _search(g.adj, neighbors, _refine_colors(neighbors))[0]
 
@@ -376,7 +377,7 @@ def sample_alpha_le2(n: int, count: int, seed: int):
     if n > MAX_VERTICES:
         raise UnsupportedSizeError(f"alpha<=2 sampling supports at most {MAX_VERTICES} vertices, got n={n}")
     if count < 1:
-        raise ValueError(f"need at least one sample, got count={count}")
+        raise ValueError(f"alpha<=2 sampling needs at least one sample, got count={count}")
     rng = random.Random(seed)
     all_pairs = list(combinations(range(n), 2))
     for _ in range(count):

@@ -284,6 +284,7 @@ def parse_graph6(line: str) -> Graph:
 
 def encode_graph6(g: Graph) -> str:
     """Encode to the canonical single-size-byte graph6 word."""
+    _require_type(g, Graph, "g")
     stream = 0
     for v in range(g.n - 1, 0, -1):
         stream = stream << v | (g.adj[v] & ((1 << v) - 1))
@@ -315,17 +316,20 @@ def earlier_twins(adj: tuple[int, ...]) -> list[int]:
 
 
 def complement(g: Graph) -> Graph:
+    _require_type(g, Graph, "g")
     full = g.vertex_mask
     return Graph._unchecked(g.n, tuple(full ^ g.adj[v] ^ (1 << v) for v in range(g.n)))
 
 
 def non_neighborhood(g: Graph, x: int) -> int:
     """Bitset of vertices distinct from and nonadjacent to x."""
+    _require_type(g, Graph, "g")
     _require_vertex(x, g.n, "vertex x")
     return g.vertex_mask & ~g.adj[x] & ~(1 << x)
 
 
 def is_clique(g: Graph, s: int) -> bool:
+    _require_type(g, Graph, "g")
     for v in bits(s):
         rest = s & ~(1 << v)
         if g.adj[v] & rest != rest:
@@ -342,6 +346,7 @@ def max_clique(g: Graph) -> tuple[int, int]:
     search is deterministic, preferring low-index vertices in the
     coloring.
     """
+    _require_type(g, Graph, "g")
     adj = g.adj
     best_size = 0
     best_mask = 0

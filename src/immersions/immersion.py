@@ -283,10 +283,12 @@ def certificate_to_json(cert: ImmersionCertificate, flags: ImmersionFlags) -> st
 def certificate_from_json(text: str) -> tuple[ImmersionCertificate, ImmersionFlags]:
     try:
         payload = json.loads(text, object_pairs_hook=_object_without_repeats)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # bytes are decoded first
         raise MalformedCertificateError(f"certificate is not valid JSON: {exc}") from exc
     except RecursionError as exc:  # json's decoder recurses once per nested array or object
         raise MalformedCertificateError("certificate JSON nests too deeply") from exc
+    except TypeError as exc:  # not a str, bytes or bytearray
+        raise MalformedCertificateError(f"certificate JSON needs a str or bytes, not the {type(text).__name__}") from exc
     if not isinstance(payload, dict):
         raise MalformedCertificateError("certificate JSON must be an object")
     _reject_unknown_keys(payload, ("t", "terminals", "paths", "flags"), "certificate")
@@ -518,25 +520,15 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
     candidates = [v for v, degree in enumerate(degrees) if degree >= t - 1]
     if len(candidates) < t:
         return None
-    budget = _pass_through_budget(degrees, t, flags)
-    no_spare = mask_of(v for v in candidates if not budget[v])
     tight_candidates = mask_of(v for v in candidates if degrees[v] == t - 1)
     strong_odd = flags.strong and flags.odd
-    direct = flags.strong or not flags.odd  # the direct-edge rule's flag settings
     for terms, term_mask in _twin_closed_sets(candidates, t, index.twins):
         if strong_odd and _edge_classes_short(index, terms, term_mask):
             continue
         tight = term_mask & tight_candidates
         if tight and _tight_crowded(index, term_mask, tight, flags.odd):
             continue
-        spent = term_mask & no_spare
-        plan = _pair_plan(index, terms, spent, flags.odd, direct)
-        if plan is None:
-            continue
-        used, pairs, floors = plan
-        order = _decision_order(degrees, terms, pairs, floors)
-        if _solve_pairs(index, terms, flags, budget, spent, used,
-                        [pairs[k] for k in order], [floors[k] for k in order]) is not None:
+        if _solve_set(index, terms, flags, True) is not None:
             return terms
     return None
 
@@ -544,45 +536,49 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
 def _route(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags) -> ImmersionCertificate:
     """find_clique_immersion's certificate on the set _decide returned:
     its pairs solved in lex order."""
-    budget = _pass_through_budget(index.degrees, len(terms), flags)
-    spent = mask_of(v for v in terms if not budget[v])
-    used, pairs, floors = _pair_plan(index, terms, spent, flags.odd, False)
-    paths = _solve_pairs(index, terms, flags, budget, spent, used, pairs, floors)
-    return ImmersionCertificate(terms, dict(zip(pairs, paths)))
+    return ImmersionCertificate(terms, _solve_set(index, terms, flags, False))
 
 
-def _pass_through_budget(degrees: list[int], t: int, flags: ImmersionFlags) -> list[int]:
-    """How many paths of a K_t certificate each vertex may be interior to
-    as a terminal, none if strong; only terminals' budgets are read."""
-    return [0 if flags.strong else (degree - (t - 1)) // 2 for degree in degrees]
-
-
-def _pair_plan(index: _SearchIndex, terms: tuple[int, ...], spent: int, odd: bool,
-               direct: bool) -> tuple[int, list[tuple[int, int]], list[int]] | None:
-    """One pass over the terminal-index pairs of terms in lex order: the
-    used-edge mask a search starts from, the pairs it routes and the
-    floor of each, over the vertices a route may cross; None at the first
-    pair with no path at all.  With direct, an adjacent pair takes its
-    own edge, set in the mask, and is not routed.  spent, the terminals
-    with no pass-through budget, only grows during a search, so routes
-    stay in the floors' scope."""
+def _solve_set(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags,
+               decide: bool) -> dict[tuple[int, int], Path] | None:
+    """The paths of a certificate on the terminal set terms, keyed by
+    terminal-index pair, or None.  One pass over the pairs in lex order
+    plans the search: with decide, under every flag setting but the odd
+    flag alone, an adjacent pair takes its own edge; every other pair
+    takes its floor over the vertices a route may cross, which leave out
+    the terminals with no pass-through budget (spent only grows), and the
+    set fails at the first pair with none.  The routed pairs go in the
+    decision pass's order with decide, and in lex order without, which
+    gives find_clique_immersion's certificate.
+    """
     g = index.g
     edge_bit = index.edge_bit
+    t = len(terms)
+    budget = [0 if flags.strong else (degree - (t - 1)) // 2 for degree in index.degrees]
+    spent = mask_of(v for v in terms if not budget[v])
+    direct = decide and (flags.strong or not flags.odd)
+    paths: dict[tuple[int, int], Path] = {}
     used = 0
     pairs = []
     floors = []
-    for i, j in combinations(range(len(terms)), 2):
+    for i, j in combinations(range(t), 2):
         a, b = terms[i], terms[j]
         if direct and (bit := edge_bit[a].get(b)):
             used |= bit
+            paths[i, j] = (a, b)
             continue
         allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)  # solve's first closed set
-        floor = _pair_floor(g, a, b, allowed, odd)
+        floor = _pair_floor(g, a, b, allowed, flags.odd)
         if floor is None:
             return None
         pairs.append((i, j))
         floors.append(floor)
-    return used, pairs, floors
+    if decide:
+        order = _decision_order(index.degrees, terms, pairs, floors)
+        pairs = [pairs[k] for k in order]
+        floors = [floors[k] for k in order]
+    routed = _solve_pairs(index, terms, flags, budget, spent, used, pairs, floors)
+    return None if routed is None else paths | dict(zip(pairs, routed))
 
 
 def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags, budget: list[int],

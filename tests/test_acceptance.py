@@ -9,6 +9,7 @@ quick iteration.
 from __future__ import annotations
 
 import csv
+import gzip
 import random
 import time
 from pathlib import Path
@@ -33,6 +34,7 @@ from immersions import (
     verify_certificate,
 )
 from common import find_join_partition, induced_subgraph, is_vertex_critical, third_target
+from test_sweep_n10 import STORED, sweep
 
 FLAG_COMBOS = [ImmersionFlags(s, o) for s in (False, True) for o in (False, True)]
 # Written by perfbench/make_reference.py; this suite only reads it.
@@ -304,4 +306,19 @@ def test_criterion_10_exhaustive_sweep_n9(tmp_path):
     print(
         f"PASS: criterion 10 — main, appendix and vergara checks hold on all "
         f"{len(rows)} alpha<=2 graphs at n = 9, swept in {elapsed:.1f}s with 2 workers"
+    )
+
+
+@pytest.mark.slow_acceptance
+def test_criterion_11_exhaustive_sweep_n10_matches_stored_report():
+    """The whole alpha<=2 family at n = 10 recomputes to the stored report."""
+    start = time.perf_counter()
+    code, data = sweep(2)
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert data == gzip.decompress(STORED.read_bytes())
+    rows = data.count(b"\r\n") - 1
+    print(
+        f"PASS: criterion 11 — all {rows} alpha<=2 rows at n = 10 recompute byte for byte "
+        f"to {STORED.name}, swept in {elapsed:.1f}s with 2 workers"
     )

@@ -32,6 +32,7 @@ from immersions import (
     sample_alpha_le2,
     verify_certificate,
 )
+from immersions import construct as construct_module
 from immersions.immersion import _clique_order, _extends
 from common import cycle, petersen_complement, third_target
 
@@ -87,6 +88,16 @@ class TestBuildThird:
             "n=4 branch=extend pair=(3,5) t=2",
             "n=6 branch=extend pair=(2,4) t=3",
         ]
+
+    @pytest.mark.parametrize("trace", ["x", (), {}], ids=["str", "tuple", "dict"])
+    def test_trace_not_a_list_is_refused_before_any_work(self, trace, monkeypatch):
+        """A str trace once raised a bare AttributeError at the first
+        branch; now the builder refuses it before it starts."""
+        for name in ("max_independent_set", "_build"):  # any work would fail otherwise
+            monkeypatch.setattr(construct_module, name, None)
+        message = f"trace needs a list, not the {type(trace).__name__} {trace!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_third_immersion(cycle(5), trace)
 
     def test_petersen_complement(self):
         cert = self.check(petersen_complement())

@@ -528,5 +528,6 @@ class TestSampler:
 
     @pytest.mark.parametrize("count", [0, -3])
     def test_rejects_count_below_one(self, count):
-        with pytest.raises(ValueError, match="count"):
+        message = f"alpha<=2 sampling needs at least one sample, got count={count}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             list(sample_alpha_le2(5, count, seed=0))

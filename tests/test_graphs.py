@@ -18,6 +18,7 @@ from immersions import (
     UnsupportedSizeError,
     bits,
     build_third_immersion,
+    canonical_form,
     chromatic_number,
     clique_certificate,
     complement,
@@ -129,6 +130,14 @@ class TestGraphType:
             lambda: extension_step(Graph.empty(3), 0, 2, None),
             "base needs an ImmersionCertificate, not the NoneType None",
         ),
+        "max_clique g": (lambda: max_clique("Dhc"), "g needs a Graph, not the str 'Dhc'"),
+        "independence_number g": (lambda: independence_number("Dhc"), "g needs a Graph, not the str 'Dhc'"),
+        "max_independent_set g": (lambda: max_independent_set("Dhc"), "g needs a Graph, not the str 'Dhc'"),
+        "complement g": (lambda: complement("Dhc"), "g needs a Graph, not the str 'Dhc'"),
+        "encode_graph6 g": (lambda: encode_graph6("Dhc"), "g needs a Graph, not the str 'Dhc'"),
+        "is_clique g": (lambda: is_clique("Dhc", 0b11), "g needs a Graph, not the str 'Dhc'"),
+        "non_neighborhood g": (lambda: non_neighborhood("Dhc", 0), "g needs a Graph, not the str 'Dhc'"),
+        "canonical_form g": (lambda: canonical_form("Dhc"), "g needs a Graph, not the str 'Dhc'"),
     }
 
     @pytest.mark.parametrize("entry", TYPE_INPUTS)

@@ -44,10 +44,9 @@ from immersions.immersion import (
     _decision_order,
     _edge_classes_short,
     _pair_floor,
-    _pair_plan,
-    _pass_through_budget,
     _route,
     _solve_pairs,
+    _solve_set,
     _tight_crowded,
     _twin_closed_sets,
 )
@@ -329,6 +328,21 @@ class TestJson:
         with pytest.raises(MalformedCertificateError, match="nests too deeply"):
             certificate_from_json("[" * 100_000 + "]" * 100_000)
 
+    @pytest.mark.parametrize("text,message", [
+        (None, "certificate JSON needs a str or bytes, not the NoneType"),
+        (3, "certificate JSON needs a str or bytes, not the int"),
+        (b"\xff", "certificate is not valid JSON"),
+    ], ids=["None", "int", "bytes not utf-8"])
+    def test_input_not_json_text_raises(self, text, message):
+        """json.loads raises a bare TypeError on None and a
+        UnicodeDecodeError on bytes that are not UTF-8; JSON bytes read as
+        the same text does."""
+        with pytest.raises(MalformedCertificateError, match=f"^{re.escape(message)}"):
+            certificate_from_json(text)
+        cert = clique_certificate([0, 1])
+        text = certificate_to_json(cert, STRONG)
+        assert certificate_from_json(text.encode()) == certificate_from_json(text) == (cert, STRONG)
+
     def test_missing_flag_reads_false(self):
         text = '{"t": 2, "terminals": [0, 1], "paths": {"0,1": [0, 1]}, "flags": {"strong": true}}'
         assert certificate_from_json(text)[1] == ImmersionFlags(strong=True, odd=False)
@@ -509,13 +523,18 @@ class TestPairFloor:
                                         sorted(g.edges()), a, b, inside, odd
                                     )
 
-    def test_pair_plan_lists_each_routed_pair_with_its_floor(self, all_graphs_small):
+    def test_solve_set_routes_each_planned_pair_with_its_floor(self, all_graphs_small, monkeypatch):
         """On every graph with n <= 6, every flag setting and every
-        candidate set, with _decide's scope: without direct, _pair_plan
-        lists every lex pair with what _pair_floor gives it and uses no
-        edge; with direct, it lists only the non-adjacent pairs and uses
-        the edges inside the set.  Either way it returns None when a
-        listed pair has no floor."""
+        candidate set, _solve_set hands _solve_pairs the pass-through
+        budget, the terminals with none, and the pairs to route with the
+        floor _pair_floor gives each over the vertices a route may cross.
+        Without decide those are every lex pair, with no edge used; with
+        decide, under every setting but the odd flag alone, only the
+        non-adjacent pairs, with the edges inside the set used, and in
+        _decision_order.  A set with a pair that has no floor hands it
+        nothing."""
+        handed = []
+        monkeypatch.setattr(immersion_module, "_solve_pairs", lambda index, terms, flags, *plan: handed.append(plan))
         outcomes = {"none": 0, "direct": 0}
         for n, graphs in all_graphs_small.items():
             for g in graphs:
@@ -523,11 +542,12 @@ class TestPairFloor:
                 edge_bit = oracles.reference_edge_bit(g)
                 for flags in ALL_FLAGS:
                     for t in range(2, n + 1):
-                        budget = _pass_through_budget(index.degrees, t, flags)
-                        candidates = [v for v in range(n) if index.degrees[v] >= t - 1]
+                        budget = [0 if flags.strong else (g.degree(v) - (t - 1)) // 2 for v in range(n)]
+                        candidates = [v for v in range(n) if g.degree(v) >= t - 1]
                         for terms in itertools.combinations(candidates, t):
                             spent = mask_of(v for v in terms if not budget[v])
-                            for direct in (False, True):
+                            for decide in (False, True):
+                                direct = decide and flags != ODD
                                 used, pairs, floors = 0, [], []
                                 for (i, a), (j, b) in itertools.combinations(enumerate(terms), 2):
                                     if direct and g.has_edge(a, b):
@@ -536,45 +556,52 @@ class TestPairFloor:
                                     allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)
                                     pairs.append((i, j))
                                     floors.append(_pair_floor(g, a, b, allowed, flags.odd))
-                                want = None if None in floors else (used, pairs, floors)
-                                assert _pair_plan(index, terms, spent, flags.odd, direct) == want, (
-                                    sorted(g.edges()), terms, flags, direct
-                                )
-                                outcomes["none"] += want is None
-                                outcomes["direct"] += want is not None and used != 0
+                                want = []
+                                if None not in floors:
+                                    if decide:
+                                        order = _decision_order(index.degrees, terms, pairs, floors)
+                                        pairs = [pairs[k] for k in order]
+                                        floors = [floors[k] for k in order]
+                                    want.append((budget, spent, used, pairs, floors))
+                                handed.clear()
+                                assert _solve_set(index, terms, flags, decide) is None
+                                assert handed == want, (sorted(g.edges()), terms, flags, decide)
+                                outcomes["none"] += not want
+                                outcomes["direct"] += bool(want) and used != 0
         assert all(outcomes.values()), outcomes
 
-    def test_a_set_with_too_few_free_edges_fails_at_its_first_solve(self, all_graphs_small, count_solve_calls):
-        """_decide needs no edge-count test of its own: when the floors of
-        a set's routed pairs sum past its free edges, sum(floors) >
+    def test_a_set_with_too_few_free_edges_fails_at_its_first_solve(self, all_graphs_small, count_solve_calls,
+                                                                    monkeypatch):
+        """_solve_set needs no edge-count test of its own: when the floors
+        of a set's routed pairs sum past its free edges, sum(floors) >
         m - |used|, solve(0)'s cap, m - |used| less the floors of the later
-        pairs, falls below floors[0].  So _solve_pairs returns None after
-        one solve call, on every graph with n <= 6, every flag setting and
-        every candidate set, planned and ordered as _decide does."""
+        pairs, falls below floors[0].  So the set fails after one solve
+        call, on every graph with n <= 6, every flag setting and every
+        candidate set, decided as _decide does."""
+        plans = []
+
+        def solve_pairs(index, terms, flags, budget, spent, used, pairs, floors):
+            plans.append((used, floors))
+            return _solve_pairs(index, terms, flags, budget, spent, used, pairs, floors)
+
+        monkeypatch.setattr(immersion_module, "_solve_pairs", solve_pairs)
         short = 0
         for n, graphs in all_graphs_small.items():
             for g in graphs:
                 index = _SearchIndex(g)
                 for flags in ALL_FLAGS:
-                    direct = flags.strong or not flags.odd
                     for t in range(2, n + 1):
-                        budget = _pass_through_budget(index.degrees, t, flags)
-                        candidates = [v for v in range(n) if index.degrees[v] >= t - 1]
+                        candidates = [v for v in range(n) if g.degree(v) >= t - 1]
                         for terms in itertools.combinations(candidates, t):
-                            spent = mask_of(v for v in terms if not budget[v])
-                            plan = _pair_plan(index, terms, spent, flags.odd, direct)
-                            if plan is None:
+                            plans.clear()
+                            found = []
+                            calls = count_solve_calls(lambda: found.append(_solve_set(index, terms, flags, True)))
+                            if not plans:
                                 continue
-                            used, pairs, floors = plan
+                            [(used, floors)] = plans
                             if sum(floors) <= g.edge_count - used.bit_count():
                                 continue
                             short += 1
-                            order = _decision_order(index.degrees, terms, pairs, floors)
-                            found = []
-                            calls = count_solve_calls(lambda: found.append(_solve_pairs(
-                                index, terms, flags, budget, spent, used,
-                                [pairs[k] for k in order], [floors[k] for k in order],
-                            )))
                             assert found == [None] and calls["solve"] == 1, (sorted(g.edges()), terms, flags)
         assert short
 
@@ -709,24 +736,16 @@ class TestTightCrowding:
         assert all(killed.values()), killed
 
 
-def routes_with_direct_edges(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags) -> bool:
-    """The direct-edge rule's verdict on terms: whether the non-adjacent
-    pairs route, in lex order, with every edge inside terms taken."""
-    t = len(terms)
-    budget = _pass_through_budget(index.degrees, t, flags)
-    spent = mask_of(v for v in terms if not budget[v])
-    plan = _pair_plan(index, terms, spent, flags.odd, True)
-    return plan is not None and _solve_pairs(index, terms, flags, budget, spent, *plan) is not None
-
-
 class TestDirectEdges:
     def test_verdict_matches_the_brute_oracle(self, all_graphs_small):
         """On every graph with n <= 6, for every t and every candidate set,
-        routing only the non-adjacent pairs with the set's own edges taken
-        decides the set as the brute oracle does, under plain, strong and
-        strong odd flags; each setting meets sets with adjacent pairs that
-        pass and that fail.  (n = 7 takes about 45 s.)"""
-        seen = {flags: [0, 0] for flags in (PLAIN, STRONG, STRONG_ODD)}
+        _solve_set decides the set as the brute oracle does, with decide
+        (only the non-adjacent pairs routed, with the set's own edges
+        taken, under every setting but the odd flag alone) and without,
+        under every flag setting, and the paths it returns verify.  Each
+        setting meets sets with adjacent pairs that pass and that fail.
+        (n = 7 takes about 45 s.)"""
+        seen = {flags: [0, 0] for flags in ALL_FLAGS}
         for n, graphs in all_graphs_small.items():
             for g in graphs:
                 index = _SearchIndex(g)
@@ -737,9 +756,13 @@ class TestDirectEdges:
                         adjacent = any(g.has_edge(a, b) for a, b in itertools.combinations(terms, 2))
                         for flags, counts in seen.items():
                             want = oracles.brute_terminals_immerse(g, terms, flags.strong, flags.odd, path_cache)
-                            assert routes_with_direct_edges(index, terms, flags) == want, (
-                                sorted(g.edges()), terms, flags
-                            )
+                            for decide in (False, True):
+                                paths = _solve_set(index, terms, flags, decide)
+                                case = (sorted(g.edges()), terms, flags, decide)
+                                assert (paths is not None) == want, case
+                                if paths is not None:
+                                    cert = ImmersionCertificate(terms, paths)
+                                    assert verify_certificate(g, cert, flags).accepted, case
                             counts[want] += adjacent
         assert all(passed and failed for failed, passed in seen.values()), seen
 
@@ -747,8 +770,9 @@ class TestDirectEdges:
         """Under odd-only flags the rule would be wrong: on EFzw the set
         (0, 1, 3, 5) immerses, but the one 0-1 path off the edges inside
         it is 0-4-1, of even length, so the odd path of the pair 0-1 takes
-        the edge of an adjacent pair.  _decide keeps routing every pair
-        there."""
+        the edge of an adjacent pair.  _solve_set never applies the rule
+        under these flags, so the plan that forces it is built here by
+        hand, and _decide keeps routing every pair."""
         g = parse_graph6("EFzw")
         terms = (0, 1, 3, 5)
         inside = {(a, b) for a, b in itertools.combinations(terms, 2) if g.has_edge(a, b)}
@@ -758,7 +782,16 @@ class TestDirectEdges:
         ]
         assert off_inside == [(0, 4, 1)]
         assert oracles.brute_terminals_immerse(g, terms, False, True)
-        assert not routes_with_direct_edges(_SearchIndex(g), terms, ODD)
+        index = _SearchIndex(g)
+        budget = [(degree - 3) // 2 for degree in index.degrees]  # t = 4
+        spent = mask_of(v for v in terms if not budget[v])
+        used = sum(index.edge_bit[a][b] for a, b in inside)  # distinct bits
+        routed, floors = [], []
+        for (i, a), (j, b) in itertools.combinations(enumerate(terms), 2):
+            if (a, b) not in inside:
+                routed.append((i, j))
+                floors.append(_pair_floor(g, a, b, g.vertex_mask & ~(spent | 1 << a | 1 << b), True))
+        assert _solve_pairs(index, terms, ODD, budget, spent, used, routed, floors) is None
         assert _decide(_SearchIndex(g), 4, ODD) == terms
         cert = find_clique_immersion(g, 4, ODD)
         assert cert.paths[0, 1] == (0, 4, 5, 1) and cert.paths[1, 3] == (1, 4, 2, 5)

@@ -5,9 +5,10 @@ tests/data/sweep_alpha2_n10.csv.gz holds, byte for byte, the report of
     immersions sweep --family alpha2 --n 10 --checks main,appendix,vergara
 
 over all 12,172 classes.  Tier-1 recomputes every 60th row (203 rows)
-and compares it with the stored one.  Recompute every row and compare
-the whole report, or rewrite the file when a change is meant to alter
-the rows, with:
+and compares it with the stored one, and acceptance criterion 11
+(tests/test_acceptance.py) recomputes the whole report.  Recompute
+every row and compare the whole report, or rewrite the file when a
+change is meant to alter the rows, with:
 
     PYTHONPATH=src python3 tests/test_sweep_n10.py --check --workers 2
     PYTHONPATH=src python3 tests/test_sweep_n10.py --workers 2
@@ -52,13 +53,14 @@ def test_every_60th_row_recomputes():
         assert got == want, f"row for {want.split(',')[0]} changed"
 
 
-def sweep(workers: int) -> bytes:
-    """The full report, as the sweep command writes it."""
+def sweep(workers: int) -> tuple[int, bytes]:
+    """The sweep command's exit code and full report."""
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "sweep.csv"
-        if run_batch(enumerate_alpha_le2(10), CHECKS, workers=workers, out=str(out)) == 2:
+        code = run_batch(enumerate_alpha_le2(10), CHECKS, workers=workers, out=str(out))
+        if code == 2:  # an input problem, reported on stderr
             raise SystemExit(2)
-        return out.read_bytes()
+        return code, out.read_bytes()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -66,7 +68,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--check", action="store_true", help="compare with the stored file, write nothing")
     parser.add_argument("--workers", type=int, default=1)
     args = parser.parse_args(argv)
-    data = sweep(args.workers)
+    _, data = sweep(args.workers)
     if not args.check:
         STORED.write_bytes(gzip.compress(data, compresslevel=9, mtime=0))
         return 0

@@ -31,6 +31,12 @@ that enough common neighbors lie off the terminals, holds in any graph:
 alpha <= 2 only guarantees those two conditions.  Its test,
 immersion._extends, also serves the immersion climbs, which start one
 past the clique number when it holds for a maximum clique as the base.
+
+Steps 1 and 2 make their certificates through immersion's
+_clique_certificate, as clique_certificate does after its argument
+checks, which the builder's own ascending int terminals do not need.
+Each step 3 certificate is verified in an assert, and the appendix
+check verifies every certificate the builder returns.
 """
 
 from __future__ import annotations
@@ -53,8 +59,8 @@ from .immersion import (
     STRONG_ODD,
     ImmersionCertificate,
     Path,
+    _clique_certificate,
     _extends,
-    clique_certificate,
     verify_certificate,
 )
 
@@ -157,7 +163,7 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
             assert is_clique(g, clique) and clique.bit_count() >= target
             if trace is not None:
                 trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
-            return clique_certificate(bits(clique))
+            return _clique_certificate(bits(clique))
     for u in bits(live):
         rest = (live & ~adj[u]) >> (u + 1) << (u + 1)
         if rest:
@@ -166,7 +172,7 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
     else:
         if trace is not None:
             trace.append(f"n={n} branch=complete t={target}")
-        return clique_certificate(list(bits(live))[:target])
+        return _clique_certificate(list(bits(live))[:target])
 
     sub_mask = live & ~(1 << u) & ~(1 << v)
     sub = Graph._unchecked(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(adj)))

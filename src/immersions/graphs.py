@@ -105,17 +105,23 @@ def _mirror_lower(rows) -> tuple[int, ...]:
 
 def bits(mask: int):
     """Yield the set bit positions of mask in increasing order."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+    try:  # no work per step: it only turns a non-int mask's TypeError into a ValueError
+        while mask:
+            low = mask & -mask
+            yield low.bit_length() - 1
+            mask ^= low
+    except TypeError:
+        raise ValueError(f"mask needs an int, not the {type(mask).__name__} {mask!r}") from None
 
 
 def mask_of(vertices) -> int:
     """Bitset of an iterable of vertex indices."""
     m = 0
-    for v in vertices:
-        m |= 1 << v
+    try:  # as in bits, no work per vertex
+        for v in vertices:
+            m |= 1 << v
+    except TypeError:
+        raise ValueError(f"vertices need an iterable of ints, not the {type(vertices).__name__} {vertices!r}") from None
     return m
 
 
@@ -330,6 +336,7 @@ def non_neighborhood(g: Graph, x: int) -> int:
 
 def is_clique(g: Graph, s: int) -> bool:
     _require_type(g, Graph, "g")
+    _require_int(s, "vertex set s")
     for v in bits(s):
         rest = s & ~(1 << v)
         if g.adj[v] & rest != rest:

@@ -7,6 +7,17 @@ notion: *odd* requires every path length odd, *strong* forbids every
 terminal from appearing as an interior vertex of any path.  Paths may
 share vertices freely otherwise; only edges must be disjoint.
 
+The verifier shares nothing with the searches but the graph's adjacency
+rows.  It checks the pair keys by their count and each key's range, and
+walks each path once to check its vertices and read its vertex mask,
+first non-edge and edges (as bits of one int), which finds a reused edge
+by masking.  A rejected certificate whose map is out of pair order is
+checked again in pair order, so violations always come in pair order.
+clique_certificate and the builder's clique branches make a clique's
+certificate through one constructor, _clique_certificate, which the
+builder calls on terminals it knows are ascending ints, with no
+argument checks.
+
 The searches are exact, not heuristic: `find_clique_immersion` returns
 a certificate iff one exists.  Terminal sets are enumerated in colex
 order over degree-feasible vertices, pairs are solved in lex order, and
@@ -152,14 +163,19 @@ class ImmersionCertificate:
 
 def clique_certificate(vertices) -> ImmersionCertificate:
     """Single-edge certificate on a clique (callers guarantee cliqueness)."""
-    terminals = tuple(vertices)
+    try:
+        terminals = tuple(vertices)
+    except TypeError:
+        raise ValueError(f"vertices need an iterable of ints, not the {type(vertices).__name__} {vertices!r}") from None
     for v in terminals:
         _require_int(v, "a terminal")
-    terminals = tuple(sorted(terminals))
-    paths = {
-        (i, j): (terminals[i], terminals[j])
-        for i, j in combinations(range(len(terminals)), 2)
-    }
+    return _clique_certificate(sorted(terminals))
+
+
+def _clique_certificate(terminals) -> ImmersionCertificate:
+    """clique_certificate on ascending ints, which it takes unchecked."""
+    terminals = tuple(terminals)
+    paths = {(i, j): (a, b) for (i, a), (j, b) in combinations(enumerate(terminals), 2)}
     return ImmersionCertificate(terminals, paths)
 
 
@@ -172,18 +188,21 @@ class VerifyReport:
 def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFlags) -> VerifyReport:
     """Check every immersion clause; malformed certificates raise instead.
 
-    Each path is checked for repeats and interior terminals on its
-    vertex mask, and each edge uv is keyed by its mask 1 << u | 1 << v.
+    The pair keys are checked by their count and each key's range.  One
+    walk over each path, in the map's order, checks its vertices and
+    reads its vertex mask, first non-edge and edges, edge uv (u < v) as
+    bit u*n + v of one int, and reused edges are found by masking.  A
+    rejected map out of pair order is checked again in pair order.
     """
     _require_type(g, Graph, "g")
     _require_type(cert, ImmersionCertificate, "cert")
     _require_type(flags, ImmersionFlags, "flags")
     n = g.n
-    terminals = cert.terminals
+    terminals, paths = cert.terminals, cert.paths
     if not isinstance(terminals, (tuple, list)):
         raise MalformedCertificateError(f"terminals need a tuple, not the {type(terminals).__name__} {terminals!r}")
-    if not isinstance(cert.paths, dict):
-        raise MalformedCertificateError(f"paths need a dict, not the {type(cert.paths).__name__} {cert.paths!r}")
+    if not isinstance(paths, dict):
+        raise MalformedCertificateError(f"paths need a dict, not the {type(paths).__name__} {paths!r}")
     t = len(terminals)
     if t < 1:
         raise MalformedCertificateError("certificate needs at least one terminal")
@@ -194,77 +213,72 @@ def verify_certificate(g: Graph, cert: ImmersionCertificate, flags: ImmersionFla
         if not 0 <= term < n:
             raise MalformedCertificateError(f"terminal {term} outside 0..{n - 1}")
         terminal_mask |= 1 << term
-    for key in cert.paths:
-        if not (isinstance(key, tuple) and len(key) == 2 and all(map(_is_int, key))):
+    in_range = True  # distinct keys i < j < t, C(t,2) of them, are all the pairs
+    for key in paths:
+        # The type() tests pass a plain pair of ints without calls.
+        if not (type(key) is tuple and len(key) == 2 and type(key[0]) is int and type(key[1]) is int
+                or isinstance(key, tuple) and len(key) == 2 and _is_int(key[0]) and _is_int(key[1])):
             raise MalformedCertificateError(f"pair key {key!r} is not a pair of integers")
-    expected = set(combinations(range(t), 2))
-    if cert.paths.keys() != expected:
-        got = set(cert.paths)
-        missing = sorted(expected - got)
-        extra = sorted(got - expected)
-        detail = []
-        if missing:
-            detail.append(f"missing pair keys {missing}")
-        if extra:
-            detail.append(f"unexpected pair keys {extra}")
-        raise MalformedCertificateError("; ".join(detail))
-    path_masks = {}
-    for pair, path in cert.paths.items():
+        if not 0 <= key[0] < key[1] < t:
+            in_range = False
+    if not in_range or len(paths) != t * (t - 1) // 2:
+        expected = set(combinations(range(t), 2))
+        detail = (("missing", sorted(expected - paths.keys())), ("unexpected", sorted(paths.keys() - expected)))
+        raise MalformedCertificateError("; ".join(f"{what} pair keys {keys}" for what, keys in detail if keys))
+    adj = g.adj
+    violations: list[str] = []
+    if terminal_mask.bit_count() != t:
+        violations.append("terminals are not pairwise distinct")
+    used = 0  # the edges of the paths checked so far
+    taken = []  # (pair, its edges) for each of those paths
+    for pair, path in paths.items():
         if not isinstance(path, (tuple, list)):
             raise MalformedCertificateError(f"path for pair {pair} needs a tuple, not the {type(path).__name__} {path!r}")
         if len(path) < 2:
             raise MalformedCertificateError(f"path for pair {pair} has fewer than 2 vertices")
-        path_mask = 0
+        mask = edges = 0
+        u, non_edge = -1, None
         for v in path:
             if type(v) is not int and not _is_int(v):
                 raise MalformedCertificateError(f"path vertex {v!r} is not an integer")
             if not 0 <= v < n:
                 raise MalformedCertificateError(f"path vertex {v} outside 0..{n - 1}")
-            path_mask |= 1 << v
-        path_masks[pair] = path_mask
-
-    violations: list[str] = []
-    if terminal_mask.bit_count() != t:
-        violations.append("terminals are not pairwise distinct")
-    adj = g.adj
-    seen_edges: dict[int, tuple[int, int]] = {}
-    for (i, j), path in sorted(cert.paths.items()):
-        a, b = path[0], path[-1]
-        if a != terminals[i] or b != terminals[j]:
+            if u >= 0:
+                if not adj[u] >> v & 1 and non_edge is None:
+                    non_edge = f"{u}-{v}"
+                edges |= 1 << (u * n + v if u < v else v * n + u)
+            mask |= 1 << v
+            u = v
+        i, j = pair
+        if path[0] != terminals[i] or u != terminals[j]:
             violations.append(f"path for pair ({i},{j}) does not run from {terminals[i]} to {terminals[j]}")
             continue
-        path_mask = path_masks[i, j]
-        if path_mask.bit_count() != len(path):
+        if mask.bit_count() != len(path):
             violations.append(f"path for pair ({i},{j}) repeats a vertex")
             continue
-        edges = []
-        u = a
-        for v in path[1:]:
-            if not adj[u] >> v & 1:
-                violations.append(f"path for pair ({i},{j}) uses the non-edge {u}-{v}")
-                break
-            edges.append(1 << u | 1 << v)
-            u = v
-        if len(edges) < len(path) - 1:  # stopped at a non-edge
+        if non_edge:
+            violations.append(f"path for pair ({i},{j}) uses the non-edge {non_edge}")
             continue
-        for edge in edges:
-            if edge in seen_edges:
-                first = seen_edges[edge]
-                low = (edge & -edge).bit_length() - 1
-                violations.append(
-                    f"edge {low}-{edge.bit_length() - 1} reused by pairs "
-                    f"({first[0]},{first[1]}) and ({i},{j})"
-                )
-            else:
-                seen_edges[edge] = (i, j)
-        if flags.odd and len(path) & 1:  # an odd vertex count, an even length
-            violations.append(f"path for pair ({i},{j}) has even length {len(path) - 1}")
+        if edges & used:  # name each reused edge and the first pair that took it
+            for low, high in map(sorted, zip(path, path[1:])):
+                bit = 1 << (low * n + high)
+                if used & bit:
+                    first = next(other for other, other_edges in taken if other_edges & bit)
+                    violations.append(f"edge {low}-{high} reused by pairs ({first[0]},{first[1]}) and ({i},{j})")
+        used |= edges
+        taken.append((pair, edges))
+        length = len(path) - 1
+        if flags.odd and not length & 1:
+            violations.append(f"path for pair ({i},{j}) has even length {length}")
         if flags.strong:
             # No vertex repeats, so the interior is the path less its two ends.
-            blocked = path_mask & ~(1 << a | 1 << b) & terminal_mask
+            blocked = mask & ~(1 << path[0] | 1 << u) & terminal_mask
             if blocked:
                 culprit = (blocked & -blocked).bit_length() - 1
                 violations.append(f"terminal {culprit} is interior to the path for pair ({i},{j})")
+    if violations and list(paths) != sorted(paths):
+        # Reported in pair order, each reused edge named with the first pair in that order to take it.
+        return verify_certificate(g, ImmersionCertificate(terminals, dict(sorted(paths.items()))), flags)
     return VerifyReport(not violations, tuple(violations))
 
 
@@ -549,7 +563,9 @@ def _solve_set(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlag
     the terminals with no pass-through budget (spent only grows), and the
     set fails at the first pair with none.  The routed pairs go in the
     decision pass's order with decide, and in lex order without, which
-    gives find_clique_immersion's certificate.
+    gives find_clique_immersion's certificate.  With decide the map holds
+    only the routed pairs: the caller asks whether the set immerses, and
+    an adjacent pair's path would be its edge.
     """
     g = index.g
     edge_bit = index.edge_bit
@@ -557,7 +573,6 @@ def _solve_set(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlag
     budget = [0 if flags.strong else (degree - (t - 1)) // 2 for degree in index.degrees]
     spent = mask_of(v for v in terms if not budget[v])
     direct = decide and (flags.strong or not flags.odd)
-    paths: dict[tuple[int, int], Path] = {}
     used = 0
     pairs = []
     floors = []
@@ -565,7 +580,6 @@ def _solve_set(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlag
         a, b = terms[i], terms[j]
         if direct and (bit := edge_bit[a].get(b)):
             used |= bit
-            paths[i, j] = (a, b)
             continue
         allowed = g.vertex_mask & ~(spent | 1 << a | 1 << b)  # solve's first closed set
         floor = _pair_floor(g, a, b, allowed, flags.odd)
@@ -578,7 +592,7 @@ def _solve_set(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlag
         pairs = [pairs[k] for k in order]
         floors = [floors[k] for k in order]
     routed = _solve_pairs(index, terms, flags, budget, spent, used, pairs, floors)
-    return None if routed is None else paths | dict(zip(pairs, routed))
+    return None if routed is None else dict(zip(pairs, routed))
 
 
 def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags, budget: list[int],
@@ -695,9 +709,13 @@ def _clique_order(g: Graph) -> int:
     """An order that immerses strongly and oddly, found with no search:
     omega + 1 when the extension lemma holds for the clique max_clique
     returns or for a swap Q - q + x, where x misses exactly the vertex q
-    of Q, for some hub u and new terminal v; omega otherwise."""
+    of Q, for some hub u and new terminal v; omega otherwise.  Each of
+    the lemma's omega + 1 terminals ends omega edge-disjoint paths, so
+    with fewer vertices of degree >= omega no scan is made."""
     omega, clique = max_clique(g)
     adj = g.adj
+    if sum(row.bit_count() >= omega for row in adj) <= omega:
+        return omega
     cliques = [clique]
     for x in bits(g.vertex_mask & ~clique):
         missed = clique & ~adj[x]  # not empty: Q is a maximum clique

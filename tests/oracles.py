@@ -536,6 +536,35 @@ def reference_solve_pairs(index, terms, flags, budget, spent, used, pairs, floor
     return solution if solve(0, used, spent) else None
 
 
+def lemma_holds(g: Graph, clique: set[int], u: int, v: int) -> bool:
+    """The extension lemma's condition, read off neighbor sets."""
+    nu, nv = set(bits(g.adj[u])), set(bits(g.adj[v]))
+    missed = clique - nv
+    return missed <= nu and len((nu & nv) - clique) >= len(missed)
+
+
+def lemma_cliques(g: Graph, clique_mask: int) -> list[set[int]]:
+    """The clique and each swap Q - q + x of it, x missing exactly q."""
+    clique = set(bits(clique_mask))
+    return [clique] + [
+        clique - missed | {x}
+        for x in range(g.n)
+        if x not in clique and len(missed := clique - set(bits(g.adj[x]))) == 1
+    ]
+
+
+def reference_clique_order(g: Graph, clique_mask: int) -> int:
+    """immersion._clique_order given max_clique's witness: omega, plus 1
+    when the lemma holds for some (Q, v, u), scanning every triple."""
+    cliques = lemma_cliques(g, clique_mask)
+    holds = any(
+        not g.has_edge(u, v) and lemma_holds(g, terms, u, v)
+        for terms in cliques
+        for u, v in itertools.permutations([w for w in range(g.n) if w not in terms], 2)
+    )
+    return len(cliques[0]) + holds
+
+
 def reference_verify_certificate(g: Graph, cert, flags):
     """immersion.verify_certificate, reading one edge at a time."""
     t = cert.t

@@ -8,6 +8,7 @@ import re
 
 import pytest
 
+import oracles
 from immersions import (
     DegenerateInputError,
     Graph,
@@ -15,11 +16,11 @@ from immersions import (
     IndependencePreconditionError,
     PreconditionError,
     STRONG_ODD,
-    bits,
     build_third_immersion,
     certificate_to_json,
     clique_certificate,
     complement,
+    encode_graph6,
     enumerate_alpha_le2,
     extension_step,
     find_clique_immersion,
@@ -260,13 +261,6 @@ class TestExtensionStep:
             extension_step(g, 1, 9, ImmersionCertificate((0,), {}))
 
 
-def lemma_holds(g: Graph, clique: set[int], u: int, v: int) -> bool:
-    """The extension lemma's condition, read off neighbor sets."""
-    nu, nv = set(bits(g.adj[u])), set(bits(g.adj[v]))
-    missed = clique - nv
-    return missed <= nu and len((nu & nv) - clique) >= len(missed)
-
-
 class TestExtensionLemma:
     def test_lemma_proves_the_order_it_claims(self, all_graphs_by_n, alpha2_by_n):
         """Every graph with n <= 7 and every alpha <= 2 class with n = 8
@@ -280,19 +274,13 @@ class TestExtensionLemma:
         fired_graphs = hits = 0
         for g in graphs:
             omega, clique_mask = max_clique(g)
-            clique = set(bits(clique_mask))
-            swaps = [
-                clique - missed | {x}
-                for x in range(g.n)
-                if x not in clique and len(missed := clique - set(bits(g.adj[x]))) == 1
-            ]
             fired = False
-            for terms in [clique, *swaps]:
+            for terms in oracles.lemma_cliques(g, clique_mask):
                 rest = [w for w in range(g.n) if w not in terms]
                 for u, v in itertools.permutations(rest, 2):
                     if g.has_edge(u, v):
                         continue
-                    holds = lemma_holds(g, terms, u, v)
+                    holds = oracles.lemma_holds(g, terms, u, v)
                     assert _extends(g.adj, mask_of(terms), u, v) == holds
                     if not holds:
                         continue
@@ -308,3 +296,21 @@ class TestExtensionLemma:
                 assert find_clique_immersion(g, omega + 1, STRONG_ODD) is not None
             assert start <= max_clique_immersion(g, STRONG_ODD)[0]
         assert (fired_graphs, hits) == (1271, 5797)
+
+    def test_clique_order_matches_the_reference(self, all_graphs_small, alpha2_by_n):
+        """On every graph with n <= 6 and every alpha <= 2 class with
+        n <= 8, _clique_order is omega, plus 1 when the lemma holds for
+        some (Q, v, u).  It returns omega at once when fewer than
+        omega + 1 vertices have degree >= omega, and the lemma holds on
+        none of those graphs."""
+        graphs = [g for n in range(1, 7) for g in all_graphs_small[n]]
+        graphs += [g for n in range(1, 9) for g in alpha2_by_n[n]]
+        early = 0
+        for g in graphs:
+            omega, clique_mask = max_clique(g)
+            want = oracles.reference_clique_order(g, clique_mask)
+            assert _clique_order(g) == want, encode_graph6(g)
+            if sum(g.degree(v) >= omega for v in range(g.n)) <= omega:
+                early += 1
+                assert want == omega, encode_graph6(g)
+        assert (len(graphs), early) == (790, 379)

@@ -100,6 +100,7 @@ class TestGraphType:
         "run_batch workers": (lambda x: run_batch([Graph.complete(3)], ("main",), workers=x), "workers"),
         "non_neighborhood x": (lambda x: non_neighborhood(Graph.complete(4), x), "vertex x"),
         "clique_certificate terminal": (lambda x: clique_certificate([0, x]), "a terminal"),
+        "is_clique s": (lambda x: is_clique(Graph.complete(3), x), "vertex set s"),
     }
 
     @pytest.mark.parametrize("value", [True, 2.0, 2.5])
@@ -116,7 +117,9 @@ class TestGraphType:
         assert message == f"{what} needs an int, not the {type(value).__name__} {value!r}"
 
     # Every argument that a public entry point outside immersion and
-    # checks reads attributes of: each entry passes one of the wrong type.
+    # checks reads attributes of, and the bit-set arguments of is_clique,
+    # bits, mask_of and clique_certificate: each entry passes one of the
+    # wrong type.
     TYPE_INPUTS = {
         "parse_graph6 None": (lambda: parse_graph6(None), "line needs a str, not the NoneType None"),
         "parse_graph6 bytes": (lambda: parse_graph6(b"Dhc"), "line needs a str, not the bytes b'Dhc'"),
@@ -136,6 +139,11 @@ class TestGraphType:
         "complement g": (lambda: complement("Dhc"), "g needs a Graph, not the str 'Dhc'"),
         "encode_graph6 g": (lambda: encode_graph6("Dhc"), "g needs a Graph, not the str 'Dhc'"),
         "is_clique g": (lambda: is_clique("Dhc", 0b11), "g needs a Graph, not the str 'Dhc'"),
+        "is_clique s": (lambda: is_clique(Graph.complete(3), "ab"), "vertex set s needs an int, not the str 'ab'"),
+        "bits mask": (lambda: list(bits("ab")), "mask needs an int, not the str 'ab'"),
+        "mask_of str": (lambda: mask_of("ab"), "vertices need an iterable of ints, not the str 'ab'"),
+        "mask_of int": (lambda: mask_of(5), "vertices need an iterable of ints, not the int 5"),
+        "clique_certificate int": (lambda: clique_certificate(5), "vertices need an iterable of ints, not the int 5"),
         "non_neighborhood g": (lambda: non_neighborhood("Dhc", 0), "g needs a Graph, not the str 'Dhc'"),
         "canonical_form g": (lambda: canonical_form("Dhc"), "g needs a Graph, not the str 'Dhc'"),
     }

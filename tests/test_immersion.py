@@ -170,6 +170,35 @@ class TestVerifier:
         with pytest.raises(MalformedCertificateError):
             verify_certificate(g, ImmersionCertificate((0, 1), {(0, 1): (0, 9)}), PLAIN)
 
+    @pytest.mark.parametrize("keys,message", [
+        ([], "missing pair keys [(0, 1)]"),
+        ([(0, 1), (1, 2)], "unexpected pair keys [(1, 2)]"),
+        ([(0, 0)], "missing pair keys [(0, 1)]; unexpected pair keys [(0, 0)]"),
+        ([(1, 0)], "missing pair keys [(0, 1)]; unexpected pair keys [(1, 0)]"),
+        ([(-1, 1)], "missing pair keys [(0, 1)]; unexpected pair keys [(-1, 1)]"),
+    ], ids=["none", "extra", "loop", "reversed", "negative"])
+    def test_a_wrong_key_set_is_named(self, keys, message):
+        """The keys are compared by count and range; a key i >= j or out
+        of range is unexpected even when the count is right."""
+        cert = ImmersionCertificate((0, 1), {key: (0, 1) for key in keys})
+        for verify in (verify_certificate, oracles.reference_verify_certificate):
+            with pytest.raises(MalformedCertificateError, match=f"^{re.escape(message)}$"):
+                verify(Graph.complete(3), cert, PLAIN)
+
+    def test_malformed_paths_in_map_order_violations_in_pair_order(self):
+        """Of two malformed paths the first in the map's order is reported,
+        and violations come in pair order whatever the map's order, each
+        reused edge named with the first pair that took it."""
+        g = Graph.complete(3)
+        bad = ImmersionCertificate((0, 1, 2), {(1, 2): (1, 9), (0, 1): (0, 8), (0, 2): (0, 2)})
+        for verify in (verify_certificate, oracles.reference_verify_certificate):
+            with pytest.raises(MalformedCertificateError, match=re.escape("path vertex 9 outside 0..2")):
+                verify(g, bad, PLAIN)
+        cert = ImmersionCertificate((0, 1, 2), {(1, 2): (1, 0, 2), (0, 2): (0, 2), (0, 1): (0, 1)})
+        want = ("edge 0-1 reused by pairs (0,1) and (1,2)", "edge 0-2 reused by pairs (0,2) and (1,2)")
+        assert verify_certificate(g, cert, PLAIN).violations == want
+        assert oracles.reference_verify_certificate(g, cert, PLAIN).violations == want
+
     @pytest.mark.parametrize("cert,field", [
         (ImmersionCertificate(5, {}), "terminals need a tuple"),
         (ImmersionCertificate((0, 1), None), "paths need a dict"),
@@ -742,7 +771,8 @@ class TestDirectEdges:
         _solve_set decides the set as the brute oracle does, with decide
         (only the non-adjacent pairs routed, with the set's own edges
         taken, under every setting but the odd flag alone) and without,
-        under every flag setting, and the paths it returns verify.  Each
+        under every flag setting, and the paths it returns verify, with
+        decide once each adjacent pair it leaves out takes its edge.  Each
         setting meets sets with adjacent pairs that pass and that fail.
         (n = 7 takes about 45 s.)"""
         seen = {flags: [0, 0] for flags in ALL_FLAGS}
@@ -761,6 +791,12 @@ class TestDirectEdges:
                                 case = (sorted(g.edges()), terms, flags, decide)
                                 assert (paths is not None) == want, case
                                 if paths is not None:
+                                    if decide and flags != ODD:
+                                        assert not any(g.has_edge(terms[i], terms[j]) for i, j in paths), case
+                                        paths |= {
+                                            (i, j): (a, b) for (i, a), (j, b) in itertools.combinations(enumerate(terms), 2)
+                                            if g.has_edge(a, b)
+                                        }
                                     cert = ImmersionCertificate(terms, paths)
                                     assert verify_certificate(g, cert, flags).accepted, case
                             counts[want] += adjacent

@@ -20,10 +20,11 @@ import immersions
 # The builder reads a live vertex's non-neighborhood off its adjacency
 # row, so no module calls non_neighborhood.  It extends its own
 # certificates past extension_step's input checks, so no module calls
-# extension_step.
+# extension_step, and makes its clique certificates past
+# clique_certificate's, so no module calls clique_certificate.
 API_ONLY = {
-    "STRONG", "ODD", "canonical_form", "enumerate_triangle_free", "extension_step", "independence_number",
-    "non_neighborhood",
+    "STRONG", "ODD", "canonical_form", "clique_certificate", "enumerate_triangle_free", "extension_step",
+    "independence_number", "non_neighborhood",
 }
 
 

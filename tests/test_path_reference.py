@@ -3,14 +3,15 @@
 Both came to read adjacency bitmasks: the router extends a path only
 over the open neighbors of its end, and with two edges left only over
 those that are also neighbors of the far terminal, and the verifier
-tests a path on one vertex mask.  Their references are the per-edge
-versions they replaced, so every certificate and every verifier outcome
-must stay the same.
+checks each path in one walk, on one vertex mask and one int of edge
+bits.  Their references are the per-edge versions they replaced, so
+every certificate and every verifier outcome must stay the same.
 
 The alpha <= 2 classes at n = 9 (1,897) take longer than Tier-1 should
 spend on this; compare their certificates under the plain, strong and
 strong odd flags, and the odd-only certificates of the 410 classes at
-n = 8, with:
+n = 8, and the verifier's outcome on each and on one broken variant of
+each, with:
 
     PYTHONPATH=src python3 tests/test_path_reference.py --n9
 
@@ -21,9 +22,12 @@ settings there.
 from __future__ import annotations
 
 import argparse
+import gzip
 import itertools
+import json
 import random
 import sys
+from pathlib import Path
 
 import oracles
 from immersions import (
@@ -33,10 +37,12 @@ from immersions import (
     STRONG_ODD,
     ImmersionCertificate,
     MalformedCertificateError,
+    certificate_from_json,
     encode_graph6,
     enumerate_alpha_le2,
     find_clique_immersion,
     max_clique_immersion,
+    parse_graph6,
     verify_certificate,
 )
 from immersions import immersion as immersion_module
@@ -44,6 +50,7 @@ from common import random_graph
 
 ALL_FLAGS = (PLAIN, STRONG, ODD, STRONG_ODD)
 ROUTER = immersion_module._solve_pairs
+GOLDEN = Path(__file__).parent / "data" / "golden_immersions.jsonl.gz"
 
 
 def climbs(graphs, flags, solve_pairs) -> list:
@@ -55,10 +62,9 @@ def climbs(graphs, flags, solve_pairs) -> list:
         immersion_module._solve_pairs = ROUTER
 
 
-def first_mismatch(graphs, flags) -> str | None:
-    """The graph6 word of the first graph whose certificate differs from
-    the reference router's, or None."""
-    got = climbs(graphs, flags, ROUTER)
+def first_mismatch(graphs, flags, got) -> str | None:
+    """The graph6 word of the first graph whose certificate in got, the
+    climbs' own, differs from the reference router's, or None."""
     want = climbs(graphs, flags, oracles.reference_solve_pairs)
     return next((encode_graph6(g) for g, a, b in zip(graphs, got, want) if a != b), None)
 
@@ -69,7 +75,7 @@ def test_certificates_match_the_reference_router(all_graphs_small, alpha2_by_n):
     graphs = [g for n in range(1, 7) for g in all_graphs_small[n]]
     graphs += alpha2_by_n[7]
     for flags in ALL_FLAGS:
-        assert first_mismatch(graphs, flags) is None, flags
+        assert first_mismatch(graphs, flags, climbs(graphs, flags, ROUTER)) is None, flags
 
 
 def outcome(verify, g, cert, flags):
@@ -92,6 +98,26 @@ def random_walk(rng: random.Random, g, a: int, b: int) -> tuple[int, ...]:
     return (*path, b)
 
 
+def breakages(rng: random.Random, g, cert) -> list[ImmersionCertificate]:
+    """cert with one path broken in each of four ways, at one seeded
+    pair; with no pair, cert with a repeated terminal."""
+    if not cert.paths:
+        v = cert.terminals[0]
+        return [ImmersionCertificate((v, v), {(0, 1): (v, v)})]
+    pair = rng.choice(sorted(cert.paths))
+    path = cert.paths[pair]
+    spot = rng.randrange(1, len(path))
+    return [
+        ImmersionCertificate(cert.terminals, {**cert.paths, pair: broken})
+        for broken in (
+            path[::-1],  # wrong ends
+            path[:spot] + (rng.choice(path),) + path[spot:],  # a repeated vertex, maybe
+            path[:spot] + (rng.randrange(g.n),) + path[spot:],  # maybe a non-edge
+            cert.paths[rng.choice(sorted(cert.paths))],  # another pair's path
+        )
+    ]
+
+
 def broken_certificates(rng: random.Random, g):
     """Certificates of g to verify: the search's own, each with one path
     broken, random path systems, and some with bad pair keys."""
@@ -100,16 +126,7 @@ def broken_certificates(rng: random.Random, g):
         if cert is None:
             break
         yield cert
-        pair = rng.choice(sorted(cert.paths))
-        path = cert.paths[pair]
-        spot = rng.randrange(1, len(path))
-        for broken in (
-            path[::-1],  # wrong ends
-            path[:spot] + (rng.choice(path),) + path[spot:],  # a repeated vertex, maybe
-            path[:spot] + (rng.randrange(g.n),) + path[spot:],  # maybe a non-edge
-            cert.paths[rng.choice(sorted(cert.paths))],  # another pair's path
-        ):
-            yield ImmersionCertificate(cert.terminals, {**cert.paths, pair: broken})
+        yield from breakages(rng, g, cert)
     t = rng.randint(1, min(g.n, 5))
     terminals = rng.sample(range(g.n), t)
     if rng.random() < 0.1:
@@ -151,19 +168,56 @@ def test_verifier_matches_the_reference():
     assert seen == set(kinds)
 
 
+def same_verdicts(rng: random.Random, g, cert, settings) -> bool:
+    """Whether the verifier and its reference agree on cert and on one
+    seeded breakage of it, under each flag setting of settings."""
+    broken = rng.choice(breakages(rng, g, cert))
+    return all(
+        outcome(verify_certificate, g, c, flags) == outcome(oracles.reference_verify_certificate, g, c, flags)
+        for c in (cert, broken)
+        for flags in settings
+    )
+
+
+def test_verifier_matches_the_reference_on_the_golden_corpus():
+    """The 5,828 certificates of the golden corpus, as stored and with
+    one seeded breakage, under their own flags and one other setting."""
+    rng = random.Random(36)
+    with gzip.open(GOLDEN, "rt", encoding="ascii") as handle:
+        rows = [json.loads(line) for line in handle]
+    assert len(rows) == 5828
+    graphs = {word: parse_graph6(word) for word, *_ in rows}  # a graph with n <= 7 has four rows
+    for word, _, _, text in rows:
+        g = graphs[word]
+        cert, flags = certificate_from_json(text)
+        other = rng.choice([f for f in ALL_FLAGS if f != flags])
+        assert same_verdicts(rng, g, cert, (flags, other)), (word, text, other)
+
+
 def check_n9() -> int:
     """Compare the certificates of the alpha <= 2 classes at n = 9, and
-    the odd-only ones at n = 8."""
+    the odd-only ones at n = 8, and the verifier's outcome on each and
+    on one broken variant of each."""
     status = 0
+    rng = random.Random(9)
     for n, settings in ((9, (PLAIN, STRONG, STRONG_ODD)), (8, (ODD,))):
         graphs = list(enumerate_alpha_le2(n))
         for flags in settings:
-            word = first_mismatch(graphs, flags)
+            got = climbs(graphs, flags, ROUTER)
+            word = first_mismatch(graphs, flags, got)
             if word is not None:
                 print(f"n = {n}, {flags.label()}: {word} differs from the reference router", file=sys.stderr)
                 status = 1
             else:
                 print(f"n = {n}, {flags.label()}: all {len(graphs)} certificates match the reference router")
+            word = next((encode_graph6(g) for g, (_, cert) in zip(graphs, got)
+                         if not same_verdicts(rng, g, cert, (flags,))), None)
+            if word is not None:
+                print(f"n = {n}, {flags.label()}: the verifier judges {word} unlike its reference", file=sys.stderr)
+                status = 1
+            else:
+                print(f"n = {n}, {flags.label()}: the verifier agrees with its reference on all {len(graphs)}"
+                      " certificates and a broken variant of each")
     return status
 
 

@@ -50,7 +50,6 @@ from .graphs import (
     Graph,
     _require_int,
     _require_type,
-    bits,
     is_clique,
     mask_of,
     max_independent_set,
@@ -63,6 +62,16 @@ from .immersion import (
     _extends,
     verify_certificate,
 )
+
+
+def _vertices(mask: int) -> list[int]:
+    """list(bits(mask)) in one call: the vertices of mask, ascending."""
+    vertices = []
+    while mask:
+        low = mask & -mask
+        vertices.append(low.bit_length() - 1)
+        mask ^= low
+    return vertices
 
 
 def _trim_certificate(cert: ImmersionCertificate, k: int) -> ImmersionCertificate:
@@ -112,8 +121,8 @@ def _extend(g: Graph, u: int, v: int, base: ImmersionCertificate) -> ImmersionCe
     term_mask = mask_of(base.terminals)
     if not _extends(adj, term_mask, u, v):
         return None
-    missing = bits(term_mask & ~adj[v])
-    common = bits(adj[u] & adj[v] & ~term_mask)
+    missing = _vertices(term_mask & ~adj[v])
+    common = _vertices(adj[u] & adj[v] & ~term_mask)
     terminals = tuple(sorted(base.terminals + (v,)))
     position = {t: i for i, t in enumerate(terminals)}
     assigned = dict(zip(missing, common))
@@ -141,7 +150,7 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
         raise DegenerateInputError("no terminals exist in the empty graph")
     witness = max_independent_set(g)
     if witness.bit_count() >= 3:
-        triple = tuple(bits(witness))[:3]
+        triple = tuple(_vertices(witness)[:3])
         raise IndependencePreconditionError(
             f"independence number exceeds 2: vertices {triple} are pairwise nonadjacent",
             triple,
@@ -157,22 +166,30 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
     target = -(-n // 3)
     degree_cap = 2 * n // 3 - 1
     adj = g.adj
-    for x in bits(live):
+    rest = live
+    while rest:  # bits(live) inlined, here and below: ascending
+        low = rest & -rest
+        rest ^= low
+        x = low.bit_length() - 1
         if (adj[x] & live).bit_count() <= degree_cap:
-            clique = live & ~adj[x] & ~(1 << x)
+            clique = live & ~adj[x] & ~low
             assert is_clique(g, clique) and clique.bit_count() >= target
             if trace is not None:
                 trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
-            return _clique_certificate(bits(clique))
-    for u in bits(live):
-        rest = (live & ~adj[u]) >> (u + 1) << (u + 1)
-        if rest:
-            v = next(bits(rest))
+            return _clique_certificate(_vertices(clique))
+    rest = live
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        u = low.bit_length() - 1
+        later = (live & ~adj[u]) >> (u + 1) << (u + 1)
+        if later:
+            v = (later & -later).bit_length() - 1
             break
     else:
         if trace is not None:
             trace.append(f"n={n} branch=complete t={target}")
-        return _clique_certificate(list(bits(live))[:target])
+        return _clique_certificate(_vertices(live)[:target])
 
     sub_mask = live & ~(1 << u) & ~(1 << v)
     sub = Graph._unchecked(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(adj)))

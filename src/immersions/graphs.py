@@ -21,7 +21,12 @@ Only a rejected Graph is walked row by row, to name its first fault.
 
 The exact solvers here (maximum clique, and the independence number as
 the clique number of the complement) are branch-and-bound with a greedy
-coloring upper bound, deterministic for reproducible reports.
+coloring upper bound, deterministic for reproducible reports.  Each
+search node keeps its coloring as two flat lists, the vertices in
+coloring order and the color of each, and a branch with no candidate
+left is scored where it is met, with no call.  The loops a sweep row
+runs walk a bitset inline (while m: low = m & -m), not through bits,
+which costs a generator step per bit.
 """
 
 from __future__ import annotations
@@ -106,6 +111,8 @@ def _mirror_lower(rows) -> tuple[int, ...]:
 def bits(mask: int):
     """Yield the set bit positions of mask in increasing order."""
     try:  # no work per step: it only turns a non-int mask's TypeError into a ValueError
+        if mask < 0:  # its walk would never end
+            raise ValueError(f"mask needs a nonnegative int, not the {type(mask).__name__} {mask!r}")
         while mask:
             low = mask & -mask
             yield low.bit_length() - 1
@@ -122,6 +129,10 @@ def mask_of(vertices) -> int:
             m |= 1 << v
     except TypeError:
         raise ValueError(f"vertices need an iterable of ints, not the {type(vertices).__name__} {vertices!r}") from None
+    except ValueError:  # a negative shift count
+        raise ValueError(
+            f"vertices need an iterable of nonnegative ints, not the {type(vertices).__name__} {vertices!r}"
+        ) from None
     return m
 
 
@@ -337,10 +348,16 @@ def non_neighborhood(g: Graph, x: int) -> int:
 def is_clique(g: Graph, s: int) -> bool:
     _require_type(g, Graph, "g")
     _require_int(s, "vertex set s")
-    for v in bits(s):
-        rest = s & ~(1 << v)
-        if g.adj[v] & rest != rest:
+    if s < 0:
+        raise ValueError(f"vertex set s needs a nonnegative int, not the int {s!r}")
+    adj = g.adj
+    m = s
+    while m:
+        low = m & -m
+        rest = s ^ low
+        if adj[low.bit_length() - 1] & rest != rest:
             return False
+        m ^= low
     return True
 
 
@@ -360,11 +377,8 @@ def max_clique(g: Graph) -> tuple[int, int]:
 
     def expand(r_mask: int, r_size: int, cand: int):
         nonlocal best_size, best_mask
-        if not cand:
-            if r_size > best_size:
-                best_size, best_mask = r_size, r_mask
-            return
-        order: list[tuple[int, int]] = []
+        order: list[int] = []  # cand in coloring order
+        colors: list[int] = []  # the color of each
         color = 0
         rest = cand
         while rest:
@@ -373,14 +387,23 @@ def max_clique(g: Graph) -> tuple[int, int]:
             while avail:
                 low = avail & -avail
                 v = low.bit_length() - 1
-                order.append((v, color))
+                order.append(v)
+                colors.append(color)
                 rest ^= low
                 avail &= ~adj[v] & ~low
-        for v, color in reversed(order):
-            if r_size + color <= best_size:
+        k = len(order)
+        while k:  # highest color first
+            k -= 1
+            if r_size + colors[k] <= best_size:
                 return
-            expand(r_mask | 1 << v, r_size + 1, cand & adj[v])
-            cand &= ~(1 << v)
+            v = order[k]
+            low = 1 << v
+            inner = cand & adj[v]
+            if inner:
+                expand(r_mask | low, r_size + 1, inner)
+            elif r_size >= best_size:  # a leaf, taken without the call
+                best_size, best_mask = r_size + 1, r_mask | low
+            cand ^= low
 
     expand(0, 0, g.vertex_mask)
     expand = None  # it calls itself: free the cycle now, not at a collection

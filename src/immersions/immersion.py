@@ -116,7 +116,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 
 from .errors import DegenerateInputError, MalformedCertificateError
-from .graphs import Graph, _is_int, _require_int, _require_type, bits, earlier_twins, is_clique, mask_of, max_clique
+from .graphs import Graph, _is_int, _require_int, _require_type, earlier_twins, is_clique, mask_of, max_clique
 
 
 @dataclass(frozen=True)
@@ -412,8 +412,10 @@ def _pair_floor(g: Graph, a: int, b: int, allowed: int, odd: bool) -> int | None
     while front:
         dist += 1
         grown = 0
-        for v in bits(front):
-            grown |= adj[v]
+        while front:  # bits(front) inlined; front is set anew below
+            low = front & -front
+            grown |= adj[low.bit_length() - 1]
+            front ^= low
         parity = dist & 1
         if grown >> b & 1 and (parity or not odd):
             return dist
@@ -451,9 +453,16 @@ def _tight_crowded(index: _SearchIndex, term_mask: int, tight: int, odd: bool) -
     """
     adj, degrees = index.g.adj, index.degrees
     near = 0
-    for v in bits(tight):
-        near |= adj[v]
-    for w in bits(near & ~term_mask):
+    rest = tight
+    while rest:  # bits(tight) inlined
+        low = rest & -rest
+        near |= adj[low.bit_length() - 1]
+        rest ^= low
+    rest = near & ~term_mask
+    while rest:  # bits(near & ~term_mask) inlined: ascending
+        low = rest & -rest
+        w = low.bit_length() - 1
+        rest ^= low
         ends = adj[w] & tight
         k = ends.bit_count()
         spare = degrees[w] - k  # w's edges off E
@@ -717,15 +726,25 @@ def _clique_order(g: Graph) -> int:
     if sum(row.bit_count() >= omega for row in adj) <= omega:
         return omega
     cliques = [clique]
-    for x in bits(g.vertex_mask & ~clique):
-        missed = clique & ~adj[x]  # not empty: Q is a maximum clique
+    outside = g.vertex_mask & ~clique
+    while outside:  # the bits inlined here and below: ascending
+        low = outside & -outside
+        outside ^= low
+        missed = clique & ~adj[low.bit_length() - 1]  # not empty: Q is a maximum clique
         if not missed & (missed - 1):
-            cliques.append(clique ^ missed | 1 << x)
+            cliques.append(clique ^ missed | low)
     for terms in cliques:
         rest = g.vertex_mask & ~terms
-        for v in bits(rest):
-            for u in bits(rest & ~adj[v] & ~(1 << v)):
-                if _extends(adj, terms, u, v):
+        todo = rest  # v runs over rest, each hub u over its non-neighbors there
+        while todo:
+            low = todo & -todo
+            todo ^= low
+            v = low.bit_length() - 1
+            hubs = rest & ~adj[v] & ~low
+            while hubs:
+                hub = hubs & -hubs
+                hubs ^= hub
+                if _extends(adj, terms, hub.bit_length() - 1, v):
                     return omega + 1
     return omega
 

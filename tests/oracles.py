@@ -8,6 +8,8 @@ counting facts, so agreement is meaningful evidence.
 
 from __future__ import annotations
 
+import csv
+import io
 import itertools
 import string
 from functools import lru_cache
@@ -563,6 +565,56 @@ def reference_clique_order(g: Graph, clique_mask: int) -> int:
         for u, v in itertools.permutations([w for w in range(g.n) if w not in terms], 2)
     )
     return len(cliques[0]) + holds
+
+
+def reference_max_clique(g: Graph) -> tuple[int, int]:
+    """graphs.max_clique as it stood with each search node's coloring in
+    (vertex, color) tuples and a call for every branch, leaves too."""
+    adj = g.adj
+    best_size = 0
+    best_mask = 0
+
+    def expand(r_mask: int, r_size: int, cand: int):
+        nonlocal best_size, best_mask
+        if not cand:
+            if r_size > best_size:
+                best_size, best_mask = r_size, r_mask
+            return
+        order: list[tuple[int, int]] = []
+        color = 0
+        rest = cand
+        while rest:
+            color += 1
+            avail = rest
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                order.append((v, color))
+                rest ^= low
+                avail &= ~adj[v] & ~low
+        for v, color in reversed(order):
+            if r_size + color <= best_size:
+                return
+            expand(r_mask | 1 << v, r_size + 1, cand & adj[v])
+            cand &= ~(1 << v)
+
+    expand(0, 0, g.vertex_mask)
+    return best_size, best_mask
+
+
+def reference_csv_bytes(rows, checks) -> bytes:
+    """checks._csv_bytes as the csv module writes it, CRLF line ends."""
+    columns = ("graph6", "n", "alpha", "chi", "t_max_plain", "t_max_strong_odd")
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\r\n")
+    writer.writerow([*columns, *(f"{name}_{part}" for name in checks for part in ("bound", "holds"))])
+    for report in rows:
+        outcomes = [report.bounds[name] for name in checks]
+        writer.writerow([
+            *(getattr(report, column) for column in columns),
+            *(value for outcome in outcomes for value in (outcome.bound_value, outcome.status)),
+        ])
+    return buffer.getvalue().encode("ascii")
 
 
 def reference_verify_certificate(g: Graph, cert, flags):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures.process
 import dataclasses
+import itertools
 import json
 import os
 import subprocess
@@ -122,6 +123,13 @@ class TestSingleCheckers:
             for name in CHECK_NAMES:
                 one = evaluate_graph(g, (name,))
                 assert one.bounds[name] == row.bounds[name], (row.graph6, name)
+
+    def test_check_outcome_is_a_frozen_named_pair(self):
+        outcome = CheckOutcome(5, "true")
+        assert repr(outcome) == "CheckOutcome(bound_value=5, status='true')"
+        assert outcome == (5, "true") and outcome._fields == ("bound_value", "status")
+        with pytest.raises(AttributeError):
+            outcome.status = "false"
 
     def test_empty_graph_follows_the_sweep_row(self):
         empty = Graph.empty(0)
@@ -331,6 +339,21 @@ class TestRunBatch:
         assert lines[0] == "graph6,n,alpha,chi,t_max_plain,t_max_strong_odd,main_bound,main_holds"
         assert lines[1] == "Bw,3,1,3,3,3,5,true"
         assert lines[2] == ""
+
+    def test_csv_matches_the_csv_module(self, all_graphs_small, monkeypatch):
+        """_csv_bytes joins the fields itself.  The csv module writes the
+        same bytes on rows with every status, under every subset of the
+        checks in table order and the whole table reversed, and with no row."""
+        rows = [evaluate_graph(g, CHECK_NAMES) for n in range(1, 6) for g in all_graphs_small[n]]
+        force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
+        force_holds(monkeypatch, "alpha3", lambda g, row, bound: False)
+        rows += [evaluate_graph(g, CHECK_NAMES) for g in all_graphs_small[4]]
+        statuses = {outcome.status for row in rows for outcome in row.bounds.values()}
+        assert statuses == {"true", "false", "out-of-regime", "inapplicable"}
+        subsets = [checks for k in range(1, 5) for checks in itertools.combinations(CHECK_NAMES, k)]
+        for checks in subsets + [CHECK_NAMES[::-1]]:
+            for part in (rows, []):
+                assert checks_module._csv_bytes(part, checks) == oracles.reference_csv_bytes(part, checks)
 
     def test_empty_input_file(self, tmp_path, capsys):
         path = tmp_path / "empty.g6"

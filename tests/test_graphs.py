@@ -23,6 +23,7 @@ from immersions import (
     clique_certificate,
     complement,
     encode_graph6,
+    enumerate_alpha_le2,
     extension_step,
     find_clique_immersion,
     independence_number,
@@ -119,7 +120,7 @@ class TestGraphType:
     # Every argument that a public entry point outside immersion and
     # checks reads attributes of, and the bit-set arguments of is_clique,
     # bits, mask_of and clique_certificate: each entry passes one of the
-    # wrong type.
+    # wrong type, or a negative mask or vertex.
     TYPE_INPUTS = {
         "parse_graph6 None": (lambda: parse_graph6(None), "line needs a str, not the NoneType None"),
         "parse_graph6 bytes": (lambda: parse_graph6(b"Dhc"), "line needs a str, not the bytes b'Dhc'"),
@@ -140,9 +141,16 @@ class TestGraphType:
         "encode_graph6 g": (lambda: encode_graph6("Dhc"), "g needs a Graph, not the str 'Dhc'"),
         "is_clique g": (lambda: is_clique("Dhc", 0b11), "g needs a Graph, not the str 'Dhc'"),
         "is_clique s": (lambda: is_clique(Graph.complete(3), "ab"), "vertex set s needs an int, not the str 'ab'"),
+        "is_clique s negative": (
+            lambda: is_clique(Graph.complete(3), -1), "vertex set s needs a nonnegative int, not the int -1"
+        ),
         "bits mask": (lambda: list(bits("ab")), "mask needs an int, not the str 'ab'"),
+        "bits negative": (lambda: list(bits(-1)), "mask needs a nonnegative int, not the int -1"),
         "mask_of str": (lambda: mask_of("ab"), "vertices need an iterable of ints, not the str 'ab'"),
         "mask_of int": (lambda: mask_of(5), "vertices need an iterable of ints, not the int 5"),
+        "mask_of negative": (
+            lambda: mask_of([0, -1]), "vertices need an iterable of nonnegative ints, not the list [0, -1]"
+        ),
         "clique_certificate int": (lambda: clique_certificate(5), "vertices need an iterable of ints, not the int 5"),
         "non_neighborhood g": (lambda: non_neighborhood("Dhc", 0), "g needs a Graph, not the str 'Dhc'"),
         "canonical_form g": (lambda: canonical_form("Dhc"), "g needs a Graph, not the str 'Dhc'"),
@@ -150,7 +158,9 @@ class TestGraphType:
 
     @pytest.mark.parametrize("entry", TYPE_INPUTS)
     def test_entry_points_refuse_an_argument_of_another_type(self, entry):
-        """Each once failed with a bare AttributeError or TypeError."""
+        """Each once failed with a bare AttributeError or TypeError; on -1,
+        bits never ended, is_clique said False and mask_of failed with a
+        bare "negative shift count"."""
         call, message = self.TYPE_INPUTS[entry]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
             call()
@@ -490,6 +500,18 @@ class TestElementaryOps:
                     for a, b, c in itertools.combinations(range(n), 3)
                 )
                 assert (independence_number(g) <= 2) == (not has_triangle)
+
+    def test_max_clique_matches_the_reference(self, all_graphs_by_n, alpha2_by_n):
+        """(size, witness) as the search with (vertex, color) tuples gave
+        it, on every graph with n <= 7, every alpha <= 2 class with n = 8
+        or 9 and the complement of each: _clique_order, max_independent_set,
+        the builder's alpha > 2 triple and `immersions alpha` read the witness."""
+        graphs = [Graph.empty(0)] + [g for n in range(1, 8) for g in all_graphs_by_n[n]]
+        graphs += alpha2_by_n[8] + list(enumerate_alpha_le2(9))
+        assert len(graphs) == 3560
+        for g in graphs:
+            for h in (g, complement(g)):
+                assert max_clique(h) == oracles.reference_max_clique(h)
 
     def test_alpha_is_complement_clique_number_exhaustively(self, all_graphs_by_n):
         for n in range(1, 9):

@@ -6,7 +6,11 @@ row meets it (None: outside the check's regime, never a failure), and
 whether a false outcome is quarantined.  evaluate_graph computes every
 leading column of a row once, so the CSV schema is fixed, then runs the
 table.  Timings stay in memory, never serialized, so output is
-byte-identical across runs and worker counts.
+byte-identical across runs and worker counts.  Each stage is timed from
+the clock read that ended the stage before.  A check tuple is walked by
+_require_known once and then kept, with its runtime_ms keys, so the rows
+of a batch, which all pass the tuple run_batch validated, look it up;
+only an exact tuple is looked up, and only a valid one is kept.
 
 Both immersion orders come from one ascent, which decides K_{t+1},
 K_{t+2}, ... until one fails: the strong odd order from the clique
@@ -128,6 +132,14 @@ CHECKS: dict[str, _Check] = {
 CHECK_NAMES = tuple(CHECKS)
 
 
+# The runtime_ms keys of a row's stages before its checks, in order.
+_STAGES = ("alpha", "chi", "t_max_strong_odd", "t_max_plain")
+# A validated check tuple -> (that tuple, the runtime_ms key of every
+# stage of a row that runs it).  Only valid tuples enter, so it holds at
+# most the 65 orderings of subsets of the table.
+_VALIDATED: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+
+
 def _require_known(checks) -> tuple[str, ...]:
     """checks as a tuple of known names, each named once; a str is refused."""
     if isinstance(checks, str) or not isinstance(checks, Iterable):
@@ -146,29 +158,34 @@ def _require_known(checks) -> tuple[str, ...]:
 def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     """Full row: every leading column, the requested outcomes, and any quarantine."""
     _require_type(g, Graph, "g")
-    checks = _require_known(checks)
+    known = None
+    if type(checks) is tuple:  # a list is unhashable, and a tuple subclass could compare as anything
+        try:
+            known = _VALIDATED.get(checks)
+        except TypeError:  # an unhashable name, which _require_known refuses
+            pass
+    if known is None:
+        checks = _require_known(checks)
+        known = _VALIDATED[checks] = (checks, _STAGES + tuple(f"check_{name}" for name in checks))
+    checks, stages = known
     report = CheckReport(encode_graph6(g), g.n)
     clock = time.perf_counter
-    start = clock()
+    marks = [clock()]  # one read at each stage boundary
     h = complement(g)
     report.alpha = _clique_number(h)
-    report.runtime_ms["alpha"] = (clock() - start) * 1000
-    start = clock()
+    marks.append(clock())
     if report.alpha <= 2:
         report.chi = g.n - matching_number(h)  # a color class is a vertex or an edge of h
     else:
         report.chi = chromatic_number(g)[0]
-    report.runtime_ms["chi"] = (clock() - start) * 1000
+    marks.append(clock())
     index = _SearchIndex(g)
-    start = clock()
     report.t_max_strong_odd = _ascend(index, _clique_order(g), STRONG_ODD)[0]
-    report.runtime_ms["t_max_strong_odd"] = (clock() - start) * 1000
-    start = clock()
+    marks.append(clock())
     report.t_max_plain = _ascend(index, report.t_max_strong_odd, PLAIN)[0]
-    report.runtime_ms["t_max_plain"] = (clock() - start) * 1000
+    marks.append(clock())
 
     for name in checks:
-        start = clock()
         check = CHECKS[name]
         bound = check.bound(report)
         if not check.applies(report):
@@ -177,7 +194,8 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
             holds = check.holds(g, report, bound)
             status = "out-of-regime" if holds is None else "true" if holds else "false"
         report.bounds[name] = CheckOutcome(bound, status)
-        report.runtime_ms[f"check_{name}"] = (clock() - start) * 1000
+        marks.append(clock())
+    report.runtime_ms = {stage: (end - start) * 1000 for stage, start, end in zip(stages, marks, marks[1:])}
 
     failed = [name for name, outcome in report.bounds.items() if outcome.status == "false"]
     if any(CHECKS[name].quarantine for name in failed):

@@ -35,8 +35,10 @@ past the clique number when it holds for a maximum clique as the base.
 Steps 1 and 2 make their certificates through immersion's
 _clique_certificate, as clique_certificate does after its argument
 checks, which the builder's own ascending int terminals do not need.
-Each step 3 certificate is verified in an assert, and the appendix
-check verifies every certificate the builder returns.
+Step 1's clique is asserted through graphs._is_clique, is_clique's walk
+without its argument checks, since the clique is a mask of live.  Each
+step 3 certificate is verified in an assert, and the appendix check
+verifies every certificate the builder returns.
 """
 
 from __future__ import annotations
@@ -48,9 +50,9 @@ from .errors import (
 )
 from .graphs import (
     Graph,
+    _is_clique,
     _require_int,
     _require_type,
-    is_clique,
     mask_of,
     max_independent_set,
 )
@@ -173,7 +175,7 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
         x = low.bit_length() - 1
         if (adj[x] & live).bit_count() <= degree_cap:
             clique = live & ~adj[x] & ~low
-            assert is_clique(g, clique) and clique.bit_count() >= target
+            assert _is_clique(adj, clique) and clique.bit_count() >= target
             if trace is not None:
                 trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
             return _clique_certificate(_vertices(clique))

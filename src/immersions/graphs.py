@@ -19,6 +19,13 @@ diagonal, and a bit at a column n..width-1 fails the compare with the
 transpose, which moves it into a row past n, where no row has bits.
 Only a rejected Graph is walked row by row, to name its first fault.
 
+parse_graph6 accepts exactly one word per graph, the one encode_graph6
+writes, so it keeps the word it read on the Graph it returns and
+encode_graph6 returns that word.  The word is an attribute outside the
+dataclass fields, set as _unchecked sets the fields; every other Graph
+reads the class default None, which adds no per-instance storage, and
+is encoded from its rows.
+
 The exact solvers here (maximum clique, and the independence number as
 the clique number of the complement) are branch-and-bound with a greedy
 coloring upper bound, deterministic for reproducible reports.  Each
@@ -166,6 +173,9 @@ class Graph:
 
     n: int
     adj: tuple[int, ...]
+    # The word parse_graph6 read, kept for encode_graph6.  Not a field, so
+    # never compared, hashed or shown; every other Graph reads this default.
+    _graph6 = None
 
     def __post_init__(self):
         n, adj = self.n, self.adj
@@ -296,12 +306,18 @@ def parse_graph6(line: str) -> Graph:
     for v in range(n):
         lower.append(stream & ((1 << v) - 1))
         stream >>= v
-    return Graph._unchecked(n, _mirror_lower(lower))
+    g = Graph._unchecked(n, _mirror_lower(lower))
+    # The checks above leave one word per graph, the one encode_graph6 writes.
+    object.__setattr__(g, "_graph6", text)
+    return g
 
 
 def encode_graph6(g: Graph) -> str:
-    """Encode to the canonical single-size-byte graph6 word."""
+    """Encode to the canonical single-size-byte graph6 word; a parsed
+    graph returns the word it was read from."""
     _require_type(g, Graph, "g")
+    if g._graph6 is not None:
+        return g._graph6
     stream = 0
     for v in range(g.n - 1, 0, -1):
         stream = stream << v | (g.adj[v] & ((1 << v) - 1))
@@ -350,7 +366,13 @@ def is_clique(g: Graph, s: int) -> bool:
     _require_int(s, "vertex set s")
     if s < 0:
         raise ValueError(f"vertex set s needs a nonnegative int, not the int {s!r}")
-    adj = g.adj
+    if s >> g.n:
+        raise ValueError(f"vertex set s needs vertices inside 0..{g.n - 1}, not the int {s!r}")
+    return _is_clique(g.adj, s)
+
+
+def _is_clique(adj: tuple[int, ...], s: int) -> bool:
+    """is_clique on a vertex set known to lie inside the graph, unchecked."""
     m = s
     while m:
         low = m & -m

@@ -33,7 +33,10 @@ trying every neighbor of v.  Pruning is limited to sound necessary
 conditions, so the first certificate found never depends on it:
 
 - terminal degree >= t-1, since a terminal ends t-1 disjoint paths;
-  t such terminals have t(t-1) <= degree sum <= 2|E|, so C(t,2) <= |E|;
+  t such terminals have t(t-1) <= degree sum <= 2|E|, so C(t,2) <= |E|.
+  The degrees are kept ranked in descending order, so an order with
+  fewer than t such vertices, where most climbs end, is refused by one
+  read of the t-th largest degree, before any candidate is listed;
 - per-pair parity-aware floors over exactly the vertices a route of
   the set may cross: neither end, nor a terminal with no pass-through
   budget from the start;
@@ -162,14 +165,20 @@ class ImmersionCertificate:
 
 
 def clique_certificate(vertices) -> ImmersionCertificate:
-    """Single-edge certificate on a clique (callers guarantee cliqueness)."""
+    """Single-edge certificate on a clique (callers guarantee cliqueness)
+    of distinct nonnegative vertices, listed ascending."""
     try:
         terminals = tuple(vertices)
     except TypeError:
         raise ValueError(f"vertices need an iterable of ints, not the {type(vertices).__name__} {vertices!r}") from None
     for v in terminals:
         _require_int(v, "a terminal")
-    return _clique_certificate(sorted(terminals))
+    terminals = sorted(terminals)
+    if terminals and terminals[0] < 0:
+        raise ValueError(f"vertices need nonnegative ints, not the {type(vertices).__name__} {vertices!r}")
+    if len(set(terminals)) < len(terminals):  # a repeated vertex would make a path a loop
+        raise ValueError(f"vertices need distinct ints, not the {type(vertices).__name__} {vertices!r}")
+    return _clique_certificate(terminals)
 
 
 def _clique_certificate(terminals) -> ImmersionCertificate:
@@ -488,17 +497,25 @@ class _SearchIndex:
     other part at first use.
 
     degrees[v] is the degree of v, the one source of the candidate
-    filter, the pass-through budgets and the decision order;
-    edge_bit[v][w] is the used-edge bit of the edge vw, looked up by w
-    (its keys ascend as in adj[v], the order the reference router in
-    tests/oracles.py walks); twins[w] is the bitset of the twins v < w
-    of w.  Each caller builds one for the orders it decides (a sweep row
+    filter, the pass-through budgets and the decision order; ranked is
+    the degrees in descending order, so ranked[t - 1] >= t - 1 says in
+    one read whether t vertices have degree >= t - 1; no_budget is every
+    vertex's pass-through budget under the strong flag, 0, which the
+    router copies before it spends; edge_bit[v][w] is the used-edge bit
+    of the edge vw, looked up by w (its keys ascend as in adj[v], the
+    order the reference router in tests/oracles.py walks); twins[w] is
+    the bitset of the twins v < w of w.  Each caller builds one for the orders it decides (a sweep row
     one for both its climbs), and nothing keeps it past that call.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.degrees = [row.bit_count() for row in g.adj]
+        self.ranked = sorted(self.degrees, reverse=True)
+
+    @cached_property
+    def no_budget(self) -> list[int]:
+        return [0] * self.g.n
 
     @cached_property
     def edge_bit(self) -> list[dict[int, int]]:
@@ -539,11 +556,15 @@ def _decide(index: _SearchIndex, t: int, flags: ImmersionFlags) -> tuple[int, ..
     g = index.g
     if t == 1:
         return (0,) if g.n else None
-    degrees = index.degrees
-    candidates = [v for v, degree in enumerate(degrees) if degree >= t - 1]
-    if len(candidates) < t:
+    if t > g.n or index.ranked[t - 1] < t - 1:  # fewer than t vertices of degree >= t - 1
         return None
-    tight_candidates = mask_of(v for v in candidates if degrees[v] == t - 1)
+    candidates = []
+    tight_candidates = 0
+    for v, degree in enumerate(index.degrees):
+        if degree >= t - 1:
+            candidates.append(v)
+            if degree == t - 1:
+                tight_candidates |= 1 << v
     strong_odd = flags.strong and flags.odd
     for terms, term_mask in _twin_closed_sets(candidates, t, index.twins):
         if strong_odd and _edge_classes_short(index, terms, term_mask):
@@ -579,8 +600,11 @@ def _solve_set(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlag
     g = index.g
     edge_bit = index.edge_bit
     t = len(terms)
-    budget = [0 if flags.strong else (degree - (t - 1)) // 2 for degree in index.degrees]
-    spent = mask_of(v for v in terms if not budget[v])
+    budget = index.no_budget if flags.strong else [(degree - (t - 1)) // 2 for degree in index.degrees]
+    spent = 0
+    for v in terms:
+        if not budget[v]:
+            spent |= 1 << v
     direct = decide and (flags.strong or not flags.odd)
     used = 0
     pairs = []

@@ -612,6 +612,23 @@ class TestRunBatch:
         assert run_batch(enumerate_alpha_le2(6), checks, workers=4, out=str(quad)) == 0
         assert single.read_bytes() == quad.read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_graph6_file_and_generator_agree(self, tmp_path, workers):
+        """A parsed graph's row takes the word it was read from, a
+        generated one's its encoding: the n = 7 alpha <= 2 words read
+        from a file with a header and whitespace around some words make
+        the same report as the generator."""
+        words = [encode_graph6(g) for g in enumerate_alpha_le2(7)]
+        padded = [f" \t{word}  " if k % 3 == 0 else word for k, word in enumerate(words)]
+        source = tmp_path / "in.g6"
+        source.write_text(">>graph6<<\n" + "".join(line + "\n" for line in padded))
+        checks = ("main", "appendix", "vergara")
+        from_file, generated = tmp_path / "file.csv", tmp_path / "generated.csv"
+        assert run_batch(str(source), checks, workers=workers, out=str(from_file)) == 0
+        assert run_batch(enumerate_alpha_le2(7), checks, workers=workers, out=str(generated)) == 0
+        assert from_file.read_bytes() == generated.read_bytes()
+        assert from_file.read_bytes().count(b"\r\n") == 1 + len(words) == 1 + 107
+
     def test_each_word_parsed_once(self, tmp_path, monkeypatch):
         calls = []
 

@@ -120,7 +120,8 @@ class TestGraphType:
     # Every argument that a public entry point outside immersion and
     # checks reads attributes of, and the bit-set arguments of is_clique,
     # bits, mask_of and clique_certificate: each entry passes one of the
-    # wrong type, or a negative mask or vertex.
+    # wrong type, a negative mask or vertex, a mask with a vertex past the
+    # graph, or a repeated vertex.
     TYPE_INPUTS = {
         "parse_graph6 None": (lambda: parse_graph6(None), "line needs a str, not the NoneType None"),
         "parse_graph6 bytes": (lambda: parse_graph6(b"Dhc"), "line needs a str, not the bytes b'Dhc'"),
@@ -144,6 +145,13 @@ class TestGraphType:
         "is_clique s negative": (
             lambda: is_clique(Graph.complete(3), -1), "vertex set s needs a nonnegative int, not the int -1"
         ),
+        "is_clique s past n": (
+            lambda: is_clique(Graph.complete(3), 8), "vertex set s needs vertices inside 0..2, not the int 8"
+        ),
+        "is_clique s past every lane": (
+            lambda: is_clique(Graph.complete(3), 1 << 70),
+            f"vertex set s needs vertices inside 0..2, not the int {1 << 70}",
+        ),
         "bits mask": (lambda: list(bits("ab")), "mask needs an int, not the str 'ab'"),
         "bits negative": (lambda: list(bits(-1)), "mask needs a nonnegative int, not the int -1"),
         "mask_of str": (lambda: mask_of("ab"), "vertices need an iterable of ints, not the str 'ab'"),
@@ -152,6 +160,12 @@ class TestGraphType:
             lambda: mask_of([0, -1]), "vertices need an iterable of nonnegative ints, not the list [0, -1]"
         ),
         "clique_certificate int": (lambda: clique_certificate(5), "vertices need an iterable of ints, not the int 5"),
+        "clique_certificate negative": (
+            lambda: clique_certificate([-1, 0]), "vertices need nonnegative ints, not the list [-1, 0]"
+        ),
+        "clique_certificate repeated": (
+            lambda: clique_certificate([0, 0]), "vertices need distinct ints, not the list [0, 0]"
+        ),
         "non_neighborhood g": (lambda: non_neighborhood("Dhc", 0), "g needs a Graph, not the str 'Dhc'"),
         "canonical_form g": (lambda: canonical_form("Dhc"), "g needs a Graph, not the str 'Dhc'"),
     }
@@ -160,7 +174,9 @@ class TestGraphType:
     def test_entry_points_refuse_an_argument_of_another_type(self, entry):
         """Each once failed with a bare AttributeError or TypeError; on -1,
         bits never ended, is_clique said False and mask_of failed with a
-        bare "negative shift count"."""
+        bare "negative shift count".  is_clique failed on a vertex past n
+        with a bare IndexError, and clique_certificate made a certificate
+        with the terminal -1 from [-1, 0] and the loop (0, 0) from [0, 0]."""
         call, message = self.TYPE_INPUTS[entry]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
             call()

@@ -5,7 +5,8 @@ tests/data/sweep_alpha2_n10.csv.gz holds, byte for byte, the report of
     immersions sweep --family alpha2 --n 10 --checks main,appendix,vergara
 
 over all 12,172 classes.  Tier-1 recomputes every 60th row (203 rows)
-and compares it with the stored one, and acceptance criterion 11
+and compares it with the stored one, checks every stored word against
+the per-bit encoder, and acceptance criterion 11
 (tests/test_acceptance.py) recomputes the whole report.  Recompute
 every row and compare the whole report, or rewrite the file when a
 change is meant to alter the rows, with:
@@ -23,7 +24,8 @@ import sys
 import tempfile
 from pathlib import Path
 
-from immersions import enumerate_alpha_le2, evaluate_graph, parse_graph6, run_batch
+import oracles
+from immersions import encode_graph6, enumerate_alpha_le2, evaluate_graph, parse_graph6, run_batch
 from immersions.checks import _csv_bytes
 
 STORED = Path(__file__).parent / "data" / "sweep_alpha2_n10.csv.gz"
@@ -51,6 +53,15 @@ def test_every_60th_row_recomputes():
     assert fresh[0] == header
     for got, want in zip(fresh[1:], slice_rows):
         assert got == want, f"row for {want.split(',')[0]} changed"
+
+
+def test_parsed_words_encode_as_the_reference():
+    """encode_graph6 returns a parsed graph's own word: on every stored
+    word it equals the per-bit encoder's word for the parsed rows."""
+    for row in stored_lines()[1:]:
+        word = row.split(",")[0]
+        g = parse_graph6(word)
+        assert encode_graph6(g) == oracles.reference_encode_graph6(g) == word
 
 
 def sweep(workers: int) -> tuple[int, bytes]:

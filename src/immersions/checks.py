@@ -17,10 +17,10 @@ K_{t+2}, ... until one fails: the strong odd order from the clique
 number, which a clique proves, or from one more when the builder's
 extension lemma proves it on a maximum clique (_clique_order), and the
 plain order from the strong odd order, since every strong odd
-certificate is a plain one.  A climb
-keeps only its order and routes no certificate.  A quarantined row
-routes its witnesses with find_clique_immersion at its climbs' orders,
-so they are max_clique_immersion's certificates by construction.
+certificate is a plain one.  A climb routes no certificate.  A
+quarantined row routes its witnesses on the row's one search index from
+the sets its climbs decided, as max_clique_immersion does, so they are
+its certificates by construction.
 
 A row's alpha is the clique number of the complement H, and H has no
 triangle exactly when alpha <= 2, so the clique search runs only on an
@@ -62,9 +62,10 @@ from .immersion import (
     STRONG_ODD,
     _ascend,
     _clique_order,
+    _decide,
+    _route,
     _SearchIndex,
     certificate_to_json,
-    find_clique_immersion,
     verify_certificate,
 )
 
@@ -136,17 +137,20 @@ CHECK_NAMES = tuple(CHECKS)
 _STAGES = ("alpha", "chi", "t_max_strong_odd", "t_max_plain")
 # A validated check tuple -> (that tuple, the runtime_ms key of every
 # stage of a row that runs it).  Only valid tuples enter, so it holds at
-# most the 65 orderings of subsets of the table.
+# most the 64 orderings of nonempty subsets of the table.
 _VALIDATED: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
 
 
 def _require_known(checks) -> tuple[str, ...]:
-    """checks as a tuple of known names, each named once; a str is refused."""
+    """checks as a tuple of known names, at least one, each named once; a
+    str is refused."""
     if isinstance(checks, str) or not isinstance(checks, Iterable):
         raise ValueError(
             f"checks must be a sequence of check names, not the {type(checks).__name__} {checks!r}"
         )
     checks = tuple(checks)
+    if not checks:
+        raise ValueError("at least one check is required")
     for k, name in enumerate(checks):
         if not isinstance(name, str) or name not in CHECKS:
             raise ValueError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
@@ -180,9 +184,9 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
         report.chi = chromatic_number(g)[0]
     marks.append(clock())
     index = _SearchIndex(g)
-    report.t_max_strong_odd = _ascend(index, _clique_order(g), STRONG_ODD)[0]
+    report.t_max_strong_odd, odd_terms = _ascend(index, _clique_order(index), STRONG_ODD)
     marks.append(clock())
-    report.t_max_plain = _ascend(index, report.t_max_strong_odd, PLAIN)[0]
+    report.t_max_plain, plain_terms = _ascend(index, report.t_max_strong_odd, PLAIN)
     marks.append(clock())
 
     for name in checks:
@@ -203,9 +207,9 @@ def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
         if coloring.k != report.chi:
             raise AssertionError(f"the witness coloring has {coloring.k} colors, the row's chi is {report.chi}")
         report.quarantine = {**_leading(report), "coloring": list(coloring.colors), "failed_checks": failed}
-        orders = (("plain", report.t_max_plain, PLAIN), ("strong_odd", report.t_max_strong_odd, STRONG_ODD))
-        for kind, t, flags in orders:
-            cert = find_clique_immersion(g, t, flags)
+        for kind, t, terms, flags in (("plain", report.t_max_plain, plain_terms, PLAIN),
+                                      ("strong_odd", report.t_max_strong_odd, odd_terms, STRONG_ODD)):
+            cert = _route(index, terms or _decide(index, t, flags), flags)
             report.quarantine[f"certificate_{kind}"] = json.loads(certificate_to_json(cert, flags))
     return report
 
@@ -324,8 +328,6 @@ def run_batch(source, checks, workers: int = 1, out: str | None = None, fmt: str
     """
     try:
         checks = _require_known(checks)
-        if not checks:
-            raise ValueError("at least one check is required")
         if fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {fmt!r}")
         _require_int(workers, "workers")

@@ -255,6 +255,17 @@ def canonical_form(g: Graph) -> tuple[int, ...]:
 
 
 def graph_from_canonical_form(form: tuple[int, ...]) -> Graph:
+    """The graph whose lower-triangle rows are form, as canonical_form
+    returns them: row v holds only vertices below v, so no two forms
+    build one graph."""
+    if not isinstance(form, tuple):
+        raise ValueError(f"form needs a tuple of rows, not the {type(form).__name__} {form!r}")
+    for v, row in enumerate(form):
+        _require_int(row, f"form row {v}")
+        if row >> v:  # a bit at v or above, or a negative row
+            raise ValueError(f"form row {v} needs vertices below {v} only, not the int {row}")
+    if len(form) > MAX_VERTICES:
+        raise UnsupportedSizeError(f"vertex count {len(form)} outside 0..{MAX_VERTICES}")
     return Graph(len(form), _mirror_lower(form))
 
 
@@ -330,7 +341,8 @@ def _level(n: int, independent_only: bool) -> tuple[tuple[Graph, ...], tuple[tup
             if form not in found:
                 found[form] = shared.setdefault(form_automorphisms, form_automorphisms)
     forms = sorted(found)
-    return tuple(graph_from_canonical_form(form) for form in forms), tuple(found[form] for form in forms)
+    # Each form is _search's, canonical by construction: no need for graph_from_canonical_form's checks.
+    return tuple(Graph(len(form), _mirror_lower(form)) for form in forms), tuple(found[form] for form in forms)
 
 
 def _check_size(family: str, n: int, cap: int, hint: str = "") -> None:

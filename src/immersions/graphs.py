@@ -13,11 +13,12 @@ their transpose) and rebuilding a graph from its canonical rows.  The
 rows go side by side into one int, each in a lane of 8, 16, 32 or 64
 bits, the narrowest that holds n bits, and log2(lane) masked swaps of
 blocks transpose it (Warren, Hacker's Delight, section 7-3).  So one
-packed pass decides range, loops and symmetry: packing overflows on a
-row below 0 or wider than its lane, a loop is a bit on the lane's
-diagonal, and a bit at a column n..width-1 fails the compare with the
-transpose, which moves it into a row past n, where no row has bits.
-Only a rejected Graph is walked row by row, to name its first fault.
+packed pass decides type, range, loops and symmetry: packing fails on a
+row that is not an int (a bool packs as 0 or 1) and overflows on a row
+below 0 or wider than its lane, a loop is a bit on the lane's diagonal,
+and a bit at a column n..width-1 fails the compare with the transpose,
+which moves it into a row past n, where no row has bits.  Only a
+rejected Graph is walked row by row, to name its first fault.
 
 parse_graph6 accepts exactly one word per graph, the one encode_graph6
 writes, so it keeps the word it read on the Graph it returns and
@@ -189,7 +190,7 @@ class Graph:
         lane = _LANES[n]
         try:
             packed = _pack(adj, lane)
-        except OverflowError:  # a row below 0 or wider than its lane
+        except (OverflowError, TypeError):  # a row below 0, wider than its lane or not an int
             pass
         else:
             mirror = _transpose_packed(packed, lane)
@@ -197,6 +198,8 @@ class Graph:
                 return
         full = (1 << n) - 1
         for v, row in enumerate(adj):
+            if not isinstance(row, int):
+                raise ValueError(f"adjacency row {v} needs an int, not the {type(row).__name__} {row!r}")
             if row & ~full:
                 raise ValueError(f"vertex {v} has neighbors outside 0..{n - 1}")
             if row >> v & 1:
@@ -230,7 +233,17 @@ class Graph:
     def from_edges(cls, n: int, edges) -> Graph:
         _require_int(n, "vertex count n")
         adj = [0] * n
-        for u, v in edges:
+        try:
+            edges = iter(edges)
+        except TypeError:
+            raise ValueError(
+                f"edges need an iterable of vertex pairs, not the {type(edges).__name__} {edges!r}"
+            ) from None
+        for edge in edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):  # not iterable, or not of length 2
+                raise ValueError(f"edges need vertex pairs, not the {type(edge).__name__} {edge!r}") from None
             _require_int(u, "an edge end")
             _require_int(v, "an edge end")
             if not (0 <= u < n and 0 <= v < n):

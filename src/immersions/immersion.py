@@ -119,7 +119,7 @@ from functools import cached_property
 from itertools import accumulate, combinations
 
 from .errors import DegenerateInputError, MalformedCertificateError
-from .graphs import Graph, _is_int, _require_int, _require_type, earlier_twins, is_clique, mask_of, max_clique
+from .graphs import Graph, _is_clique, _is_int, _require_int, _require_type, earlier_twins, mask_of, max_clique
 
 
 @dataclass(frozen=True)
@@ -476,7 +476,7 @@ def _tight_crowded(index: _SearchIndex, term_mask: int, tight: int, odd: bool) -
         k = ends.bit_count()
         spare = degrees[w] - k  # w's edges off E
         # k - 2*mu is k, or k % 2 when mu = floor(k/2).
-        if spare < k and (odd or spare < k % 2 or is_clique(index.g, ends)):
+        if spare < k and (odd or spare < k % 2 or _is_clique(adj, ends)):
             return True
     return False
 
@@ -499,23 +499,18 @@ class _SearchIndex:
     degrees[v] is the degree of v, the one source of the candidate
     filter, the pass-through budgets and the decision order; ranked is
     the degrees in descending order, so ranked[t - 1] >= t - 1 says in
-    one read whether t vertices have degree >= t - 1; no_budget is every
-    vertex's pass-through budget under the strong flag, 0, which the
-    router copies before it spends; edge_bit[v][w] is the used-edge bit
-    of the edge vw, looked up by w (its keys ascend as in adj[v], the
-    order the reference router in tests/oracles.py walks); twins[w] is
-    the bitset of the twins v < w of w.  Each caller builds one for the orders it decides (a sweep row
-    one for both its climbs), and nothing keeps it past that call.
+    one read whether t vertices have degree >= t - 1; edge_bit[v][w] is
+    the used-edge bit of the edge vw, looked up by w (its keys ascend as
+    in adj[v], the order the reference router in tests/oracles.py walks);
+    twins[w] is the bitset of the twins v < w of w.  Each caller builds
+    one for the orders it decides and routes (a sweep row one for both
+    its climbs and any witnesses), and nothing keeps it past that call.
     """
 
     def __init__(self, g: Graph):
         self.g = g
         self.degrees = [row.bit_count() for row in g.adj]
         self.ranked = sorted(self.degrees, reverse=True)
-
-    @cached_property
-    def no_budget(self) -> list[int]:
-        return [0] * self.g.n
 
     @cached_property
     def edge_bit(self) -> list[dict[int, int]]:
@@ -600,7 +595,7 @@ def _solve_set(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlag
     g = index.g
     edge_bit = index.edge_bit
     t = len(terms)
-    budget = index.no_budget if flags.strong else [(degree - (t - 1)) // 2 for degree in index.degrees]
+    budget = [0] * g.n if flags.strong else [(degree - (t - 1)) // 2 for degree in index.degrees]
     spent = 0
     for v in terms:
         if not budget[v]:
@@ -724,8 +719,8 @@ def max_clique_immersion(g: Graph, flags: ImmersionFlags) -> tuple[int, Immersio
     if g.n == 0:
         raise DegenerateInputError("maximum immersion order undefined on the empty graph")
     index = _SearchIndex(g)
-    t, terms = _ascend(index, _clique_order(g), flags)
-    return t, _route(index, _decide(index, t, flags) if terms is None else terms, flags)
+    t, terms = _ascend(index, _clique_order(index), flags)
+    return t, _route(index, terms or _decide(index, t, flags), flags)
 
 
 def _extends(adj: tuple[int, ...], terms: int, u: int, v: int) -> bool:
@@ -738,17 +733,19 @@ def _extends(adj: tuple[int, ...], terms: int, u: int, v: int) -> bool:
     return not missed & ~adj[u] and (adj[u] & adj[v] & ~terms).bit_count() >= missed.bit_count()
 
 
-def _clique_order(g: Graph) -> int:
+def _clique_order(index: _SearchIndex) -> int:
     """An order that immerses strongly and oddly, found with no search:
     omega + 1 when the extension lemma holds for the clique max_clique
     returns or for a swap Q - q + x, where x misses exactly the vertex q
     of Q, for some hub u and new terminal v; omega otherwise.  Each of
     the lemma's omega + 1 terminals ends omega edge-disjoint paths, so
-    with fewer vertices of degree >= omega no scan is made."""
+    with fewer vertices of degree >= omega, the test _decide makes for
+    K_{omega+1}, no scan is made."""
+    g = index.g
     omega, clique = max_clique(g)
-    adj = g.adj
-    if sum(row.bit_count() >= omega for row in adj) <= omega:
+    if omega >= g.n or index.ranked[omega] < omega:
         return omega
+    adj = g.adj
     cliques = [clique]
     outside = g.vertex_mask & ~clique
     while outside:  # the bits inlined here and below: ascending

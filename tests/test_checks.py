@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import concurrent.futures.process
 import dataclasses
+import hashlib
 import itertools
 import json
 import os
@@ -48,7 +49,8 @@ def force_holds(monkeypatch, name: str, holds) -> None:
 
 
 def _decide_calls(monkeypatch, graphs) -> int:
-    """_decide calls while evaluate_graph runs every check on graphs."""
+    """_decide calls while evaluate_graph runs every check on graphs: the
+    climbs' and a quarantined row's own."""
     calls = 0
     decide = immersion_module._decide
 
@@ -58,6 +60,7 @@ def _decide_calls(monkeypatch, graphs) -> int:
         return decide(index, t, flags)
 
     monkeypatch.setattr(immersion_module, "_decide", counted)
+    monkeypatch.setattr(checks_module, "_decide", counted)
     for g in graphs:
         evaluate_graph(g, ("main", "appendix", "vergara"))
     return calls
@@ -165,6 +168,13 @@ class TestEvaluateGraph:
         with pytest.raises(ValueError, match="not the str 'main'"):
             evaluate_graph(Graph.complete(3), "main")
 
+    def test_no_check_rejected(self):
+        """evaluate_graph once returned a row with no outcomes on (), which
+        run_batch refused with the same message."""
+        for checks in ((), []):
+            with pytest.raises(ValueError, match="^at least one check is required$"):
+                evaluate_graph(Graph.complete(3), checks)
+
     def test_find_clique_immersion_calls(self, monkeypatch, alpha2_by_n):
         """Orders searched over the 410 alpha <= 2 rows at n = 8, counted
         at _decide, which a climb calls for each order and
@@ -180,15 +190,17 @@ class TestEvaluateGraph:
 
     def test_quarantine_decide_calls(self, monkeypatch, alpha2_by_n):
         """With main and vergara forced false, every one of the 582 alpha <= 2
-        classes with n <= 8 is quarantined.  Its witnesses cost one _decide
-        each, at the order its climb found, on top of the climbs."""
+        classes with n <= 8 is quarantined.  A witness is routed from the set
+        its climb decided, and costs one _decide on top of the climbs only
+        when that climb made no step."""
         force_holds(monkeypatch, "main", lambda g, row, bound: False)
         force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
         graphs = [g for n in range(1, 9) for g in alpha2_by_n[n]]
         assert len(graphs) == 582
         # 3675 while a quarantined row climbed both orders again through
-        # max_clique_immersion for its witnesses.
-        assert _decide_calls(monkeypatch, graphs) == 2509
+        # max_clique_immersion for its witnesses; 2509 while it decided
+        # both orders again through find_clique_immersion.
+        assert _decide_calls(monkeypatch, graphs) == 2313
 
     def test_verify_calls(self, monkeypatch, alpha2_by_n):
         """The builder's certificates are verified once each over the same
@@ -414,6 +426,7 @@ class TestRunBatch:
         err = captured.err
         assert err.count("error:") == 12
         assert "check 'main' named twice" in err
+        assert "at least one check is required" in err
         assert "checks must be a sequence of check names, not the str 'main'" in err
         assert "checks must be a sequence of check names, not the NoneType None" in err
         assert "unknown check ['main']" in err
@@ -531,6 +544,20 @@ class TestRunBatch:
         assert entry["chi"] == 3 and len(entry["coloring"]) == 3
         assert entry["certificate_plain"]["t"] == 3
         assert entry["certificate_strong_odd"]["flags"] == {"strong": True, "odd": True}
+
+    def test_quarantine_payloads_pinned(self, tmp_path, monkeypatch, alpha2_by_n):
+        """With main and vergara forced false, every one of the 582 alpha <= 2
+        classes with n <= 8 is quarantined; the quarantine file, each row's
+        coloring and both witness certificates, is pinned byte for byte."""
+        force_holds(monkeypatch, "main", lambda g, row, bound: False)
+        force_holds(monkeypatch, "vergara", lambda g, row, bound: False)
+        graphs = [g for n in range(1, 9) for g in alpha2_by_n[n]]
+        target = tmp_path / "sweep.csv"
+        assert run_batch(graphs, ("main", "appendix", "vergara"), out=str(target)) == 1
+        blob = (tmp_path / "sweep.csv.quarantine.json").read_bytes()
+        assert len(json.loads(blob)["violations"]) == 582
+        digest = hashlib.sha256(blob).hexdigest()
+        assert digest == "2d8f6a65fa9cc82b1305ca3d60a683d69356939644d8e09cc46d330d19ad8bb5"
 
     def test_clean_run_removes_stale_quarantine(self, tmp_path, monkeypatch):
         target = tmp_path / "sweep.csv"

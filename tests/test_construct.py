@@ -34,7 +34,7 @@ from immersions import (
     verify_certificate,
 )
 from immersions import construct as construct_module
-from immersions.immersion import _clique_order, _extends
+from immersions.immersion import _clique_order, _extends, _SearchIndex
 from common import cycle, petersen_complement, third_target
 
 
@@ -289,7 +289,7 @@ class TestExtensionLemma:
                     assert verify_certificate(g, cert, STRONG_ODD).accepted
                     fired = True
                     hits += 1
-            start = _clique_order(g)
+            start = _clique_order(_SearchIndex(g))
             assert start == omega + fired
             if fired:
                 fired_graphs += 1
@@ -309,7 +309,7 @@ class TestExtensionLemma:
         for g in graphs:
             omega, clique_mask = max_clique(g)
             want = oracles.reference_clique_order(g, clique_mask)
-            assert _clique_order(g) == want, encode_graph6(g)
+            assert _clique_order(_SearchIndex(g)) == want, encode_graph6(g)
             if sum(g.degree(v) >= omega for v in range(g.n)) <= omega:
                 early += 1
                 assert want == omega, encode_graph6(g)

@@ -14,6 +14,7 @@ import oracles
 from immersions import (
     Graph,
     SizeCapError,
+    UnsupportedSizeError,
     bits,
     canonical_form,
     complement,
@@ -201,6 +202,12 @@ class TestCanonicalForm:
             rebuilt = graph_from_canonical_form(form)
             assert rebuilt.n == g.n
             assert canonical_form(rebuilt) == form
+
+    def test_form_past_the_size_cap_refused(self):
+        """63 empty rows once failed with a bare IndexError."""
+        with pytest.raises(UnsupportedSizeError, match=r"^vertex count 63 outside 0\.\.62$"):
+            graph_from_canonical_form((0,) * 63)
+        assert graph_from_canonical_form((0,) * 62) == Graph.empty(62)
 
     def test_pinned_on_every_child(self):
         """The exact tuple, not only the partition, on every unfiltered child."""

@@ -26,6 +26,7 @@ from immersions import (
     enumerate_alpha_le2,
     extension_step,
     find_clique_immersion,
+    graph_from_canonical_form,
     independence_number,
     is_clique,
     is_k_colorable,
@@ -118,11 +119,38 @@ class TestGraphType:
         assert message == f"{what} needs an int, not the {type(value).__name__} {value!r}"
 
     # Every argument that a public entry point outside immersion and
-    # checks reads attributes of, and the bit-set arguments of is_clique,
-    # bits, mask_of and clique_certificate: each entry passes one of the
-    # wrong type, a negative mask or vertex, a mask with a vertex past the
-    # graph, or a repeated vertex.
+    # checks reads attributes of, the bit-set arguments of is_clique,
+    # bits, mask_of and clique_certificate, the rows of a Graph or a
+    # canonical form and the edges of Graph.from_edges: each entry passes
+    # one of the wrong type, a negative mask or vertex, a mask with a
+    # vertex past the graph, a repeated vertex, or a form row with a bit
+    # on or above the diagonal.
     TYPE_INPUTS = {
+        "Graph float row": (lambda: Graph(2, (1.0, 0)), "adjacency row 0 needs an int, not the float 1.0"),
+        "Graph str row": (lambda: Graph(2, ("a", 0)), "adjacency row 0 needs an int, not the str 'a'"),
+        "Graph None row": (lambda: Graph(2, (None, 0)), "adjacency row 0 needs an int, not the NoneType None"),
+        "Graph.from_edges int": (
+            lambda: Graph.from_edges(3, 5), "edges need an iterable of vertex pairs, not the int 5"
+        ),
+        "Graph.from_edges triple": (
+            lambda: Graph.from_edges(3, [(0, 1, 2)]), "edges need vertex pairs, not the tuple (0, 1, 2)"
+        ),
+        "Graph.from_edges int edge": (lambda: Graph.from_edges(3, [5]), "edges need vertex pairs, not the int 5"),
+        "graph_from_canonical_form str": (
+            lambda: graph_from_canonical_form("ab"), "form needs a tuple of rows, not the str 'ab'"
+        ),
+        "graph_from_canonical_form str row": (
+            lambda: graph_from_canonical_form((0, "a")), "form row 1 needs an int, not the str 'a'"
+        ),
+        "graph_from_canonical_form bit above": (
+            lambda: graph_from_canonical_form((0, 4, 0)), "form row 1 needs vertices below 1 only, not the int 4"
+        ),
+        "graph_from_canonical_form loop": (
+            lambda: graph_from_canonical_form((1,)), "form row 0 needs vertices below 0 only, not the int 1"
+        ),
+        "graph_from_canonical_form negative": (
+            lambda: graph_from_canonical_form((0, -1)), "form row 1 needs vertices below 1 only, not the int -1"
+        ),
         "parse_graph6 None": (lambda: parse_graph6(None), "line needs a str, not the NoneType None"),
         "parse_graph6 bytes": (lambda: parse_graph6(b"Dhc"), "line needs a str, not the bytes b'Dhc'"),
         "chromatic_number g": (lambda: chromatic_number("Dhc"), "g needs a Graph, not the str 'Dhc'"),
@@ -176,7 +204,10 @@ class TestGraphType:
         bits never ended, is_clique said False and mask_of failed with a
         bare "negative shift count".  is_clique failed on a vertex past n
         with a bare IndexError, and clique_certificate made a certificate
-        with the terminal -1 from [-1, 0] and the loop (0, 0) from [0, 0]."""
+        with the terminal -1 from [-1, 0] and the loop (0, 0) from [0, 0].
+        A Graph row that is not an int, from_edges on an int or a triple,
+        and graph_from_canonical_form on a str raised a bare TypeError;
+        the form (0, 4, 0) built the graph of (0, 0, 2)."""
         call, message = self.TYPE_INPUTS[entry]
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$") as caught:
             call()

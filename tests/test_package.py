@@ -21,10 +21,15 @@ import immersions
 # row, so no module calls non_neighborhood.  It extends its own
 # certificates past extension_step's input checks, so no module calls
 # extension_step, and makes its clique certificates past
-# clique_certificate's, so no module calls clique_certificate.
+# clique_certificate's, so no module calls clique_certificate.  The
+# builder and the search test cliqueness on vertex sets they built from
+# adjacency rows, past is_clique's argument checks, so no module calls
+# is_clique.  Enumeration builds each class from a form its own search
+# made, past graph_from_canonical_form's checks, so no module calls
+# graph_from_canonical_form.
 API_ONLY = {
     "STRONG", "ODD", "canonical_form", "clique_certificate", "enumerate_triangle_free", "extension_step",
-    "independence_number", "non_neighborhood",
+    "graph_from_canonical_form", "independence_number", "is_clique", "non_neighborhood",
 }
 
 

@@ -8,9 +8,9 @@ leading column of a row once, so the CSV schema is fixed, then runs the
 table.  Timings stay in memory, never serialized, so output is
 byte-identical across runs and worker counts.  Each stage is timed from
 the clock read that ended the stage before.  A check tuple is walked by
-_require_known once and then kept, with its runtime_ms keys, so the rows
-of a batch, which all pass the tuple run_batch validated, look it up;
-only an exact tuple is looked up, and only a valid one is kept.
+_require_known once, and its runtime_ms keys are then kept under it, so
+the rows of a batch, which all pass the tuple run_batch validated, look
+them up; only an exact tuple is looked up, and only a valid one is kept.
 
 Both immersion orders come from one ascent, which decides K_{t+1},
 K_{t+2}, ... until one fails: the strong odd order from the clique
@@ -85,9 +85,7 @@ class CheckReport:
     t_max_strong_odd: int | None = None
     bounds: dict[str, CheckOutcome] = field(default_factory=dict)
     runtime_ms: dict[str, float] = field(default_factory=dict)
-    # Not a field, so never compared or serialized: the witnesses of a row
-    # that fails a quarantining check.  Other rows do not keep theirs.
-    quarantine = None
+    quarantine: dict | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -135,10 +133,10 @@ CHECK_NAMES = tuple(CHECKS)
 
 # The runtime_ms keys of a row's stages before its checks, in order.
 _STAGES = ("alpha", "chi", "t_max_strong_odd", "t_max_plain")
-# A validated check tuple -> (that tuple, the runtime_ms key of every
-# stage of a row that runs it).  Only valid tuples enter, so it holds at
-# most the 64 orderings of nonempty subsets of the table.
-_VALIDATED: dict[tuple[str, ...], tuple[tuple[str, ...], tuple[str, ...]]] = {}
+# A validated check tuple -> the runtime_ms key of every stage of a row
+# that runs it.  Only valid tuples enter, so it holds at most the 64
+# orderings of nonempty subsets of the table.
+_VALIDATED: dict[tuple[str, ...], tuple[str, ...]] = {}
 
 
 def _require_known(checks) -> tuple[str, ...]:
@@ -162,16 +160,15 @@ def _require_known(checks) -> tuple[str, ...]:
 def evaluate_graph(g: Graph, checks: tuple[str, ...]) -> CheckReport:
     """Full row: every leading column, the requested outcomes, and any quarantine."""
     _require_type(g, Graph, "g")
-    known = None
+    stages = None
     if type(checks) is tuple:  # a list is unhashable, and a tuple subclass could compare as anything
         try:
-            known = _VALIDATED.get(checks)
+            stages = _VALIDATED.get(checks)
         except TypeError:  # an unhashable name, which _require_known refuses
             pass
-    if known is None:
+    if stages is None:
         checks = _require_known(checks)
-        known = _VALIDATED[checks] = (checks, _STAGES + tuple(f"check_{name}" for name in checks))
-    checks, stages = known
+        stages = _VALIDATED[checks] = _STAGES + tuple(f"check_{name}" for name in checks)
     report = CheckReport(encode_graph6(g), g.n)
     clock = time.perf_counter
     marks = [clock()]  # one read at each stage boundary

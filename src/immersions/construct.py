@@ -53,6 +53,7 @@ from .graphs import (
     _is_clique,
     _require_int,
     _require_type,
+    bits,
     mask_of,
     max_independent_set,
 )
@@ -64,16 +65,6 @@ from .immersion import (
     _extends,
     verify_certificate,
 )
-
-
-def _vertices(mask: int) -> list[int]:
-    """list(bits(mask)) in one call: the vertices of mask, ascending."""
-    vertices = []
-    while mask:
-        low = mask & -mask
-        vertices.append(low.bit_length() - 1)
-        mask ^= low
-    return vertices
 
 
 def _trim_certificate(cert: ImmersionCertificate, k: int) -> ImmersionCertificate:
@@ -123,11 +114,9 @@ def _extend(g: Graph, u: int, v: int, base: ImmersionCertificate) -> ImmersionCe
     term_mask = mask_of(base.terminals)
     if not _extends(adj, term_mask, u, v):
         return None
-    missing = _vertices(term_mask & ~adj[v])
-    common = _vertices(adj[u] & adj[v] & ~term_mask)
     terminals = tuple(sorted(base.terminals + (v,)))
     position = {t: i for i, t in enumerate(terminals)}
-    assigned = dict(zip(missing, common))
+    assigned = dict(zip(bits(term_mask & ~adj[v]), bits(adj[u] & adj[v] & ~term_mask)))
     to_v = [(t, u, assigned[t], v) if t in assigned else (t, v) for t in base.terminals]
     paths: dict[tuple[int, int], Path] = {}
     for path in [*base.paths.values(), *to_v]:
@@ -152,7 +141,7 @@ def build_third_immersion(g: Graph, trace: list[str] | None = None) -> Immersion
         raise DegenerateInputError("no terminals exist in the empty graph")
     witness = max_independent_set(g)
     if witness.bit_count() >= 3:
-        triple = tuple(_vertices(witness)[:3])
+        triple = tuple(bits(witness))[:3]
         raise IndependencePreconditionError(
             f"independence number exceeds 2: vertices {triple} are pairwise nonadjacent",
             triple,
@@ -178,7 +167,7 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
             assert _is_clique(adj, clique) and clique.bit_count() >= target
             if trace is not None:
                 trace.append(f"n={n} branch=low-degree x={x} t={clique.bit_count()}")
-            return _clique_certificate(_vertices(clique))
+            return _clique_certificate(bits(clique))
     rest = live
     while rest:
         low = rest & -rest
@@ -191,7 +180,7 @@ def _build(g: Graph, live: int, trace: list[str] | None) -> ImmersionCertificate
     else:
         if trace is not None:
             trace.append(f"n={n} branch=complete t={target}")
-        return _clique_certificate(_vertices(live)[:target])
+        return _clique_certificate(list(bits(live))[:target])
 
     sub_mask = live & ~(1 << u) & ~(1 << v)
     sub = Graph._unchecked(g.n, tuple(row & sub_mask if sub_mask >> w & 1 else 0 for w, row in enumerate(adj)))

@@ -118,7 +118,18 @@ from functools import lru_cache
 from itertools import combinations
 
 from .errors import SizeCapError, UnsupportedSizeError
-from .graphs import MAX_VERTICES, Graph, _mirror_lower, _require_int, _require_type, bits, complement, earlier_twins, mask_of
+from .graphs import (
+    MAX_VERTICES,
+    Graph,
+    _mirror_lower,
+    _require_int,
+    _require_size,
+    _require_type,
+    bits,
+    complement,
+    earlier_twins,
+    mask_of,
+)
 
 ENUM_ALPHA2_CAP = 10
 ENUM_ALL_CAP = 8
@@ -233,6 +244,7 @@ def _search(
             unplaced |= 1 << v
 
     descend(0, True)
+    descend = None  # it calls itself: free the cycle now, not at a collection
     assert best is not None
     # Position p of the first best order and position sigma(p) of another
     # hold the same vertex; both orders give the best rows, so sigma is an
@@ -264,8 +276,7 @@ def graph_from_canonical_form(form: tuple[int, ...]) -> Graph:
         _require_int(row, f"form row {v}")
         if row >> v:  # a bit at v or above, or a negative row
             raise ValueError(f"form row {v} needs vertices below {v} only, not the int {row}")
-    if len(form) > MAX_VERTICES:
-        raise UnsupportedSizeError(f"vertex count {len(form)} outside 0..{MAX_VERTICES}")
+    _require_size(len(form))
     return Graph(len(form), _mirror_lower(form))
 
 

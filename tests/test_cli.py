@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -193,6 +194,20 @@ class TestSweep:
         payload = json.loads(out)
         assert payload["checks"] == ["main", "appendix"]
         assert len(payload["rows"]) == 3
+
+    # Two report paths that no other test hashes: the alpha3 outcomes with
+    # chi from chromatic_number over every graph at n = 7, and the JSON
+    # report of a sampled family.
+    @pytest.mark.parametrize("argv, sha256", [
+        (("--family", "all", "--n", "7", "--checks", "main,appendix,vergara,alpha3"),
+         "ac58c8b1df24c7f83d1e42262d16e8fb821cfc323a41551865295dbdefb75e08"),
+        (("--family", "sample", "--n", "12", "--count", "30", "--seed", "3", "--format", "json"),
+         "d6661fa16156bb4c3c1671a1badf05dc0e17a2f5e394873e2339dbfac42774ee"),
+    ], ids=["all-n7-alpha3", "sample-n12-json"])
+    def test_report_is_pinned(self, capsys, argv, sha256):
+        code, out, err = run(capsys, "sweep", *argv)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode("ascii")).hexdigest() == sha256
 
     def test_family_without_n(self, capsys):
         code, _, err = run(capsys, "sweep", "--family", "alpha2", "--checks", "main")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import random
 import re
@@ -24,6 +25,7 @@ from immersions import (
     enumerate_triangle_free,
     graph_from_canonical_form,
     independence_number,
+    parse_graph6,
     sample_alpha_le2,
 )
 from common import cycle, petersen, random_graph
@@ -224,6 +226,29 @@ class TestCanonicalForm:
             level = all_graphs_small[n]
             brute = {oracles.brute_canonical(g) for g in level}
             assert len(brute) == len(level)
+
+
+class TestNoReferenceCycles:
+    @pytest.mark.parametrize("call", [
+        lambda: canonical_form(parse_graph6("I~~phnGqG")),
+        lambda: families._level.__wrapped__(7, True),
+        lambda: families._level.__wrapped__(6, False),
+    ], ids=["canonical_form", "level-7-alpha2", "level-6-all"])
+    def test_a_search_leaves_nothing_for_the_collector(self, call):
+        """The canonical search frees its recursive closure when it
+        returns, not left as a cycle for the collector, which once found
+        28 objects after this canonical_form, 1,506 after the alpha <= 2
+        level at n = 7 and 1,722 after the level of all graphs at n = 6,
+        each from the level below it kept."""
+        families._level(6, True)
+        families._level(5, False)
+        gc.collect()
+        gc.disable()
+        try:
+            call()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestSearchMatchesReference:

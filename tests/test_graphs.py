@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import random
 import re
+import tracemalloc
 from array import array
 
 import pytest
@@ -87,6 +88,26 @@ class TestGraphType:
         kind = f"not the {type(n).__name__} {n!r}"
         with pytest.raises(ValueError, match=re.escape(f"vertex count n needs an int, {kind}")):
             Graph(n, (0, 0))
+
+    @pytest.mark.parametrize("n, build", [
+        (-1, Graph.complete),
+        (10**6, Graph.empty),
+        (10**6, lambda n: Graph.from_edges(n, [])),
+        (10**4, Graph.complete),
+    ], ids=["complete(-1)", "empty(10**6)", "from_edges(10**6)", "complete(10**4)"])
+    def test_constructors_refuse_a_size_past_the_cap_before_building(self, n, build):
+        """Each constructor checks n's range before it builds a row: these
+        once allocated 8 MB (empty) and 16 MB (from_edges) before the
+        Graph check refused them, and complete(-1) failed with a bare
+        "negative shift count"."""
+        tracemalloc.start()
+        try:
+            with pytest.raises(UnsupportedSizeError, match=rf"^vertex count {n} outside 0\.\.62$"):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 1024
 
     # Every int input the package checks with one helper: each entry
     # maps a value to a call and names the value in its message.

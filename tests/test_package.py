@@ -111,6 +111,51 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused
 
 
+def _own_nodes(function: ast.FunctionDef):
+    """The nodes of function's body, nested functions' bodies left out
+    (a nested def itself is yielded)."""
+    stack = list(function.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.Lambda)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def test_every_self_recursive_closure_is_freed_by_its_definer():
+    """A nested function that names itself holds its own cell, so each
+    call of the function that defines it leaves a reference cycle for
+    the collector, unless that function rebinds the name to None once
+    it is done with it, as max_clique does with expand."""
+    package = Path(immersions.__file__).parent
+    recursive, unfreed = [], []
+    for path in sorted(package.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(outer, ast.FunctionDef):
+                continue
+            freed = {
+                target.id
+                for node in _own_nodes(outer)
+                if isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant) and node.value.value is None
+                for target in node.targets
+                if isinstance(target, ast.Name)
+            }
+            for inner in _own_nodes(outer):
+                if not isinstance(inner, ast.FunctionDef):
+                    continue
+                names_itself = any(
+                    isinstance(node, ast.Name) and node.id == inner.name
+                    for statement in inner.body
+                    for node in ast.walk(statement)
+                )
+                if names_itself:
+                    recursive.append(f"{path.name}: {outer.name}.{inner.name}")
+                    if inner.name not in freed:
+                        unfreed.append(recursive[-1])
+    assert recursive
+    assert unfreed == []
+
+
 def test_import_leaves_the_pool_machinery_unloaded():
     """A serial run never starts a pool, so a fresh import of the package
     must not load multiprocessing: run_batch imports it only for one."""
